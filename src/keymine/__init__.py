@@ -1,7 +1,7 @@
 """Corpus-driven keyboard layout design and evaluation toolkit.
 
 Pipeline: tokenize a text corpus into alphabet letters, count letter
-n-grams, view digraph occurrences as item transactions, mine frequent
+n-grams, view digraphs as counted item transactions, mine frequent
 itemsets and strong association rules, assign letters to hands for
 maximum hand alternation, place them on keys by frequency, and score
 arbitrary layouts against corpora.

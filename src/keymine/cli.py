@@ -193,7 +193,7 @@ def cmd_mine(args) -> int:
             f"level {level.k}: {len(level.candidates_evaluated)} candidates, "
             f"{len(level.itemsets)} frequent (1 scan)"
         )
-    print(f"scans performed: {len(levels)}" if levels else "scans performed: 1 (no frequent itemsets)")
+    print(f"scans performed: {levels.scans}" + ("" if levels else " (no frequent itemsets)"))
     rules = generate_rules(levels, len(db), params)
     out = _out_dir(args)
     write_frequent_tsv(levels, len(db), out / "frequent_itemsets.tsv")
@@ -306,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file supplying defaults for any flag")
     common.add_argument("--output-dir", help="directory for outputs (default: .)")
     common.add_argument("--format", choices=("tsv", "json"), help="summary format (default: tsv)")
-    common.add_argument("--seed", type=int, help="seed recorded in the run manifest")
 
     corpus = argparse.ArgumentParser(add_help=False)
     corpus.add_argument("--alphabet", help="alphabet JSON file")
@@ -361,7 +360,6 @@ _CONFIG_KEYS = {
     "tie_policy": "tie_policy",
     "output_dir": "output_dir",
     "format": "format",
-    "seed": "seed",
     "name": "name",
     "transactions": "transactions",
 }

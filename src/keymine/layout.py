@@ -116,12 +116,12 @@ class _PairIndex:
         self.size = len(db)
         self.item_counts: Counter[str] = Counter()
         self.pair_counts: Counter[frozenset[str]] = Counter()
-        for t in db.transactions:
-            for item in t.items:
-                self.item_counts[item] += 1
-            for i, a in enumerate(t.items):
-                for b in t.items[i + 1 :]:
-                    self.pair_counts[frozenset((a, b))] += 1
+        for row, n in db.rows.items():
+            for item in row:
+                self.item_counts[item] += n
+            for i, a in enumerate(row):
+                for b in row[i + 1 :]:
+                    self.pair_counts[frozenset((a, b))] += n
 
     def cumulative(self, letter: str, assigned: Sequence[str]) -> tuple[float, float]:
         """Sum of pair supports and of confidences of letter toward a hand set."""

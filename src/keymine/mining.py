@@ -1,14 +1,16 @@
 """Apriori frequent-itemset mining and strong-association-rule generation.
 
-Works over a generic in-memory transaction database. Itemsets are kept as
-tuples in canonical universe order so the level-wise join's shared-prefix
-condition is well defined. The miner performs exactly one full scan of the
-database per level; `brute_force_frequent` is the independent exponential
-oracle used to cross-check it.
+Works over an in-memory transaction database of counted rows, one per
+distinct itemset. Itemsets are kept as tuples in canonical universe order so
+the level-wise join's shared-prefix condition is well defined. The miner
+performs exactly one scan of the distinct rows per level;
+`brute_force_frequent` is the independent exponential oracle used to
+cross-check it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -29,21 +31,17 @@ class MiningInvariantError(RuntimeError):
     """Internal inconsistency, e.g. a frequent itemset with an uncounted subset."""
 
 
-class Transaction(NamedTuple):
-    tid: str
-    items: tuple[str, ...]
-
-
 @dataclass
 class TransactionDB:
-    """Set of item transactions; items within a transaction are deduplicated
-    and stored in universe order."""
+    """Item transactions as counted rows: `rows` maps each distinct itemset
+    (deduplicated, in universe order) to the number of transactions holding
+    exactly it. `len(db)` is the total transaction count."""
 
     universe: tuple[str, ...]
-    transactions: list[Transaction]
+    rows: dict[tuple[str, ...], int]
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return sum(self.rows.values())
 
     @classmethod
     def build(
@@ -51,15 +49,15 @@ class TransactionDB:
         universe: Sequence[str],
         transactions: Iterable[tuple[str, Iterable[str]]],
     ) -> "TransactionDB":
-        """Canonicalize raw (tid, items) pairs against the given universe."""
+        """Canonicalize raw (tid, items) pairs and count each distinct itemset."""
         universe = tuple(universe)
         order = {item: i for i, item in enumerate(universe)}
         if len(order) != len(universe):
             raise ValueError("universe items must be unique")
-        canon = []
+        rows: Counter[tuple[str, ...]] = Counter()
         for tid, items in transactions:
-            canon.append(Transaction(tid, _canonical(items, order, f"transaction {tid}")))
-        return cls(universe=universe, transactions=canon)
+            rows[_canonical(items, order, f"transaction {tid}")] += 1
+        return cls(universe=universe, rows=rows)
 
     def order(self) -> dict[str, int]:
         return {item: i for i, item in enumerate(self.universe)}
@@ -67,7 +65,7 @@ class TransactionDB:
     def support_count(self, items: Iterable[str]) -> int:
         """Number of transactions containing every given item."""
         needed = frozenset(items)
-        return sum(1 for t in self.transactions if needed.issubset(t.items))
+        return sum(n for row, n in self.rows.items() if needed.issubset(row))
 
 
 def _canonical(items: Iterable[str], order: dict[str, int], context: str) -> tuple[str, ...]:
@@ -119,21 +117,21 @@ def count_supports(
 ) -> list[CountedItemset]:
     """Count, for each candidate itemset, the transactions containing it.
 
-    One pass over the database: each transaction contributes by enumerating
-    its own size-k subsets and bumping matching candidates, which is cheap
-    for the short transactions this pipeline produces.
+    One pass over the distinct rows: each row enumerates its own size-k
+    subsets and adds its multiplicity to the matching candidates, which is
+    cheap for the short transactions this pipeline produces.
     """
     order = db.order()
     canon = [_canonical(c, order, "candidate") for c in candidates]
     counts: dict[tuple[str, ...], int] = {c: 0 for c in canon}
     sizes = sorted({len(c) for c in canon})
-    for t in db.transactions:
+    for row, n in db.rows.items():
         for k in sizes:
-            if k > len(t.items):
+            if k > len(row):
                 continue
-            for sub in combinations(t.items, k):
+            for sub in combinations(row, k):
                 if sub in counts:
-                    counts[sub] += 1
+                    counts[sub] += n
     return [CountedItemset(c, counts[c]) for c in sorted(counts, key=lambda c: _key(c, order))]
 
 
@@ -165,20 +163,27 @@ def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     ]
 
 
-def mine_frequent(db: TransactionDB, params: MiningParams) -> list[FrequentLevel]:
+class Levels(list):
+    """Frequent levels plus `scans`, the database passes that produced them:
+    one more than the levels when the last pass found nothing frequent."""
+
+    scans = 0
+
+
+def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     """Level-wise search: L1, L2, ... until a level is empty or nothing joins.
 
-    Exactly one full database scan per level. Returned levels contain only
+    Exactly one database scan per level. Returned levels contain only
     non-empty frequent sets; candidate counts are kept alongside for audit.
     """
     if not db.universe:
         raise ValueError("cannot mine a database with an empty universe")
-    order = db.order()
-    levels: list[FrequentLevel] = []
+    levels = Levels()
     candidates: list[tuple[str, ...]] = [(item,) for item in db.universe]
     k = 1
     while candidates:
         counted = count_supports(db, candidates)
+        levels.scans += 1
         frequent = tuple(ci for ci in counted if ci.support_count >= params.min_support_count)
         if not frequent:
             break
@@ -291,23 +296,19 @@ def digraphs_as_transactions(table: NGraphTable) -> TransactionDB:
     """View each digraph occurrence as one transaction over unordered pairs.
 
     The itemset is {first, second}; a doubled letter yields a singleton
-    transaction. Hand-switching benefit is direction-symmetric, so the
-    directional statistics stay in the digraph table while the transaction
-    view deliberately forgets order.
+    transaction, and "ab" and "ba" share one row. Hand-switching benefit is
+    direction-symmetric, so the directional statistics stay in the digraph
+    table while the transaction view deliberately forgets order.
     """
     if table.n != 2:
         raise ValueError(f"digraph table required, got n={table.n}")
     present = {ch for pair in table.counts for ch in pair}
     universe = tuple(ch for ch in table.alphabet.letters if ch in present)
     order = {item: i for i, item in enumerate(universe)}
-    transactions: list[Transaction] = []
-    tid = 0
-    for pair, count in sorted(table.counts.items(), key=lambda kv: _key(kv[0], order)):
-        items = _canonical(pair, order, f"digraph {pair!r}")
-        for _ in range(count):
-            tid += 1
-            transactions.append(Transaction(f"T{tid}", items))
-    return TransactionDB(universe=universe, transactions=transactions)
+    rows: Counter[tuple[str, ...]] = Counter()
+    for pair, count in table.counts.items():
+        rows[_canonical(pair, order, f"digraph {pair!r}")] += count
+    return TransactionDB(universe=universe, rows=rows)
 
 
 class TransactionFormatError(ValueError):
@@ -332,12 +333,6 @@ def read_transactions_tsv(path: str | Path, universe: Sequence[str] | None = Non
     if universe is None:
         universe = sorted({item for _, items in rows for item in items})
     return TransactionDB.build(universe, rows)
-
-
-def write_transactions_tsv(db: TransactionDB, path: str | Path) -> None:
-    lines = ["tid\titems"]
-    lines += [f"{t.tid}\t{' '.join(t.items)}" for t in db.transactions]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_frequent_tsv(levels: Sequence[FrequentLevel], db_size: int, path: str | Path) -> None:

@@ -28,6 +28,14 @@ def market9() -> TransactionDB:
     return TransactionDB.build(MARKET9_UNIVERSE, MARKET9_ROWS)
 
 
+def write_transactions_tsv(db: TransactionDB, path: Path) -> None:
+    """Write one TSV line per transaction: a row of multiplicity n is n lines."""
+    lines = ["tid\titems"]
+    for row, n in db.rows.items():
+        lines += [f"T{len(lines)}\t{' '.join(row)}" for _ in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.fixture
 def data_dir() -> Path:
     return DATA

@@ -72,17 +72,25 @@ def test_worked_example_fidelity():
 
 
 def test_miner_matches_brute_force_oracle():
-    """Exact equality with subset enumeration on 100 seeded DBs, under 10 s."""
+    """Exact equality with subset enumeration on 100 seeded DBs, under 10 s,
+    plus one digraph-derived DB whose rows have multiplicity above 1."""
     started = time.perf_counter()
-    ok = True
-    first_bad = ""
-    for seed in range(100):
-        db = random_db(seed, universe_size=4 + seed % 5, n_transactions=10 + seed % 21)
-        params = MiningParams(min_support_count=1 + seed % 3, min_confidence=0.0)
+    letters = "abcdefgh"
+    _, digraph_db = corpus_tables(random_text(letters, 3000, 7, space_prob=0.1),
+                                  AlphabetConfig(name="eight", letters=tuple(letters)))
+    cases = [
+        (f"seed {seed}", random_db(seed, universe_size=4 + seed % 5, n_transactions=10 + seed % 21),
+         MiningParams(min_support_count=1 + seed % 3, min_confidence=0.0))
+        for seed in range(100)
+    ]
+    cases.append(("digraph DB", digraph_db, MiningParams(min_support_count=80, min_confidence=0.0)))
+    ok = max(digraph_db.rows.values()) > 1
+    first_bad = "" if ok else "digraph DB has no repeated row"
+    for name, db, params in cases:
         if frequent_map(mine_frequent(db, params)) != frequent_map(
                 brute_force_frequent(db, params)):
             ok = False
-            first_bad = f"seed {seed}"
+            first_bad = name
             break
     elapsed = time.perf_counter() - started
     record("miner matches brute-force oracle on 100 seeded DBs",

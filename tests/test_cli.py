@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from keymine.cli import main
 from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
 from keymine.evaluation import read_report_json
@@ -13,12 +15,10 @@ from keymine.layout import (
     save_geometry,
     save_layout,
 )
-from keymine.mining import (
-    MiningParams,
-    brute_force_frequent,
-    write_transactions_tsv,
-)
+from keymine.mining import MiningParams, brute_force_frequent
 from keymine.synth import random_db, random_text
+
+from conftest import write_transactions_tsv
 
 
 def write_corpus(tmp_path, texts, letters="abcd", name="tiny"):
@@ -102,6 +102,26 @@ class TestMine:
         assert "level 2: 10 candidates, 6 frequent (1 scan)" in log
         assert "scans performed: 3" in log
 
+    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "out"
+        assert main(["mine", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--min-support", "0.01", "--min-confidence", "0.1",
+                     "--output-dir", str(out)]) == 0
+        for name in ("frequent_itemsets.tsv", "rules.tsv"):
+            golden = data_dir / "golden" / "sample" / "mine" / name
+            assert (out / name).read_bytes() == golden.read_bytes()
+        # digraph rows hold at most two letters: level 3 is counted, nothing frequent
+        log = capsys.readouterr().out
+        assert "level 3" not in log
+        assert "scans performed: 3" in log
+
+    def test_no_frequent_itemsets_is_one_scan(self, tmp_path, data_dir, capsys):
+        main(["mine", "--transactions", str(data_dir / "market9.tsv"),
+              "--min-support", "10", "--min-confidence", "0.7",
+              "--output-dir", str(tmp_path / "out")])
+        assert "scans performed: 1 (no frequent itemsets)" in capsys.readouterr().out
+
     def test_unsatisfiable_confidence_warns_and_exits_zero(self, tmp_path, data_dir, capsys):
         out = tmp_path / "out"
         assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
@@ -170,6 +190,15 @@ class TestDesign:
         hands = layout.hands_by_letter()
         assert hands["a"] == "right" and hands["d"] == "right"
         assert hands["b"] == "left" and hands["c"] == "left"
+
+    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
+        out = tmp_path / "out"
+        assert main(["design", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--output-dir", str(out)]) == 0
+        for name in ("layout.json", "trace.tsv"):
+            golden = data_dir / "golden" / "sample" / "design" / name
+            assert (out / name).read_bytes() == golden.read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         alpha, manifest = write_corpus(tmp_path, ["abcd dcba abab"], "abcd")
@@ -376,6 +405,16 @@ class TestConfigAndManifest:
                      "--min-confidence", "0.5",
                      "--transactions", "unused.tsv"]) == 1
         assert "min_supprt" in capsys.readouterr().err
+
+    def test_seed_is_not_an_option(self, tmp_path, data_dir):
+        args = ["mine", "--transactions", str(data_dir / "market9.tsv"),
+                "--min-support", "2", "--min-confidence", "0.7",
+                "--output-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit):
+            main(args + ["--seed", "1"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+        assert main(args + ["--config", str(config)]) == 1
 
     def test_run_manifest_hashes_inputs(self, tmp_path, data_dir):
         import hashlib

@@ -3,10 +3,11 @@
 import json
 import random
 import string
+from collections import Counter
 
 import pytest
 
-from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
+from keymine.corpus import AlphabetConfig, NGraphTable, count_ngraphs, tokenize
 from keymine.layout import (
     GeometryCapacityError,
     GeometryFormatError,
@@ -28,7 +29,7 @@ from keymine.layout import (
     save_layout,
     write_trace_tsv,
 )
-from keymine.mining import digraphs_as_transactions
+from keymine.mining import TransactionDB, digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
@@ -189,6 +190,17 @@ class TestTiePolicies:
         mono, db = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
         part = assign_hands(mono, db, tie_policy="balanced")
         assert audit_partition(part, mono, db).ok
+
+    @pytest.mark.xfail(strict=True, reason="_decide compares float sums; an exact "
+                       "integer tie is decided by rounding (0.1 + 0.2 > 0.3)")
+    def test_exact_integer_tie_goes_left(self):
+        # e's joint counts: 1 with b and 2 with c (left), 3 with a (right),
+        # 0 with d (right); |D| = count(e) = 10. The tie must go left.
+        mono = NGraphTable(n=1, counts=Counter({("a",): 50, ("b",): 40, ("c",): 30,
+                                                ("d",): 20, ("e",): 10}), alphabet=ABCDE)
+        db = TransactionDB(universe=tuple("abcde"),
+                           rows={("b", "e"): 1, ("c", "e"): 2, ("a", "e"): 3, ("e",): 4})
+        assert assign_hands(mono, db).left == ["b", "c", "e"]
 
 
 class TestAuditPartition:

@@ -23,11 +23,10 @@ from keymine.mining import (
     generate_rules,
     mine_frequent,
     read_transactions_tsv,
-    write_transactions_tsv,
 )
-from keymine.synth import random_db
+from keymine.synth import random_db, random_text
 
-from conftest import MARKET9_UNIVERSE
+from conftest import MARKET9_UNIVERSE, write_transactions_tsv
 
 PARAMS2 = MiningParams(min_support_count=2, min_confidence=0.7)
 
@@ -35,7 +34,13 @@ PARAMS2 = MiningParams(min_support_count=2, min_confidence=0.7)
 class TestTransactionDB:
     def test_items_deduplicated_and_universe_ordered(self):
         db = TransactionDB.build(("B", "A"), [("T1", ["A", "B", "A"])])
-        assert db.transactions[0].items == ("B", "A")
+        assert db.rows == {("B", "A"): 1}
+
+    def test_equal_itemsets_share_one_counted_row(self):
+        db = TransactionDB.build(
+            ("a", "b"), [("T1", ["a", "b"]), ("T2", ["b", "a"]), ("T3", ["a"])])
+        assert db.rows == {("a", "b"): 2, ("a",): 1}
+        assert len(db) == 3
 
     def test_rejects_item_outside_universe(self):
         with pytest.raises(UniverseError):
@@ -70,6 +75,11 @@ class TestCountSupports:
     def test_pair_count(self, market9):
         (counted,) = count_supports(market9, [("I1", "I2")])
         assert counted.support_count == 4
+
+    def test_row_multiplicity_is_added(self):
+        db = TransactionDB(universe=("a", "b"), rows={("a", "b"): 5, ("a",): 2})
+        counted = count_supports(db, [("a",), ("b",), ("a", "b")])
+        assert [c.support_count for c in counted] == [7, 5, 5]
 
     def test_empty_db_counts_zero(self):
         db = TransactionDB.build(("A", "B"), [])
@@ -124,6 +134,8 @@ class TestMineFrequent:
             ("I1", "I2"): 4, ("I1", "I3"): 4, ("I1", "I5"): 2,
             ("I2", "I3"): 4, ("I2", "I4"): 2, ("I2", "I5"): 2}
         assert levels[2].counts() == {("I1", "I2", "I3"): 2, ("I1", "I2", "I5"): 2}
+        # the level-4 candidate set is empty, so no fourth scan runs
+        assert levels.scans == 3
 
     def test_c2_includes_infrequent_candidates(self, market9):
         levels = mine_frequent(market9, PARAMS2)
@@ -133,7 +145,16 @@ class TestMineFrequent:
 
     def test_threshold_above_db_size_yields_no_levels(self, market9):
         params = MiningParams(min_support_count=10, min_confidence=0.5)
-        assert mine_frequent(market9, params) == []
+        levels = mine_frequent(market9, params)
+        assert levels == [] and levels.scans == 1
+
+    def test_empty_last_level_still_counts_as_a_scan(self):
+        # digraph rows hold at most two letters, so level 3 is counted and empty
+        alpha = AlphabetConfig(name="abc", letters=("a", "b", "c"))
+        table = count_ngraphs(tokenize("abcabcacb" * 5, alpha), 2)
+        levels = mine_frequent(digraphs_as_transactions(table), MiningParams(1, 0.0))
+        assert [lv.k for lv in levels] == [1, 2]
+        assert levels.scans == 3
 
     def test_frequent_subset_of_candidates(self, market9):
         for level in mine_frequent(market9, PARAMS2):
@@ -256,18 +277,13 @@ class TestDigraphAdapter:
         # {(a,b):2, (b,a):1} -> three transactions, each {a,b}
         db = digraphs_as_transactions(table)
         assert len(db) == 3
-        assert all(t.items == ("a", "b") for t in db.transactions)
+        assert db.rows == {("a", "b"): 3}
 
     def test_doubled_letter_is_singleton(self):
         table = count_ngraphs(tokenize("aaaaaa", self.ALPHA), 2)
         db = digraphs_as_transactions(table)
         assert len(db) == 5
-        assert all(t.items == ("a",) for t in db.transactions)
-
-    def test_tids_sequential(self):
-        table = count_ngraphs(tokenize("aba", self.ALPHA), 2)
-        db = digraphs_as_transactions(table)
-        assert [t.tid for t in db.transactions] == ["T1", "T2"]
+        assert db.rows == {("a",): 5}
 
     def test_requires_digraph_table(self):
         table = count_ngraphs(tokenize("ab", self.ALPHA), 1)
@@ -281,8 +297,6 @@ class TestDigraphAdapter:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_support_matches_table_arithmetic(self, seed):
-        from keymine.synth import random_text
-
         letters = "abcdef"
         alpha = AlphabetConfig(name="six", letters=tuple(letters))
         text = random_text(letters, 5000, seed)
@@ -294,16 +308,15 @@ class TestDigraphAdapter:
 
 
 class TestTransactionTsv:
-    def test_round_trip(self, market9, tmp_path):
+    def test_round_trip(self, tmp_path):
+        db = random_db(3, universe_size=4, n_transactions=40, max_items=2)
+        assert max(db.rows.values()) > 1
         path = tmp_path / "db.tsv"
-        write_transactions_tsv(market9, path)
-        loaded = read_transactions_tsv(path, universe=MARKET9_UNIVERSE)
-        assert loaded.universe == market9.universe
-        assert loaded.transactions == market9.transactions
+        write_transactions_tsv(db, path)
+        assert read_transactions_tsv(path, universe=db.universe) == db
 
     def test_checked_in_fixture_matches(self, market9, data_dir):
-        loaded = read_transactions_tsv(data_dir / "market9.tsv")
-        assert loaded.transactions == market9.transactions
+        assert read_transactions_tsv(data_dir / "market9.tsv") == market9
 
     def test_default_universe_is_sorted_items(self, tmp_path):
         path = tmp_path / "db.tsv"
