@@ -14,7 +14,6 @@ from .corpus import (
     IngestionError,
     LetterStream,
     NGraphTable,
-    Token,
     count_ngraphs,
     monograph_ranking,
     tokenize,
@@ -58,7 +57,6 @@ __all__ = [
     "LetterStream",
     "MiningParams",
     "NGraphTable",
-    "Token",
     "TransactionDB",
     "affinity",
     "assign_hands",

@@ -29,7 +29,7 @@ from .corpus import (
 from .evaluation import (
     IncomparableReportsError,
     compare,
-    evaluate_streams,
+    evaluate,
     read_report_json,
     write_comparison_tsv,
     write_report_json,
@@ -223,7 +223,7 @@ def cmd_design(args) -> int:
     db = digraphs_as_transactions(digraphs)
     geometry = load_geometry(args.geometry) if args.geometry else default_geometry()
     partition = assign_hands(monographs, db, tie_policy=args.tie_policy)
-    layout = place_keys(partition, monographs, geometry, name=args.name)
+    layout = place_keys(partition, geometry, name=args.name)
     audit = audit_partition(partition, monographs, db)
     out = _out_dir(args)
     if args.geometry:
@@ -256,11 +256,14 @@ def cmd_design(args) -> int:
 
 def cmd_evaluate(args) -> int:
     alphabet, files, streams = _load_corpus(args)
+    monographs = merge_tables([count_ngraphs(s, 1) for s in streams])
+    digraphs = merge_tables([count_ngraphs(s, 2) for s in streams])
+    total_chars = monographs.total + sum(s.undetermined_count for s in streams)
     out = _out_dir(args)
     reports = []
     for i, layout_path in enumerate(args.layouts, start=1):
         layout = load_layout(layout_path)
-        report = evaluate_streams(streams, layout)
+        report = evaluate(monographs, digraphs, total_chars, layout)
         reports.append(report)
         stem = Path(layout_path).stem
         write_report_json(report, out / f"report_{i:02d}_{stem}.json")

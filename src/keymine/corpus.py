@@ -1,15 +1,16 @@
 """Corpus ingestion: tokenization and letter n-gram statistics.
 
-Raw text is NFC-normalized, stripped of whitespace, and classified code
-point by code point against an alphabet. Letters feed monograph, digraph
-and trigraph frequency tables; anything else is kept as an "undetermined"
-token that breaks n-gram adjacency (typing a digit or an unknown glyph
-interrupts the letter-to-letter flow, so no window may span it).
+Raw text is NFC-normalized, stripped of whitespace, and cut into maximal
+runs of alphabet letters. The runs feed monograph, digraph and trigraph
+frequency tables; any other code point is counted as "undetermined" and
+ends a run, so no n-gram window spans it (typing a digit or an unknown
+glyph interrupts the letter-to-letter flow).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ class AlphabetConfig:
     name: str
     letters: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _runs: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.letters:
@@ -53,6 +55,8 @@ class AlphabetConfig:
                 raise ValueError(f"duplicate alphabet letter {ch!r}")
             seen[ch] = i
         object.__setattr__(self, "_index", seen)
+        letters = "".join(re.escape(ch) for ch in self.letters)
+        object.__setattr__(self, "_runs", re.compile(f"[{letters}]+"))
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._index
@@ -85,41 +89,35 @@ class AlphabetConfig:
             raise IngestionError(f"{path}: {exc}") from exc
 
 
-class Token(NamedTuple):
-    """One non-whitespace code point; known=True iff it is an alphabet letter."""
-
-    char: str
-    known: bool
-
-
 @dataclass
 class LetterStream:
-    """Tokenized view of one text source. Never contains whitespace tokens."""
+    """One text source as its maximal runs of alphabet letters.
 
-    tokens: list[Token]
+    Whitespace is gone; every other code point outside the alphabet ends a
+    run and is counted in `undetermined_count`.
+    """
+
+    runs: list[str]
+    undetermined_count: int
     alphabet: AlphabetConfig
     source_id: str = "<memory>"
 
     @property
     def letter_count(self) -> int:
-        return sum(1 for t in self.tokens if t.known)
-
-    @property
-    def undetermined_count(self) -> int:
-        return sum(1 for t in self.tokens if not t.known)
+        return sum(map(len, self.runs))
 
 
 def tokenize(text: str, alphabet: AlphabetConfig, source_id: str = "<memory>") -> LetterStream:
-    """Normalize to composed form (NFC), drop whitespace, classify the rest.
+    """Normalize to composed form (NFC), drop whitespace, cut into letter runs.
 
-    Every remaining code point is emitted in order: a letter token when it
-    is in the alphabet, an undetermined token otherwise (digits, punctuation,
-    foreign scripts). Output length equals the normalized input length minus
-    its whitespace count.
+    Every remaining code point is either part of a run or undetermined
+    (digits, punctuation, foreign scripts), so letters plus undetermined
+    equals the normalized input length minus its whitespace count.
     """
-    text = unicodedata.normalize("NFC", text)
-    tokens = [Token(ch, ch in alphabet) for ch in text if not ch.isspace()]
-    return LetterStream(tokens=tokens, alphabet=alphabet, source_id=source_id)
+    text = "".join(unicodedata.normalize("NFC", text).split())
+    runs = alphabet._runs.findall(text)
+    undetermined = len(text) - sum(map(len, runs))
+    return LetterStream(runs, undetermined, alphabet, source_id)
 
 
 @dataclass
@@ -152,24 +150,13 @@ class NGraphTable:
 
 
 def count_ngraphs(stream: LetterStream, n: int) -> NGraphTable:
-    """Count runs of n consecutive letters; windows never span undetermined tokens."""
+    """Count windows of n consecutive letters; windows never leave a run."""
     if n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2 or 3, got {n}")
     counts: Counter[tuple[str, ...]] = Counter()
-    run: list[str] = []
-    for tok in stream.tokens:
-        if tok.known:
-            run.append(tok.char)
-        else:
-            _count_run(run, n, counts)
-            run = []
-    _count_run(run, n, counts)
+    for run in stream.runs:
+        counts.update(zip(*(run[i:] for i in range(n))))
     return NGraphTable(n=n, counts=counts, alphabet=stream.alphabet)
-
-
-def _count_run(run: list[str], n: int, counts: Counter[tuple[str, ...]]) -> None:
-    for i in range(len(run) - n + 1):
-        counts[tuple(run[i : i + n])] += 1
 
 
 class RankedLetter(NamedTuple):

@@ -1,9 +1,10 @@
 """Scoring layouts against corpora: hand switching, hand loads, comparison.
 
-One sequential scan per (stream, layout) pair. A token the layout does not
-map — an undetermined corpus character or a letter missing from the layout
-— is excluded from both loads and breaks the switching chain: no switch is
-counted "across" an unknown keystroke.
+Layouts are scored from the corpus's monograph and digraph tables. A hand's
+load is the count of the letters it holds; hand switching is the count of
+digraphs whose letters sit on different hands. A character the layout does
+not map (undetermined, or a letter missing from the layout) is in neither
+load, and no digraph pairs it, so no switch is counted "across" it.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus import LetterStream
+from .corpus import NGraphTable
 from .layout import Layout
 
 
@@ -37,45 +38,28 @@ class EvalReport:
             raise ValueError("more hand switches than adjacent typed pairs")
 
 
-def evaluate(stream: LetterStream, layout: Layout) -> EvalReport:
-    """Scan a tokenized stream and count loads and hand switches."""
+def evaluate(
+    monographs: NGraphTable, digraphs: NGraphTable, total_chars: int, layout: Layout
+) -> EvalReport:
+    """Loads and hand switches of a layout over a corpus of `total_chars`
+    non-whitespace characters with these letter tables."""
     hands = layout.hands_by_letter()
-    left = right = undetermined = switching = 0
-    prev: str | None = None
-    for tok in stream.tokens:
-        hand = hands.get(tok.char) if tok.known else None
-        if hand is None:
-            undetermined += 1
-            prev = None
-            continue
-        if hand == "left":
-            left += 1
-        else:
-            right += 1
-        if prev is not None and prev != hand:
-            switching += 1
-        prev = hand
+    loads = {"left": 0, "right": 0}
+    for (letter,), count in monographs.counts.items():
+        if letter in hands:
+            loads[hands[letter]] += count
+    switching = 0
+    for (a, b), count in digraphs.counts.items():
+        if a in hands and b in hands and hands[a] != hands[b]:
+            switching += count
     return EvalReport(
         layout_name=layout.name,
         hand_switching=switching,
-        left_load=left,
-        right_load=right,
-        undetermined=undetermined,
-        total_chars=len(stream.tokens),
+        left_load=loads["left"],
+        right_load=loads["right"],
+        undetermined=total_chars - loads["left"] - loads["right"],
+        total_chars=total_chars,
     )
-
-
-def evaluate_streams(streams: Iterable[LetterStream], layout: Layout) -> EvalReport:
-    """Evaluate multiple independent sources; switching never crosses files."""
-    total = EvalReport(layout.name, 0, 0, 0, 0, 0)
-    for stream in streams:
-        part = evaluate(stream, layout)
-        total.hand_switching += part.hand_switching
-        total.left_load += part.left_load
-        total.right_load += part.right_load
-        total.undetermined += part.undetermined
-        total.total_chars += part.total_chars
-    return total
 
 
 class ComparisonRow(NamedTuple):

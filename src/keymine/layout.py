@@ -395,21 +395,13 @@ class Layout:
                 )
             seen[pid] = letter
 
-    def hand_of(self, letter: str) -> str | None:
-        pid = self.mapping.get(letter)
-        if pid is None:
-            return None
-        return self.geometry.by_id()[pid].hand
-
     def hands_by_letter(self) -> dict[str, str]:
-        """letter -> hand for every mapped letter; what evaluation scans need."""
+        """letter -> hand for every mapped letter; what evaluation scores need."""
         by_id = self.geometry.by_id()
         return {letter: by_id[pid].hand for letter, pid in self.mapping.items()}
 
 
-def place_keys(
-    partition: HandPartition, monograph: NGraphTable, geometry: KeyboardGeometry, name: str = "designed"
-) -> Layout:
+def place_keys(partition: HandPartition, geometry: KeyboardGeometry, name: str = "designed") -> Layout:
     """Map each hand's letters to its positions, frequency rank to cost rank.
 
     Partition lists are already in descending-frequency order, so the most

@@ -27,7 +27,7 @@ def random_text(
     """Weighted random letter soup with optional spaces and junk characters.
 
     Junk characters (digits, punctuation) land outside the alphabet and so
-    become undetermined tokens; spaces vanish during tokenization.
+    are counted as undetermined; spaces vanish during tokenization.
     """
     rng = random.Random(seed)
     out = []

@@ -1,9 +1,13 @@
-"""Shared fixtures: the nine-transaction demo database and repo paths."""
+"""Shared fixtures: the nine-transaction demo database, repo paths, and a
+helper that scores a layout the way `keymine evaluate` does."""
 
 from pathlib import Path
 
 import pytest
 
+from keymine.corpus import LetterStream, count_ngraphs, merge_tables
+from keymine.evaluation import EvalReport, evaluate
+from keymine.layout import Layout
 from keymine.mining import TransactionDB
 
 REPO = Path(__file__).resolve().parent.parent
@@ -34,6 +38,14 @@ def write_transactions_tsv(db: TransactionDB, path: Path) -> None:
     for row, n in db.rows.items():
         lines += [f"T{len(lines)}\t{' '.join(row)}" for _ in range(n)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def score(layout: Layout, *streams: LetterStream) -> EvalReport:
+    """Evaluate a layout from per-source tables merged over `streams`."""
+    mono = merge_tables([count_ngraphs(s, 1) for s in streams])
+    di = merge_tables([count_ngraphs(s, 2) for s in streams])
+    total = mono.total + sum(s.undetermined_count for s in streams)
+    return evaluate(mono, di, total, layout)
 
 
 @pytest.fixture

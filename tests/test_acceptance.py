@@ -8,7 +8,7 @@ import time
 
 from keymine.cli import main
 from keymine.corpus import AlphabetConfig, count_ngraphs, monograph_ranking, tokenize
-from keymine.evaluation import evaluate, write_report_json
+from keymine.evaluation import write_report_json
 from keymine.layout import (
     HandPartition,
     assign_hands,
@@ -34,7 +34,7 @@ from keymine.synth import (
     zipf_weights,
 )
 
-from conftest import ACCEPTANCE_RESULTS, MARKET9_ROWS, MARKET9_UNIVERSE
+from conftest import ACCEPTANCE_RESULTS, MARKET9_ROWS, MARKET9_UNIVERSE, score
 
 
 def record(name: str, ok: bool, detail: str = "") -> None:
@@ -203,8 +203,8 @@ def test_evaluation_identities():
         stream = tokenize(text, alpha)
         cut = 1 + seed % (len(letters) - 1)
         layout = split_layout(letters[:cut], letters[cut:], f"s{seed}")
-        report = evaluate(stream, layout)
-        mirror = evaluate(stream, swapped(layout))
+        report = score(layout, stream)
+        mirror = score(swapped(layout), stream)
         non_space = sum(1 for ch in text if not ch.isspace())
         if report.left_load + report.right_load + report.undetermined != non_space:
             ok, detail = False, f"seed {seed}: identity"
@@ -236,9 +236,9 @@ def test_designed_layout_maximizes_alternation(tmp_path):
     cross_share = cross / digraphs.total
 
     part = assign_hands(mono, db)
-    designed = place_keys(part, mono, geometry, name="designed")
+    designed = place_keys(part, geometry, name="designed")
     letters = sorted(part.letters)
-    rivals = [place_keys(HandPartition(left=list(letters)), mono, geometry,
+    rivals = [place_keys(HandPartition(left=list(letters)), geometry,
                          name="one-hand")]
     group_split = frozenset((frozenset(GROUP_ONE), frozenset(GROUP_TWO)))
     for seed in range(1000, 1010):
@@ -246,10 +246,10 @@ def test_designed_layout_maximizes_alternation(tmp_path):
         left = sorted(rng.sample(letters, 5))
         right = [l for l in letters if l not in left]
         assert frozenset((frozenset(left), frozenset(right))) != group_split
-        rivals.append(place_keys(HandPartition(left=left, right=right), mono,
+        rivals.append(place_keys(HandPartition(left=left, right=right),
                                  geometry, name=f"random-{seed}"))
 
-    reports = [evaluate(stream, designed)] + [evaluate(stream, r) for r in rivals]
+    reports = [score(designed, stream)] + [score(r, stream) for r in rivals]
     for i, report in enumerate(reports):
         write_report_json(report, tmp_path / f"report{i:02d}.json")
     out = tmp_path / "out"

@@ -18,7 +18,7 @@ from keymine.layout import (
 from keymine.mining import MiningParams, brute_force_frequent
 from keymine.synth import random_db, random_text
 
-from conftest import write_transactions_tsv
+from conftest import score, write_transactions_tsv
 
 
 def write_corpus(tmp_path, texts, letters="abcd", name="tiny"):
@@ -70,6 +70,15 @@ class TestStats:
             ngram, count, _ = line.split("\t")
             got[tuple(ngram.split("+"))] = int(count)
         assert got == dict(table.counts)
+
+    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
+        out = tmp_path / "out"
+        assert main(["stats", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--output-dir", str(out)]) == 0
+        for name in ("monographs.tsv", "digraphs.tsv", "trigraphs.tsv", "summary.tsv"):
+            golden = data_dir / "golden" / "sample" / "stats" / name
+            assert (out / name).read_bytes() == golden.read_bytes()
 
     def test_unreadable_file_exits_nonzero_with_path(self, tmp_path, capsys):
         alpha, manifest = write_corpus(tmp_path, ["ab"], "ab")
@@ -327,14 +336,31 @@ class TestEvaluate:
                      "--output-dir", str(out),
                      str(designed), str(half), str(straw)]) == 0
 
-        from keymine.evaluation import evaluate
         text = (tmp_path / "part0.txt").read_text(encoding="utf-8")
         stream = tokenize(text, AlphabetConfig.from_json(alpha))
         for i, path in enumerate((designed, half, straw), start=1):
             layout = load_layout(path)
-            expected = evaluate(stream, layout)
+            expected = score(layout, stream)
             got = read_report_json(out / f"report_{i:02d}_{path.stem}.json")
             assert got == expected
+
+    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
+        # the designed layout plus a partial one that leaves letters unmapped
+        # and maps the digit 1, which is not in the alphabet
+        corpus = ["--alphabet", str(data_dir / "alphabets" / "english.json"),
+                  "--manifest", str(data_dir / "sample" / "manifest.txt")]
+        design = tmp_path / "design"
+        assert main(["design", *corpus, "--output-dir", str(design)]) == 0
+        out = tmp_path / "out"
+        assert main(["evaluate", *corpus, "--output-dir", str(out),
+                     str(design / "layout.json"),
+                     str(data_dir / "sample" / "layouts" / "partial.json")]) == 0
+        golden = data_dir / "golden" / "sample" / "evaluate"
+        names = sorted(p.name for p in golden.iterdir())
+        assert names == ["comparison.tsv", "report_01_layout.json", "report_01_layout.tsv",
+                         "report_02_partial.json", "report_02_partial.tsv"]
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
 
     def test_malformed_layout_reports_field(self, tmp_path, capsys):
         alpha, manifest, _ = make_eval_fixture(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import string
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -10,7 +11,6 @@ from keymine.corpus import (
     AlphabetConfig,
     IngestionError,
     NGraphTable,
-    Token,
     count_ngraphs,
     merge_tables,
     monograph_ranking,
@@ -25,13 +25,16 @@ ABC = AlphabetConfig(name="abc", letters=("a", "b", "c"))
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
 
 
-def reference_window_scan(tokens, n):
-    """Independent oracle: O(N*n) rescan with explicit window checks."""
+def reference_window_scan(text, alphabet, n):
+    """Independent oracle: classify the raw text itself (NFC, skip
+    whitespace, alphabet membership), then check every window explicitly."""
+    chars = [(ch, ch in alphabet)
+             for ch in unicodedata.normalize("NFC", text) if not ch.isspace()]
     counts = Counter()
-    for i in range(len(tokens) - n + 1):
-        window = tokens[i : i + n]
-        if all(t.known for t in window):
-            counts[tuple(t.char for t in window)] += 1
+    for i in range(len(chars) - n + 1):
+        window = chars[i : i + n]
+        if all(known for _, known in window):
+            counts[tuple(ch for ch, _ in window)] += 1
     return counts
 
 
@@ -84,30 +87,58 @@ class TestAlphabetConfig:
 class TestTokenize:
     def test_whitespace_removed(self):
         stream = tokenize("aba c", ABC)
-        assert [(t.char, t.known) for t in stream.tokens] == [
-            ("a", True), ("b", True), ("a", True), ("c", True)]
+        assert stream.runs == ["abac"]
+        assert stream.undetermined_count == 0
 
     def test_digit_undetermined(self):
         stream = tokenize("a7b", AB)
-        assert [(t.char, t.known) for t in stream.tokens] == [
-            ("a", True), ("7", False), ("b", True)]
+        assert stream.runs == ["a", "b"]
+        assert stream.undetermined_count == 1
+
+    def test_runs_are_maximal(self):
+        stream = tokenize("ab12 ba!b", AB)
+        assert stream.runs == ["ab", "ba", "b"]
+        assert stream.undetermined_count == 3
 
     def test_length_is_input_minus_whitespace(self):
         text = "ab\tc\nd  e"
         stream = tokenize(text, ABC)
         ws = sum(ch.isspace() for ch in text)
-        assert len(stream.tokens) == len(text) - ws
+        assert stream.letter_count + stream.undetermined_count == len(text) - ws
+        assert stream.undetermined_count == 2  # d, e
 
     def test_composed_and_decomposed_forms_agree(self):
         alpha = AlphabetConfig(name="acc", letters=("e", "é"))
-        composed = tokenize("é", alpha)
-        decomposed = tokenize("é", alpha)
-        assert composed.tokens == decomposed.tokens == [Token("é", True)]
+        composed = tokenize("\u00e9", alpha)
+        decomposed = tokenize("e\u0301", alpha)
+        assert composed.runs == decomposed.runs == ["\u00e9"]
+        assert composed.undetermined_count == decomposed.undetermined_count == 0
 
     def test_counts_letter_and_undetermined(self):
         stream = tokenize("ab12 ab", AB)
         assert stream.letter_count == 4
         assert stream.undetermined_count == 2
+
+    def test_regex_metacharacters_are_plain_letters(self):
+        # unescaped, "a-z" would be a range holding m and "^" a negation
+        alpha = AlphabetConfig(name="meta", letters=("a", "-", "z", "]", "^", "\\"))
+        stream = tokenize("a]^-\\zm_[a", alpha)
+        assert stream.runs == ["a]^-\\z", "a"]
+        assert stream.undetermined_count == 3  # m, _, [
+
+    def test_unicode_whitespace_dropped_not_undetermined(self):
+        # no-break space, ideographic space, line separator
+        stream = tokenize("a\u00a0b\u3000a\u2028b", AB)
+        assert stream.runs == ["abab"]
+        assert stream.undetermined_count == 0
+
+    def test_decomposed_bangla_vowel_sign_is_one_letter(self, data_dir):
+        bangla = AlphabetConfig.from_json(data_dir / "alphabets" / "bangla.json")
+        # KA + E sign + AA sign composes to KA + O sign (U+09CB) under NFC
+        stream = tokenize("\u0995\u09c7\u09be", bangla)
+        assert stream.runs == ["\u0995\u09cb"]
+        assert stream.undetermined_count == 0
+        assert count_ngraphs(stream, 1).counts[("\u09cb",)] == 1
 
 
 class TestReadText:
@@ -157,7 +188,7 @@ class TestCountNgraphs:
         stream = tokenize(text, alpha)
         for n in (1, 2, 3):
             table = count_ngraphs(stream, n)
-            assert table.counts == reference_window_scan(stream.tokens, n)
+            assert table.counts == reference_window_scan(text, alpha, n)
             assert table.total == sum(table.counts.values())
 
     def test_monograph_total_equals_letter_count(self):

@@ -1,7 +1,9 @@
 """Layout scoring: loads, hand switching, report comparison, file formats."""
 
 import json
+import random
 import string
+import unicodedata
 
 import pytest
 
@@ -10,8 +12,6 @@ from keymine.evaluation import (
     EvalReport,
     IncomparableReportsError,
     compare,
-    evaluate,
-    evaluate_streams,
     read_report_json,
     write_comparison_tsv,
     write_report_json,
@@ -19,6 +19,8 @@ from keymine.evaluation import (
 )
 from keymine.layout import KeyPosition, KeyboardGeometry, Layout
 from keymine.synth import random_text
+
+from conftest import score
 
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
 
@@ -51,79 +53,97 @@ def swap_hands(layout):
                   mapping=dict(layout.mapping))
 
 
-def reference_report(stream, layout, name):
-    """Independent oracle: explicit scan over adjacent mapped pairs."""
+def reference_report(texts, alphabet, layout, name):
+    """Independent oracle: classify each raw text itself (NFC, skip
+    whitespace, alphabet membership) and scan adjacent mapped pairs; the
+    switching chain restarts at every file."""
     hands = {}
     by_id = {p.position_id: p for p in layout.geometry.positions}
     for letter, pid in layout.mapping.items():
         hands[letter] = by_id[pid].hand
     left = right = undetermined = switching = 0
-    prev_hand = None
-    for token in stream.tokens:
-        hand = hands.get(token.char) if token.known else None
-        if hand is None:
-            undetermined += 1
-            prev_hand = None
-            continue
-        if hand == "left":
-            left += 1
-        else:
-            right += 1
-        if prev_hand is not None and prev_hand != hand:
-            switching += 1
-        prev_hand = hand
+    for text in texts:
+        prev_hand = None
+        for ch in unicodedata.normalize("NFC", text):
+            if ch.isspace():
+                continue
+            hand = hands.get(ch) if ch in alphabet else None
+            if hand is None:
+                undetermined += 1
+                prev_hand = None
+                continue
+            if hand == "left":
+                left += 1
+            else:
+                right += 1
+            if prev_hand is not None and prev_hand != hand:
+                switching += 1
+            prev_hand = hand
     return EvalReport(name, switching, left, right, undetermined,
-                      len(stream.tokens))
+                      left + right + undetermined)
 
 
 class TestEvaluate:
     def test_single_token_no_pairs(self):
         layout = split_layout(["a"], ["b"])
-        report = evaluate(tokenize("a", AB), layout)
+        report = score(layout, tokenize("a", AB))
         assert report.hand_switching == 0
         assert report.left_load == 1 and report.right_load == 0
 
     def test_perfect_alternation(self):
         layout = split_layout(["a"], ["b"])
-        report = evaluate(tokenize("abab", AB), layout)
+        report = score(layout, tokenize("abab", AB))
         assert report.hand_switching == 3
         assert report.left_load == 2 and report.right_load == 2
         assert report.undetermined == 0
 
     def test_all_one_hand_never_switches(self):
         layout = split_layout(["a", "b"], [])
-        report = evaluate(tokenize("abababab", AB), layout)
+        report = score(layout, tokenize("abababab", AB))
         assert report.hand_switching == 0
         assert report.left_load == 8
 
     def test_undetermined_breaks_switching_chain(self):
         layout = split_layout(["a"], ["b"])
-        report = evaluate(tokenize("a7b", AB), layout)
+        report = score(layout, tokenize("a7b", AB))
         assert report.hand_switching == 0
         assert report.undetermined == 1
 
     def test_unmapped_letter_counts_undetermined(self):
         alpha = AlphabetConfig(name="abc", letters=("a", "b", "c"))
         layout = split_layout(["a"], ["b"])
-        report = evaluate(tokenize("acb", alpha), layout)
+        report = score(layout, tokenize("acb", alpha))
         assert report.undetermined == 1
         assert report.hand_switching == 0  # chain broken by c
 
+    def test_key_outside_alphabet_stays_undetermined(self):
+        layout = split_layout(["a", "7"], ["b"])
+        report = score(layout, tokenize("a7b7a", AB))
+        assert (report.left_load, report.right_load, report.undetermined) == (2, 1, 2)
+        assert report.hand_switching == 0
+
     def test_spaces_never_counted(self):
         layout = split_layout(["a"], ["b"])
-        report = evaluate(tokenize("a b", AB), layout)
+        report = score(layout, tokenize("a b", AB))
         assert report.total_chars == 2
         assert report.hand_switching == 1  # space is not a chain break
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_scan(self, seed):
-        letters = string.ascii_lowercase[:10]
+        rng = random.Random(seed)
+        letters = list(string.ascii_lowercase[:10])
         alpha = AlphabetConfig(name="ten", letters=tuple(letters))
-        text = random_text(letters, 1000, seed, space_prob=0.12, junk="0%",
-                           junk_prob=0.06)
-        stream = tokenize(text, alpha)
-        layout = split_layout(list(letters[:4]), list(letters[4:8]))
-        assert evaluate(stream, layout) == reference_report(stream, layout, "fixture")
+        texts = [
+            random_text(letters, rng.randrange(1, 600), seed * 10 + i, space_prob=0.12,
+                        junk="0%\u00a0\u3000", junk_prob=0.06)
+            for i in range(1 + seed % 3)
+        ]
+        # a partial layout: some letters unmapped, one key outside the alphabet
+        rng.shuffle(letters)
+        cut, mapped = sorted(rng.sample(range(1, 11), 2))
+        layout = split_layout(letters[:cut] + ["%"], letters[cut:mapped])
+        streams = [tokenize(text, alpha) for text in texts]
+        assert score(layout, *streams) == reference_report(texts, alpha, layout, "fixture")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_identity(self, seed):
@@ -132,7 +152,7 @@ class TestEvaluate:
         text = random_text(letters, 800, seed, junk="49", junk_prob=0.1)
         stream = tokenize(text, alpha)
         layout = split_layout(list(letters[:3]), list(letters[3:6]))
-        report = evaluate(stream, layout)
+        report = score(layout, stream)
         assert report.left_load + report.right_load + report.undetermined == report.total_chars
         report.validate()
 
@@ -143,8 +163,8 @@ class TestEvaluate:
         text = random_text(letters, 800, seed, junk="4", junk_prob=0.05)
         stream = tokenize(text, alpha)
         layout = split_layout(list(letters[:5]), list(letters[5:]))
-        report = evaluate(stream, layout)
-        mirrored = evaluate(stream, swap_hands(layout))
+        report = score(layout, stream)
+        mirrored = score(swap_hands(layout), stream)
         assert mirrored.left_load == report.right_load
         assert mirrored.right_load == report.left_load
         assert mirrored.hand_switching == report.hand_switching
@@ -153,25 +173,26 @@ class TestEvaluate:
     def test_pure_function(self):
         stream = tokenize("abbaab", AB)
         layout = split_layout(["a"], ["b"])
-        assert evaluate(stream, layout) == evaluate(stream, layout)
+        assert score(layout, stream) == score(layout, stream)
 
 
 class TestEvaluateStreams:
+    """Several sources: per-file tables keep switching from crossing files."""
+
     def test_sums_per_file_reports(self):
         layout = split_layout(["a"], ["b"])
-        streams = [tokenize("ab", AB), tokenize("ba", AB)]
-        report = evaluate_streams(streams, layout)
+        report = score(layout, tokenize("ab", AB), tokenize("ba", AB))
         assert report.left_load == 2 and report.right_load == 2
         assert report.total_chars == 4
 
     def test_no_switch_across_file_boundary(self):
         layout = split_layout(["a"], ["b"])
         # "ab" + "ba" as two files: 1 + 1 switches, not the 3 of "abba"
-        two = evaluate_streams([tokenize("ab", AB), tokenize("ba", AB)], layout)
-        one = evaluate(tokenize("abba", AB), layout)
+        two = score(layout, tokenize("ab", AB), tokenize("ba", AB))
+        one = score(layout, tokenize("abba", AB))
         assert two.hand_switching == 2
         assert one.hand_switching == 2  # abba switches at ab and ba only
-        split = evaluate_streams([tokenize("a", AB), tokenize("b", AB)], layout)
+        split = score(layout, tokenize("a", AB), tokenize("b", AB))
         assert split.hand_switching == 0
 
 

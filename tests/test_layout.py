@@ -285,22 +285,22 @@ class TestPlaceKeys:
         alpha = AlphabetConfig(name="pq", letters=("p", "q"))
         mono, db = corpus_tables("ppq", alpha)
         part = assign_hands(mono, db)  # right=[p], left=[q]
-        layout = place_keys(part, mono, tiny_geometry())
+        layout = place_keys(part, tiny_geometry())
         assert layout.mapping == {"p": "R1", "q": "L1"}
 
     def test_higher_count_takes_cheaper_position(self):
         alpha = AlphabetConfig(name="ps", letters=("p", "s"))
         mono, _ = corpus_tables("p" * 100 + "0" + "s" * 50, alpha)
+        # partition lists are in descending-frequency order
+        assert mono.counts[("p",)] > mono.counts[("s",)]
         part = HandPartition(left=[], right=["p", "s"])
-        layout = place_keys(part, mono, tiny_geometry())
+        layout = place_keys(part, tiny_geometry())
         assert layout.mapping == {"p": "R1", "s": "R2"}
 
     def test_capacity_error_names_overflow(self):
-        alpha = AlphabetConfig(name="pqr", letters=("p", "q", "r"))
-        mono, _ = corpus_tables("pppqqr", alpha)
         part = HandPartition(left=[], right=["p", "q", "r"])
         with pytest.raises(GeometryCapacityError) as err:
-            place_keys(part, mono, tiny_geometry())
+            place_keys(part, tiny_geometry())
         assert err.value.overflow == 1
         assert "r" in str(err.value)
 
@@ -318,7 +318,7 @@ class TestPlaceKeys:
         db = digraphs_as_transactions(count_ngraphs(stream, 2))
         part = assign_hands(mono, db)
         geometry = default_geometry()
-        layout = place_keys(part, mono, geometry)
+        layout = place_keys(part, geometry)
         by_id = {p.position_id: p for p in geometry.positions}
         for hand, assigned in (("left", part.left), ("right", part.right)):
             ranked = sorted(assigned, key=lambda l: -mono.counts[(l,)])
@@ -334,7 +334,7 @@ class TestPlaceKeys:
         mono, db = corpus_tables(text, alpha)
         part = assign_hands(mono, db)
         geometry = default_geometry()
-        layout = place_keys(part, mono, geometry)
+        layout = place_keys(part, geometry)
         by_id = {p.position_id: p for p in geometry.positions}
         for assigned in (part.left, part.right):
             for x in assigned:
@@ -345,7 +345,7 @@ class TestPlaceKeys:
     def test_mapping_injective(self):
         mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
         part = assign_hands(mono, db)
-        layout = place_keys(part, mono, default_geometry())
+        layout = place_keys(part, default_geometry())
         values = list(layout.mapping.values())
         assert len(values) == len(set(values))
 
@@ -409,7 +409,7 @@ class TestLayoutFiles:
     def make_layout(self):
         mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
         part = assign_hands(mono, db)
-        return place_keys(part, mono, default_geometry(), name="fixture")
+        return place_keys(part, default_geometry(), name="fixture")
 
     def test_round_trip(self, tmp_path):
         layout = self.make_layout()
