@@ -1,10 +1,11 @@
 """Corpus-driven keyboard layout design and evaluation toolkit.
 
-Pipeline: tokenize a text corpus into alphabet letters, count letter
-n-grams, view digraphs as counted item transactions, mine frequent
-itemsets and strong association rules, assign letters to hands for
-maximum hand alternation, place them on keys by frequency, and score
-arbitrary layouts against corpora.
+Pipeline: tokenize a text corpus into runs of alphabet letters, count
+letter n-grams once over the whole corpus, view digraphs as counted item
+transactions to mine frequent itemsets and strong association rules,
+assign letters to hands for maximum hand alternation from the pair counts
+of the digraph table, place them on keys by frequency, and score arbitrary
+layouts against the corpus's tables.
 """
 
 __version__ = "0.1.0"

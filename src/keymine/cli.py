@@ -20,8 +20,8 @@ from . import __version__
 from .corpus import (
     AlphabetConfig,
     IngestionError,
+    LetterStream,
     count_ngraphs,
-    merge_tables,
     read_manifest,
     tokenize_file,
     write_ngraph_tsv,
@@ -95,14 +95,20 @@ def _require(args, *names: str) -> None:
             raise CliError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
-def _load_corpus(args) -> tuple[AlphabetConfig, list[Path], list]:
+def _load_corpus(args) -> tuple[list[Path], LetterStream]:
+    """The manifest's files and one stream holding the letter runs of all of
+    them; a run never spans two files, so no n-gram crosses a file."""
     _require(args, "alphabet", "manifest")
     alphabet = AlphabetConfig.from_json(args.alphabet)
     files = read_manifest(args.manifest)
     if not files:
         raise CliError(f"{args.manifest}: manifest lists no corpus files")
-    streams = [tokenize_file(p, alphabet) for p in files]
-    return alphabet, files, streams
+    stream = LetterStream([], 0, alphabet)
+    for path in files:
+        source = tokenize_file(path, alphabet)
+        stream.runs += source.runs
+        stream.undetermined_count += source.undetermined_count
+    return files, stream
 
 
 def _parse_support_threshold(raw) -> tuple[str, int | float]:
@@ -131,8 +137,8 @@ def _parse_support_threshold(raw) -> tuple[str, int | float]:
 
 
 def cmd_stats(args) -> int:
-    alphabet, files, streams = _load_corpus(args)
-    tables = {n: merge_tables([count_ngraphs(s, n) for s in streams]) for n in (1, 2, 3)}
+    files, stream = _load_corpus(args)
+    tables = {n: count_ngraphs(stream, n) for n in (1, 2, 3)}
     total_letters = tables[1].total
     if total_letters == 0:
         raise CliError("corpus contains no alphabet letters")
@@ -143,7 +149,7 @@ def cmd_stats(args) -> int:
     summary = {
         "total_letters": total_letters,
         "distinct_letters": len(tables[1].counts),
-        "undetermined": sum(s.undetermined_count for s in streams),
+        "undetermined": stream.undetermined_count,
         "sources": len(files),
     }
     if args.format == "json":
@@ -176,8 +182,8 @@ def cmd_mine(args) -> int:
         inputs = [Path(args.transactions)]
         source = {"transactions": str(args.transactions)}
     else:
-        alphabet, files, streams = _load_corpus(args)
-        digraphs = merge_tables([count_ngraphs(s, 2) for s in streams])
+        files, stream = _load_corpus(args)
+        digraphs = count_ngraphs(stream, 2)
         if digraphs.total == 0:
             raise CliError("corpus contains no digraphs to mine")
         db = digraphs_as_transactions(digraphs)
@@ -215,16 +221,15 @@ def cmd_mine(args) -> int:
 
 
 def cmd_design(args) -> int:
-    alphabet, files, streams = _load_corpus(args)
-    monographs = merge_tables([count_ngraphs(s, 1) for s in streams])
+    files, stream = _load_corpus(args)
+    monographs = count_ngraphs(stream, 1)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
-    digraphs = merge_tables([count_ngraphs(s, 2) for s in streams])
-    db = digraphs_as_transactions(digraphs)
+    digraphs = count_ngraphs(stream, 2)
     geometry = load_geometry(args.geometry) if args.geometry else default_geometry()
-    partition = assign_hands(monographs, db, tie_policy=args.tie_policy)
+    partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
     layout = place_keys(partition, geometry, name=args.name)
-    audit = audit_partition(partition, monographs, db)
+    audit = audit_partition(partition, monographs, digraphs)
     out = _out_dir(args)
     if args.geometry:
         (out / "geometry.json").write_bytes(Path(args.geometry).read_bytes())
@@ -255,10 +260,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    alphabet, files, streams = _load_corpus(args)
-    monographs = merge_tables([count_ngraphs(s, 1) for s in streams])
-    digraphs = merge_tables([count_ngraphs(s, 2) for s in streams])
-    total_chars = monographs.total + sum(s.undetermined_count for s in streams)
+    files, stream = _load_corpus(args)
+    monographs = count_ngraphs(stream, 1)
+    digraphs = count_ngraphs(stream, 2)
+    total_chars = monographs.total + stream.undetermined_count
     out = _out_dir(args)
     reports = []
     for i, layout_path in enumerate(args.layouts, start=1):
@@ -354,18 +359,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "alphabet": "alphabet",
-    "manifest": "manifest",
-    "geometry": "geometry",
-    "min_support": "min_support",
-    "min_confidence": "min_confidence",
-    "tie_policy": "tie_policy",
-    "output_dir": "output_dir",
-    "format": "format",
-    "name": "name",
-    "transactions": "transactions",
-}
+_CONFIG_KEYS = (
+    "alphabet",
+    "manifest",
+    "geometry",
+    "min_support",
+    "min_confidence",
+    "tie_policy",
+    "output_dir",
+    "format",
+    "name",
+    "transactions",
+)
 
 _DEFAULTS = {"output_dir": ".", "format": "tsv", "tie_policy": "left-biased", "name": "designed"}
 
@@ -383,9 +388,9 @@ def _apply_config(args: argparse.Namespace) -> None:
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-        for key, attr in _CONFIG_KEYS.items():
-            if key in data and getattr(args, attr, None) is None:
-                setattr(args, attr, data[key])
+        for key in _CONFIG_KEYS:
+            if key in data and getattr(args, key, None) is None:
+                setattr(args, key, data[key])
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None and hasattr(args, attr):
             setattr(args, attr, value)

@@ -15,7 +15,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class IngestionError(ValueError):
@@ -91,23 +91,23 @@ class AlphabetConfig:
 
 @dataclass
 class LetterStream:
-    """One text source as its maximal runs of alphabet letters.
+    """Text as its maximal runs of alphabet letters.
 
     Whitespace is gone; every other code point outside the alphabet ends a
-    run and is counted in `undetermined_count`.
+    run and is counted in `undetermined_count`. A stream may hold the runs
+    of several sources; a run never spans two, so no n-gram crosses them.
     """
 
     runs: list[str]
     undetermined_count: int
     alphabet: AlphabetConfig
-    source_id: str = "<memory>"
 
     @property
     def letter_count(self) -> int:
         return sum(map(len, self.runs))
 
 
-def tokenize(text: str, alphabet: AlphabetConfig, source_id: str = "<memory>") -> LetterStream:
+def tokenize(text: str, alphabet: AlphabetConfig) -> LetterStream:
     """Normalize to composed form (NFC), drop whitespace, cut into letter runs.
 
     Every remaining code point is either part of a run or undetermined
@@ -117,7 +117,7 @@ def tokenize(text: str, alphabet: AlphabetConfig, source_id: str = "<memory>") -
     text = "".join(unicodedata.normalize("NFC", text).split())
     runs = alphabet._runs.findall(text)
     undetermined = len(text) - sum(map(len, runs))
-    return LetterStream(runs, undetermined, alphabet, source_id)
+    return LetterStream(runs, undetermined, alphabet)
 
 
 @dataclass
@@ -131,14 +131,6 @@ class NGraphTable:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def merge(self, other: "NGraphTable") -> "NGraphTable":
-        """Combine counts from another table of the same order and alphabet."""
-        if other.n != self.n:
-            raise ValueError(f"cannot merge order-{other.n} table into order-{self.n} table")
-        if other.alphabet != self.alphabet:
-            raise ValueError("cannot merge tables over different alphabets")
-        return NGraphTable(n=self.n, counts=self.counts + other.counts, alphabet=self.alphabet)
 
     def sorted_items(self) -> list[tuple[tuple[str, ...], int]]:
         """Entries in descending count order, ties by alphabet order."""
@@ -192,8 +184,7 @@ def read_text(path: str | Path) -> str:
 
 
 def tokenize_file(path: str | Path, alphabet: AlphabetConfig) -> LetterStream:
-    path = Path(path)
-    return tokenize(read_text(path), alphabet, source_id=str(path))
+    return tokenize(read_text(path), alphabet)
 
 
 def read_manifest(path: str | Path) -> list[Path]:
@@ -212,16 +203,6 @@ def read_manifest(path: str | Path) -> list[Path]:
         p = Path(entry)
         paths.append(p if p.is_absolute() else base / p)
     return paths
-
-
-def merge_tables(tables: Iterable[NGraphTable]) -> NGraphTable:
-    tables = list(tables)
-    if not tables:
-        raise ValueError("no tables to merge")
-    merged = tables[0]
-    for t in tables[1:]:
-        merged = merged.merge(t)
-    return merged
 
 
 def write_ngraph_tsv(table: NGraphTable, path: str | Path) -> None:

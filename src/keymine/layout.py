@@ -3,12 +3,13 @@
 Letters are assigned to hands greedily in frequency-rank order. The two
 most frequent letters anchor opposite hands (rank 1 and 4 right, 2 and 3
 left); every later letter is scored against the letters each hand already
-owns — cumulative pair support and cumulative confidence toward each side
-— and is sent to the hand OPPOSITE its stronger association, so that the
-digraphs it participates in tend to alternate hands. The decision rule is
-deliberately asymmetric: only a letter whose left support AND left
-confidence both dominate goes right; every other case (clear right
-association, mixed signals, exact ties) goes left.
+owns — cumulative pair support and cumulative confidence toward each side,
+both read straight off the digraph table — and is sent to the hand OPPOSITE
+its stronger association, so that the digraphs it participates in tend to
+alternate hands. The decision rule is deliberately asymmetric: only a
+letter whose left support AND left confidence both dominate goes right;
+every other case (clear right association, mixed signals, exact ties)
+goes left.
 
 Each hand's letters are then placed on physical key positions in
 frequency order, cheapest position first.
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .corpus import NGraphTable, monograph_ranking
-from .mining import TransactionDB
 
 HANDS = ("left", "right")
 ROWS = ("home", "top", "bottom")
@@ -110,28 +110,31 @@ class AuditResult:
 
 
 class _PairIndex:
-    """Transaction-containment counts for single items and unordered pairs."""
+    """Pair statistics read off the digraph table, which is the transaction
+    view: each digraph occurrence is one transaction over its unordered
+    letter pair, |D| is the digraph total, a letter's count is the number of
+    digraphs holding it (a doubled letter once), and a pair's joint count
+    adds both directions."""
 
-    def __init__(self, db: TransactionDB):
-        self.size = len(db)
+    def __init__(self, digraphs: NGraphTable):
+        self.digraphs = digraphs.counts
+        self.size = digraphs.total
         self.item_counts: Counter[str] = Counter()
-        self.pair_counts: Counter[frozenset[str]] = Counter()
-        for row, n in db.rows.items():
-            for item in row:
-                self.item_counts[item] += n
-            for i, a in enumerate(row):
-                for b in row[i + 1 :]:
-                    self.pair_counts[frozenset((a, b))] += n
+        for (a, b), n in digraphs.counts.items():
+            self.item_counts[a] += n
+            if b != a:
+                self.item_counts[b] += n
 
     def cumulative(self, letter: str, assigned: Sequence[str]) -> tuple[float, float]:
         """Sum of pair supports and of confidences of letter toward a hand set."""
         if self.size == 0:
             return 0.0, 0.0
+        d = self.digraphs
         denom = self.item_counts.get(letter, 0)
         support = 0.0
         confidence = 0.0
         for other in assigned:
-            joint = self.pair_counts.get(frozenset((letter, other)), 0)
+            joint = d[(letter, other)] + d[(other, letter)] if other != letter else 0
             support += joint / self.size
             if denom:
                 confidence += joint / denom
@@ -141,21 +144,20 @@ class _PairIndex:
 def affinity(
     letter: str,
     assigned: HandPartition,
-    db: TransactionDB,
-    monograph: NGraphTable,
+    monographs: NGraphTable,
+    digraphs: NGraphTable,
 ) -> HandAffinity:
     """Score one unassigned letter against the partition built so far.
 
-    Support of a pair is the fraction of transactions containing both
-    letters; confidence of letter=>other is that joint count over the count
-    of transactions containing the letter. Rebuilds the pair index, so batch
-    callers should use `assign_hands`, which indexes the database once.
+    Support of a pair is the fraction of digraphs holding both letters, in
+    either order; confidence of letter=>other is that joint count over the
+    number of digraphs holding the letter.
     """
-    if monograph.counts.get((letter,), 0) == 0:
+    if monographs.counts.get((letter,), 0) == 0:
         raise UndefinedConfidenceError(
             f"letter {letter!r} has zero monograph count; confidence is undefined"
         )
-    return _affinity(letter, assigned, _PairIndex(db))
+    return _affinity(letter, assigned, _PairIndex(digraphs))
 
 
 def _affinity(letter: str, assigned: HandPartition, index: _PairIndex) -> HandAffinity:
@@ -185,8 +187,8 @@ def _decide(aff: HandAffinity, tie_policy: str, flip_state: list[bool]) -> str:
 
 
 def assign_hands(
-    monograph: NGraphTable,
-    db: TransactionDB,
+    monographs: NGraphTable,
+    digraphs: NGraphTable,
     tie_policy: str = "left-biased",
 ) -> HandPartition:
     """Distribute every letter with a nonzero monograph count onto a hand.
@@ -201,10 +203,10 @@ def assign_hands(
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
-    ranking = monograph_ranking(monograph)
+    ranking = monograph_ranking(monographs)
     if not ranking:
         raise ValueError("cannot assign hands: no letter has a nonzero count")
-    index = _PairIndex(db)
+    index = _PairIndex(digraphs)
     partition = HandPartition(tie_policy=tie_policy)
     flip_state = [False]
     for rank, row in enumerate(ranking, start=1):
@@ -229,21 +231,21 @@ def assign_hands(
 
 
 def audit_partition(
-    partition: HandPartition, monograph: NGraphTable, db: TransactionDB
+    partition: HandPartition, monographs: NGraphTable, digraphs: NGraphTable
 ) -> AuditResult:
     """Replay every assignment decision and report the first divergence.
 
     Rebuilds the partition letter by letter from the trace, recomputes each
-    affinity from the database, and checks that the recorded values match
+    affinity from the digraph table, and checks that the recorded values match
     and that the decision rule produced the recorded hand. Passes only if
     the whole trace replays identically and the hand lists agree with it.
     """
     if not partition.trace:
         raise MissingTraceError("partition carries no trace; audit is impossible")
-    ranking = monograph_ranking(monograph)
+    ranking = monograph_ranking(monographs)
     if len(ranking) != len(partition.trace):
         return AuditResult(False, f"trace has {len(partition.trace)} records for {len(ranking)} ranked letters")
-    index = _PairIndex(db)
+    index = _PairIndex(digraphs)
     replay = HandPartition(tie_policy=partition.tie_policy)
     flip_state = [False]
     for rank, (row, rec) in enumerate(zip(ranking, partition.trace), start=1):

@@ -211,7 +211,6 @@ def brute_force_frequent(db: TransactionDB, params: MiningParams) -> list[Freque
             f"brute force over {len(db.universe)} items would enumerate "
             f"2^{len(db.universe)} subsets; limit is 20"
         )
-    order = db.order()
     levels: list[FrequentLevel] = []
     for k in range(1, len(db.universe) + 1):
         counted = [

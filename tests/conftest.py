@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from keymine.corpus import LetterStream, count_ngraphs, merge_tables
+from keymine.corpus import LetterStream, count_ngraphs
 from keymine.evaluation import EvalReport, evaluate
 from keymine.layout import Layout
 from keymine.mining import TransactionDB
@@ -41,11 +41,17 @@ def write_transactions_tsv(db: TransactionDB, path: Path) -> None:
 
 
 def score(layout: Layout, *streams: LetterStream) -> EvalReport:
-    """Evaluate a layout from per-source tables merged over `streams`."""
-    mono = merge_tables([count_ngraphs(s, 1) for s in streams])
-    di = merge_tables([count_ngraphs(s, 2) for s in streams])
-    total = mono.total + sum(s.undetermined_count for s in streams)
-    return evaluate(mono, di, total, layout)
+    """Evaluate a layout as `keymine evaluate` does: the runs of every source
+    in one stream, whose tables are counted once."""
+    stream = join_streams(*streams)
+    mono, di = count_ngraphs(stream, 1), count_ngraphs(stream, 2)
+    return evaluate(mono, di, mono.total + stream.undetermined_count, layout)
+
+
+def join_streams(*streams: LetterStream) -> LetterStream:
+    """One stream holding the runs and undetermined counts of all sources."""
+    return LetterStream([run for s in streams for run in s.runs],
+                        sum(s.undetermined_count for s in streams), streams[0].alphabet)
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ def record(name: str, ok: bool, detail: str = "") -> None:
 
 def corpus_tables(text, alphabet):
     stream = tokenize(text, alphabet)
-    return count_ngraphs(stream, 1), digraphs_as_transactions(count_ngraphs(stream, 2))
+    return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
 
 
 def test_worked_example_fidelity():
@@ -76,8 +76,9 @@ def test_miner_matches_brute_force_oracle():
     plus one digraph-derived DB whose rows have multiplicity above 1."""
     started = time.perf_counter()
     letters = "abcdefgh"
-    _, digraph_db = corpus_tables(random_text(letters, 3000, 7, space_prob=0.1),
-                                  AlphabetConfig(name="eight", letters=tuple(letters)))
+    _, digraphs = corpus_tables(random_text(letters, 3000, 7, space_prob=0.1),
+                                AlphabetConfig(name="eight", letters=tuple(letters)))
+    digraph_db = digraphs_as_transactions(digraphs)
     cases = [
         (f"seed {seed}", random_db(seed, universe_size=4 + seed % 5, n_transactions=10 + seed % 21),
          MiningParams(min_support_count=1 + seed % 3, min_confidence=0.0))
@@ -128,9 +129,9 @@ def test_seeding_rule():
         alpha = AlphabetConfig(name="seeded", letters=tuple(letters))
         text = random_text(letters, 1500, seed, weights=zipf_weights(size),
                            space_prob=0.08, junk="05", junk_prob=0.03)
-        mono, db = corpus_tables(text, alpha)
+        mono, di = corpus_tables(text, alpha)
         ranking = [r.letter for r in monograph_ranking(mono)]
-        part = assign_hands(mono, db)
+        part = assign_hands(mono, di)
         if not (ranking[0] in part.right and ranking[3] in part.right
                 and ranking[1] in part.left and ranking[2] in part.left):
             ok = False
@@ -150,9 +151,9 @@ def test_decision_trace_replays():
         alpha = AlphabetConfig(name="seeded", letters=tuple(letters))
         text = random_text(letters, 2000, 100 + seed, weights=zipf_weights(size),
                            space_prob=0.1, junk="389", junk_prob=0.05)
-        mono, db = corpus_tables(text, alpha)
-        part = assign_hands(mono, db)
-        result = audit_partition(part, mono, db)
+        mono, di = corpus_tables(text, alpha)
+        part = assign_hands(mono, di)
+        result = audit_partition(part, mono, di)
         if not result.ok:
             ok, detail = False, f"seed {seed}: {result.message}"
             break
@@ -229,13 +230,12 @@ def test_designed_layout_maximizes_alternation(tmp_path):
     stream = tokenize(text, alpha)
     mono = count_ngraphs(stream, 1)
     digraphs = count_ngraphs(stream, 2)
-    db = digraphs_as_transactions(digraphs)
 
     cross = sum(count for (x, y), count in digraphs.counts.items()
                 if (x in GROUP_ONE) != (y in GROUP_ONE))
     cross_share = cross / digraphs.total
 
-    part = assign_hands(mono, db)
+    part = assign_hands(mono, digraphs)
     designed = place_keys(part, geometry, name="designed")
     letters = sorted(part.letters)
     rivals = [place_keys(HandPartition(left=list(letters)), geometry,

@@ -56,6 +56,20 @@ class TestStats:
         assert summary["total_letters"] == sum(len(t) for t in texts)
         assert summary["sources"] == 3
 
+    def test_no_ngram_crosses_files(self, tmp_path):
+        # one stream "abccab" would add c+c, b+c+c and c+c+a
+        alpha, manifest = write_corpus(tmp_path, ["abc", "cab"], "abc")
+        out = tmp_path / "out"
+        assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out)]) == 0
+
+        def counts(name):
+            lines = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+            return {ngram: int(count) for ngram, count, _ in (l.split("\t") for l in lines)}
+
+        assert counts("digraphs.tsv") == {"a+b": 2, "b+c": 1, "c+a": 1}
+        assert counts("trigraphs.tsv") == {"a+b+c": 1, "c+a+b": 1}
+
     def test_sample_corpus_digraphs_match_reference(self, tmp_path, data_dir):
         out = tmp_path / "out"
         assert main(["stats",
@@ -343,6 +357,18 @@ class TestEvaluate:
             expected = score(layout, stream)
             got = read_report_json(out / f"report_{i:02d}_{path.stem}.json")
             assert got == expected
+
+    def test_switching_stops_at_file_boundary(self, tmp_path, capsys):
+        # a left, b right: each file switches once; joined as "abab", the
+        # files would switch a third time at the boundary
+        alpha, manifest = write_corpus(tmp_path, ["ab", "ab"], "ab")
+        split = tmp_path / "split.json"
+        write_fixture_layout(split, ["a"], ["b"], "split")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out), str(split)]) == 0
+        assert read_report_json(out / "report_01_split.json").hand_switching == 2
+        assert "split: switching 2, left 2, right 2, undetermined 0" in capsys.readouterr().out
 
     def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
         # the designed layout plus a partial one that leaves letters unmapped

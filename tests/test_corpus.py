@@ -12,7 +12,6 @@ from keymine.corpus import (
     IngestionError,
     NGraphTable,
     count_ngraphs,
-    merge_tables,
     monograph_ranking,
     read_manifest,
     read_text,
@@ -20,6 +19,8 @@ from keymine.corpus import (
     write_ngraph_tsv,
 )
 from keymine.synth import random_text, zipf_weights
+
+from conftest import join_streams
 
 ABC = AlphabetConfig(name="abc", letters=("a", "b", "c"))
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
@@ -247,14 +248,14 @@ class TestMonographRanking:
 class TestMergeAndManifest:
     def test_merge_is_additive(self):
         s1, s2 = tokenize("abab", AB), tokenize("bb", AB)
-        merged = merge_tables([count_ngraphs(s, 1) for s in (s1, s2)])
+        merged = count_ngraphs(join_streams(s1, s2), 1)
         assert merged.counts == {("a",): 2, ("b",): 4}
         assert merged.total == 6
 
     def test_no_cross_file_digraphs(self):
-        # "ab" + "ba" merged as separate sources: no (b,b) window
+        # "ab" and "ba" in one stream as separate runs: no (b,b) window
         s1, s2 = tokenize("ab", AB), tokenize("ba", AB)
-        merged = merge_tables([count_ngraphs(s, 2) for s in (s1, s2)])
+        merged = count_ngraphs(join_streams(s1, s2), 2)
         assert merged.counts == {("a", "b"): 1, ("b", "a"): 1}
 
     def test_manifest_relative_paths_and_comments(self, tmp_path):

@@ -29,7 +29,7 @@ from keymine.layout import (
     save_layout,
     write_trace_tsv,
 )
-from keymine.mining import TransactionDB, digraphs_as_transactions
+from keymine.mining import digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
@@ -37,9 +37,7 @@ ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
 
 def corpus_tables(text, alphabet):
     stream = tokenize(text, alphabet)
-    mono = count_ngraphs(stream, 1)
-    db = digraphs_as_transactions(count_ngraphs(stream, 2))
-    return mono, db
+    return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
 
 
 def pieces(*pairs):
@@ -58,9 +56,9 @@ AFFINITY_TEXT = pieces(("ab", 8), ("ac", 6), ("ad", 6), ("eb", 2), ("ec", 2), ("
 
 class TestAffinity:
     def test_hand_computed_values(self):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
         seeded = HandPartition(left=["b", "c"], right=["a", "d"])
-        aff = affinity("e", seeded, db, mono)
+        aff = affinity("e", seeded, mono, di)
         assert aff.left_support == 4 / 25
         assert aff.right_support == 1 / 25
         assert aff.left_confidence == 4 / 5
@@ -68,41 +66,41 @@ class TestAffinity:
 
     def test_all_pairs_one_letter(self):
         # corpus of "ea" repetitions: every transaction is {a, e}
-        mono, db = corpus_tables("ea" * 15, ABCDE)
-        aff = affinity("e", HandPartition(left=["b", "c"], right=["a", "d"]), db, mono)
+        mono, di = corpus_tables("ea" * 15, ABCDE)
+        aff = affinity("e", HandPartition(left=["b", "c"], right=["a", "d"]), mono, di)
         assert aff.right_support == 1.0 and aff.right_confidence == 1.0
         assert aff.left_support == 0.0 and aff.left_confidence == 0.0
 
     def test_no_cooccurrence_is_all_zero(self):
         # c and d never sit next to a or b
-        mono, db = corpus_tables(pieces(("ab", 3), ("cd", 3)), ABCDE)
-        aff = affinity("c", HandPartition(left=["a"], right=["b"]), db, mono)
+        mono, di = corpus_tables(pieces(("ab", 3), ("cd", 3)), ABCDE)
+        aff = affinity("c", HandPartition(left=["a"], right=["b"]), mono, di)
         assert aff == ("c", 0.0, 0.0, 0.0, 0.0)
 
     def test_relabeling_swaps_sides_exactly(self):
         text = pieces(("ea", 3), ("eb", 5), ("ab", 4))
         swapped = text.translate(str.maketrans("ab", "ba"))
         part = HandPartition(left=["b"], right=["a"])
-        aff = affinity("e", part, *reversed(corpus_tables(text, ABCDE)))
-        mirror = affinity("e", part, *reversed(corpus_tables(swapped, ABCDE)))
+        aff = affinity("e", part, *corpus_tables(text, ABCDE))
+        mirror = affinity("e", part, *corpus_tables(swapped, ABCDE))
         assert (aff.left_support, aff.left_confidence) == (
             mirror.right_support, mirror.right_confidence)
         assert (aff.right_support, aff.right_confidence) == (
             mirror.left_support, mirror.left_confidence)
 
     def test_zero_monograph_count_rejected(self):
-        mono, db = corpus_tables("abab", ABCDE)
+        mono, di = corpus_tables("abab", ABCDE)
         with pytest.raises(UndefinedConfidenceError):
-            affinity("e", HandPartition(left=["a"], right=["b"]), db, mono)
+            affinity("e", HandPartition(left=["a"], right=["b"]), mono, di)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_values_stay_in_unit_range(self, seed):
         letters = string.ascii_lowercase[:8]
         alpha = AlphabetConfig(name="eight", letters=tuple(letters))
-        mono, db = corpus_tables(random_text(letters, 2000, seed), alpha)
+        mono, di = corpus_tables(random_text(letters, 2000, seed), alpha)
         part = HandPartition(left=list("abc"), right=list("def"))
         for letter in "gh":
-            aff = affinity(letter, part, db, mono)
+            aff = affinity(letter, part, mono, di)
             for value in aff[1:]:
                 assert 0.0 <= value <= 1.0
 
@@ -111,36 +109,36 @@ class TestAssignHands:
     def test_seeds_first_four_ranks(self):
         # p q r s with strictly descending counts
         alpha = AlphabetConfig(name="pqrs", letters=tuple("pqrs"))
-        mono, db = corpus_tables("0".join(["pq"] * 4 + ["pr"] * 3 + ["ps"] * 2), alpha)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables("0".join(["pq"] * 4 + ["pr"] * 3 + ["ps"] * 2), alpha)
+        part = assign_hands(mono, di)
         assert part.right == ["p", "s"]
         assert part.left == ["q", "r"]
 
     def test_one_letter_alphabet(self):
         alpha = AlphabetConfig(name="x", letters=("x",))
-        mono, db = corpus_tables("xx", alpha)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables("xx", alpha)
+        part = assign_hands(mono, di)
         assert part.right == ["x"] and part.left == []
 
     def test_two_and_three_letter_seeding(self):
         alpha = AlphabetConfig(name="abc", letters=tuple("abc"))
-        mono, db = corpus_tables("aab", alpha)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables("aab", alpha)
+        part = assign_hands(mono, di)
         assert part.right == ["a"] and part.left == ["b"]
-        mono, db = corpus_tables("aaabbc", alpha)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables("aaabbc", alpha)
+        part = assign_hands(mono, di)
         assert part.right == ["a"] and part.left == ["b", "c"]
 
     def test_fifth_letter_follows_decision_rule(self):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        part = assign_hands(mono, di)
         # e leans left on both support and confidence, so it types right
         assert part.right == ["a", "d", "e"]
         assert part.left == ["b", "c"]
 
     def test_trace_covers_every_letter_in_rank_order(self):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        part = assign_hands(mono, di)
         assert [t.rank for t in part.trace] == [1, 2, 3, 4, 5]
         assert [t.letter for t in part.trace] == ["a", "b", "c", "d", "e"]
         assert part.trace[4].hand == "right"
@@ -150,21 +148,21 @@ class TestAssignHands:
         alpha = AlphabetConfig(name="ten", letters=tuple(letters))
         for seed in range(5):
             text = random_text(letters, 1500, seed, weights=zipf_weights(10))
-            mono, db = corpus_tables(text, alpha)
-            part = assign_hands(mono, db)
+            mono, di = corpus_tables(text, alpha)
+            part = assign_hands(mono, di)
             counted = {key[0] for key in mono.counts}
             assert set(part.left) | set(part.right) == counted
             assert not set(part.left) & set(part.right)
 
     def test_rejects_unknown_tie_policy(self):
-        mono, db = corpus_tables("abab", ABCDE)
+        mono, di = corpus_tables("abab", ABCDE)
         with pytest.raises(ValueError):
-            assign_hands(mono, db, tie_policy="coin-flip")
+            assign_hands(mono, di, tie_policy="coin-flip")
 
     def test_empty_ranking_rejected(self):
-        mono, db = corpus_tables("", ABCDE)
+        mono, di = corpus_tables("", ABCDE)
         with pytest.raises(ValueError):
-            assign_hands(mono, db)
+            assign_hands(mono, di)
 
 
 # Corpus where letters e and f tie exactly between the two seeded hands:
@@ -175,72 +173,73 @@ TIE_TEXT = pieces(("ab", 10), ("ac", 8), ("ad", 6), ("ea", 2), ("eb", 2),
 
 class TestTiePolicies:
     def test_default_sends_ties_left(self):
-        mono, db = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
+        part = assign_hands(mono, di)
         assert part.left == ["b", "c", "e", "f"]
         assert part.right == ["a", "d"]
 
     def test_balanced_alternates_ties_starting_left(self):
-        mono, db = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
-        part = assign_hands(mono, db, tie_policy="balanced")
+        mono, di = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
+        part = assign_hands(mono, di, tie_policy="balanced")
         assert part.left == ["b", "c", "e"]
         assert part.right == ["a", "d", "f"]
 
     def test_balanced_partition_audits_clean(self):
-        mono, db = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
-        part = assign_hands(mono, db, tie_policy="balanced")
-        assert audit_partition(part, mono, db).ok
+        mono, di = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
+        part = assign_hands(mono, di, tie_policy="balanced")
+        assert audit_partition(part, mono, di).ok
 
     @pytest.mark.xfail(strict=True, reason="_decide compares float sums; an exact "
                        "integer tie is decided by rounding (0.1 + 0.2 > 0.3)")
     def test_exact_integer_tie_goes_left(self):
         # e's joint counts: 1 with b and 2 with c (left), 3 with a (right),
-        # 0 with d (right); |D| = count(e) = 10. The tie must go left.
+        # 0 with d (right); the doubled ee is counted once, so
+        # |D| = count(e) = 10. The tie must go left.
         mono = NGraphTable(n=1, counts=Counter({("a",): 50, ("b",): 40, ("c",): 30,
                                                 ("d",): 20, ("e",): 10}), alphabet=ABCDE)
-        db = TransactionDB(universe=tuple("abcde"),
-                           rows={("b", "e"): 1, ("c", "e"): 2, ("a", "e"): 3, ("e",): 4})
-        assert assign_hands(mono, db).left == ["b", "c", "e"]
+        di = NGraphTable(n=2, counts=Counter({("b", "e"): 1, ("c", "e"): 2, ("a", "e"): 3,
+                                              ("e", "e"): 4}), alphabet=ABCDE)
+        assert assign_hands(mono, di).left == ["b", "c", "e"]
 
 
 class TestAuditPartition:
     def fixture_partition(self):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
-        return assign_hands(mono, db), mono, db
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        return assign_hands(mono, di), mono, di
 
     def test_fresh_partition_passes(self):
-        part, mono, db = self.fixture_partition()
-        result = audit_partition(part, mono, db)
+        part, mono, di = self.fixture_partition()
+        result = audit_partition(part, mono, di)
         assert result.ok and bool(result)
 
     def test_flipped_hand_fails_at_that_letter(self):
-        part, mono, db = self.fixture_partition()
+        part, mono, di = self.fixture_partition()
         part.right.remove("e")
         part.left.append("e")
         rec = part.trace[4]
         part.trace[4] = rec._replace(hand="left")
-        result = audit_partition(part, mono, db)
+        result = audit_partition(part, mono, di)
         assert not result.ok
         assert result.letter == "e" and result.rank == 5
 
     def test_tampered_affinity_fails(self):
-        part, mono, db = self.fixture_partition()
+        part, mono, di = self.fixture_partition()
         rec = part.trace[4]
         part.trace[4] = rec._replace(left_support=rec.left_support + 1e-9)
-        result = audit_partition(part, mono, db)
+        result = audit_partition(part, mono, di)
         assert not result.ok and result.letter == "e"
 
     def test_inconsistent_membership_fails(self):
-        part, mono, db = self.fixture_partition()
+        part, mono, di = self.fixture_partition()
         part.right.remove("e")
         part.left.append("e")  # trace still says right
-        assert not audit_partition(part, mono, db).ok
+        assert not audit_partition(part, mono, di).ok
 
     def test_missing_trace_is_an_error(self):
-        part, mono, db = self.fixture_partition()
+        part, mono, di = self.fixture_partition()
         bare = HandPartition(left=part.left, right=part.right)
         with pytest.raises(MissingTraceError):
-            audit_partition(bare, mono, db)
+            audit_partition(bare, mono, di)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_corpora_replay_clean(self, seed):
@@ -248,9 +247,41 @@ class TestAuditPartition:
         alpha = AlphabetConfig(name="rand", letters=tuple(letters))
         text = random_text(letters, 1200, seed, weights=zipf_weights(len(letters)),
                            space_prob=0.1, junk="123", junk_prob=0.04)
-        mono, db = corpus_tables(text, alpha)
-        part = assign_hands(mono, db)
-        assert audit_partition(part, mono, db).ok
+        mono, di = corpus_tables(text, alpha)
+        part = assign_hands(mono, di)
+        assert audit_partition(part, mono, di).ok
+
+
+class TestTraceOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_trace_matches_transaction_view_sums(self, seed):
+        """Recompute every trace record's four floats in partition order from
+        `support_count` over the transaction view of the same digraph table,
+        a path independent of the pair index: a doubled letter counted
+        twice, or one direction of a pair missed, shows as a mismatch."""
+        letters = string.ascii_lowercase[: 6 + seed % 5]
+        alpha = AlphabetConfig(name="rand", letters=tuple(letters))
+        text = random_text(letters, 1500, 500 + seed, weights=zipf_weights(len(letters)),
+                           space_prob=0.1, junk="4%", junk_prob=0.05)
+        mono, di = corpus_tables(text, alpha)
+        db = digraphs_as_transactions(di)
+        assert any(a == b for a, b in di.counts), "fixture needs a doubled letter"
+        hands = {"left": [], "right": []}
+        for rec in assign_hands(mono, di).trace:
+            own = db.support_count((rec.letter,))
+            sums = {}
+            for hand, assigned in hands.items():
+                support = confidence = 0.0
+                for other in assigned:
+                    joint = db.support_count((rec.letter, other))
+                    support += joint / len(db)
+                    if own:
+                        confidence += joint / own
+                sums[hand] = (support, confidence)
+            assert (rec.left_support, rec.right_support,
+                    rec.left_confidence, rec.right_confidence) == (
+                sums["left"][0], sums["right"][0], sums["left"][1], sums["right"][1])
+            hands[rec.hand].append(rec.letter)
 
 
 class TestRelabelingEquivariance:
@@ -258,16 +289,16 @@ class TestRelabelingEquivariance:
         letters = string.ascii_lowercase[:8]
         alpha = AlphabetConfig(name="eight", letters=tuple(letters))
         text = random_text(letters, 3000, 11, weights=zipf_weights(8))
-        mono, db = corpus_tables(text, alpha)
+        mono, di = corpus_tables(text, alpha)
         counts = sorted(mono.counts.values())
         assert len(set(counts)) == len(counts), "fixture needs distinct counts"
 
         perm = dict(zip(letters, "hgfedcba"))
         permuted_text = text.translate(str.maketrans(perm))
-        mono_p, db_p = corpus_tables(permuted_text, alpha)
+        mono_p, di_p = corpus_tables(permuted_text, alpha)
 
-        part = assign_hands(mono, db)
-        part_p = assign_hands(mono_p, db_p)
+        part = assign_hands(mono, di)
+        part_p = assign_hands(mono_p, di_p)
         assert [perm[l] for l in part.left] == part_p.left
         assert [perm[l] for l in part.right] == part_p.right
 
@@ -283,8 +314,8 @@ def tiny_geometry():
 class TestPlaceKeys:
     def test_one_letter_per_hand(self):
         alpha = AlphabetConfig(name="pq", letters=("p", "q"))
-        mono, db = corpus_tables("ppq", alpha)
-        part = assign_hands(mono, db)  # right=[p], left=[q]
+        mono, di = corpus_tables("ppq", alpha)
+        part = assign_hands(mono, di)  # right=[p], left=[q]
         layout = place_keys(part, tiny_geometry())
         assert layout.mapping == {"p": "R1", "q": "L1"}
 
@@ -315,8 +346,7 @@ class TestPlaceKeys:
         text = random_text(letters, 30000, 4, weights=weights)
         stream = tokenize(text, alpha)
         mono = count_ngraphs(stream, 1)
-        db = digraphs_as_transactions(count_ngraphs(stream, 2))
-        part = assign_hands(mono, db)
+        part = assign_hands(mono, count_ngraphs(stream, 2))
         geometry = default_geometry()
         layout = place_keys(part, geometry)
         by_id = {p.position_id: p for p in geometry.positions}
@@ -331,8 +361,8 @@ class TestPlaceKeys:
         letters = string.ascii_lowercase[:12]
         alpha = AlphabetConfig(name="twelve", letters=tuple(letters))
         text = random_text(letters, 2500, seed, weights=zipf_weights(12))
-        mono, db = corpus_tables(text, alpha)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(text, alpha)
+        part = assign_hands(mono, di)
         geometry = default_geometry()
         layout = place_keys(part, geometry)
         by_id = {p.position_id: p for p in geometry.positions}
@@ -343,8 +373,8 @@ class TestPlaceKeys:
                         assert by_id[layout.mapping[x]].cost <= by_id[layout.mapping[y]].cost
 
     def test_mapping_injective(self):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        part = assign_hands(mono, di)
         layout = place_keys(part, default_geometry())
         values = list(layout.mapping.values())
         assert len(values) == len(set(values))
@@ -407,8 +437,8 @@ class TestGeometry:
 
 class TestLayoutFiles:
     def make_layout(self):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        part = assign_hands(mono, di)
         return place_keys(part, default_geometry(), name="fixture")
 
     def test_round_trip(self, tmp_path):
@@ -445,8 +475,8 @@ class TestLayoutFiles:
                    mapping={"a": "L1", "b": "L1"})
 
     def test_trace_tsv_format(self, tmp_path):
-        mono, db = corpus_tables(AFFINITY_TEXT, ABCDE)
-        part = assign_hands(mono, db)
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        part = assign_hands(mono, di)
         path = tmp_path / "trace.tsv"
         write_trace_tsv(part, path)
         lines = path.read_text(encoding="utf-8").splitlines()
