@@ -1,11 +1,11 @@
 """Apriori frequent-itemset mining and strong-association-rule generation.
 
 Works over an in-memory transaction database of counted rows, one per
-distinct itemset. Itemsets are kept as tuples in canonical universe order so
-the level-wise join's shared-prefix condition is well defined. The miner
-performs exactly one scan of the distinct rows per level;
-`brute_force_frequent` is the independent exponential oracle used to
-cross-check it.
+distinct itemset. Itemsets are kept as tuples in canonical universe order,
+so each level joins within groups that share a prefix. The miner performs
+exactly one scan of the distinct rows per level, each row cut to the items
+that some candidate holds; `brute_force_frequent` is the independent
+exponential oracle used to cross-check it.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ class TransactionDB:
 
 
 def _canonical(items: Iterable[str], order: dict[str, int], context: str) -> tuple[str, ...]:
-    unique = set(items)
-    for item in unique:
-        if item not in order:
-            raise UniverseError(f"{context}: item {item!r} is not in the universe")
-    return tuple(sorted(unique, key=order.__getitem__))
+    try:
+        return tuple(sorted(set(items), key=order.__getitem__))
+    except KeyError as exc:
+        raise UniverseError(f"{context}: item {exc.args[0]!r} is not in the universe") from None
 
 
 @dataclass(frozen=True)
@@ -117,50 +116,50 @@ def count_supports(
 ) -> list[CountedItemset]:
     """Count, for each candidate itemset, the transactions containing it.
 
-    One pass over the distinct rows: each row enumerates its own size-k
-    subsets and adds its multiplicity to the matching candidates, which is
-    cheap for the short transactions this pipeline produces.
+    One pass over the distinct rows. Each row is first cut to the items that
+    appear in some candidate; the cut row then enumerates its own size-k
+    subsets and adds its multiplicity to the matching candidates. Results
+    come back once per distinct candidate, in universe order.
     """
     order = db.order()
-    canon = [_canonical(c, order, "candidate") for c in candidates]
-    counts: dict[tuple[str, ...], int] = {c: 0 for c in canon}
-    sizes = sorted({len(c) for c in canon})
+    counts = {_canonical(c, order, "candidate"): 0 for c in candidates}
+    wanted = {item for c in counts for item in c}
+    sizes = sorted({len(c) for c in counts})
     for row, n in db.rows.items():
+        # a list: freed short tuples would stock CPython's tuple free lists (peak RSS)
+        row = [item for item in row if item in wanted]
         for k in sizes:
             if k > len(row):
-                continue
+                break
             for sub in combinations(row, k):
                 if sub in counts:
                     counts[sub] += n
-    return [CountedItemset(c, counts[c]) for c in sorted(counts, key=lambda c: _key(c, order))]
-
-
-def _key(items: tuple[str, ...], order: dict[str, int]) -> tuple[int, ...]:
-    return tuple(order[i] for i in items)
+    rank = order.__getitem__
+    return [CountedItemset(c, counts[c]) for c in sorted(counts, key=lambda c: tuple(map(rank, c)))]
 
 
 def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     """Join the frequent (k-1)-itemsets with themselves, then prune.
 
-    Two itemsets join when their first k-2 items agree and the last item of
-    the first sorts before the last item of the second. A joined candidate
-    survives pruning only if every (k-1)-subset of it is itself frequent.
+    The level is sorted once and grouped by prefix (all items but the last);
+    two itemsets join only within their group, the one whose last item sorts
+    first going first, so the join costs time linear in its output. Both
+    parents of a candidate are frequent, so pruning checks only the subsets
+    that drop a prefix item.
     """
-    order = {item: i for i, item in enumerate(prev.universe)}
+    rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
     frequent = {ci.items for ci in prev.itemsets}
-    members = sorted(frequent, key=lambda c: _key(c, order))
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
+        groups.setdefault(items[:-1], []).append(items[-1])
     joined = []
-    for a_pos, l1 in enumerate(members):
-        for l2 in members[a_pos + 1 :]:
-            if l1[:-1] != l2[:-1]:
-                continue
-            if order[l1[-1]] < order[l2[-1]]:
-                joined.append(l1 + (l2[-1],))
-    return [
-        cand
-        for cand in joined
-        if all(sub in frequent for sub in combinations(cand, len(cand) - 1))
-    ]
+    for prefix, lasts in groups.items():
+        for pos, a in enumerate(lasts):
+            for b in lasts[pos + 1 :]:
+                cand = prefix + (a, b)
+                if all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(prefix))):
+                    joined.append(cand)
+    return joined
 
 
 class Levels(list):
@@ -258,8 +257,8 @@ def generate_rules(
 ) -> list[AssociationRule]:
     """Emit every rule A => F\\A over frequent F meeting the confidence bar.
 
-    Frequent itemsets here are tiny (k <= 3 in practice), so all non-empty
-    proper subsets are enumerated directly.
+    All 2^k - 2 non-empty proper subsets of each frequent k-itemset are
+    enumerated directly; k stays small (5 on the market-basket benchmark).
     """
     if db_size <= 0:
         raise ValueError("db_size must be positive")

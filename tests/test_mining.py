@@ -1,6 +1,8 @@
 """Level-wise miner, brute-force oracle, rule generation, digraph adapter."""
 
 import itertools
+import random
+import string
 
 import pytest
 
@@ -90,6 +92,35 @@ class TestCountSupports:
         with pytest.raises(UniverseError):
             count_supports(market9, [("I9",)])
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_weighted_db_matches_support_count(self, seed):
+        # universe in shuffled order with two items no row holds; candidates
+        # of sizes 1-4 listed out of universe order, repeated and reversed
+        rng = random.Random(seed)
+        universe = tuple(rng.sample(string.ascii_uppercase[:10], 10))
+        idle, active = universe[:2], universe[2:]
+        rows: dict[tuple[str, ...], int] = {}
+        for _ in range(rng.randint(5, 25)):
+            picked = set(rng.sample(active, rng.randint(1, 6)))
+            row = tuple(item for item in universe if item in picked)
+            rows[row] = rows.get(row, 0) + rng.randint(1, 5)
+        db = TransactionDB(universe, rows)
+        assert max(rows.values()) > 1
+        candidates = [rng.sample(universe, rng.randint(1, 4)) for _ in range(60)]
+        candidates += candidates[:10] + [c[::-1] for c in candidates[10:20]]
+        candidates += [[idle[0]], [active[0], idle[1]]]
+        counted = count_supports(db, candidates)
+        rank = {item: i for i, item in enumerate(universe)}
+        keys = [tuple(rank[item] for item in c.items) for c in counted]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(list(key) == sorted(set(key)) for key in keys)
+        assert {c.items for c in counted} == {
+            tuple(sorted(set(c), key=rank.__getitem__)) for c in candidates}
+        for c in counted:
+            assert c.support_count == db.support_count(c.items)
+        with pytest.raises(UniverseError):
+            count_supports(db, candidates + [[active[0], "?"]])
+
 
 def level_of(k, itemset_counts, universe=MARKET9_UNIVERSE):
     itemsets = tuple(
@@ -99,7 +130,44 @@ def level_of(k, itemset_counts, universe=MARKET9_UNIVERSE):
                          candidates_evaluated=itemsets)
 
 
+def reference_join(prev):
+    """The all-pairs join `generate_candidates` replaced: every pair of
+    frequent (k-1)-itemsets is compared for a shared prefix, and every
+    (k-1)-subset of a joined candidate is checked."""
+    order = {item: i for i, item in enumerate(prev.universe)}
+    frequent = {ci.items for ci in prev.itemsets}
+    members = sorted(frequent, key=lambda c: [order[i] for i in c])
+    joined = []
+    for a_pos, l1 in enumerate(members):
+        for l2 in members[a_pos + 1:]:
+            if l1[:-1] == l2[:-1] and order[l1[-1]] < order[l2[-1]]:
+                joined.append(l1 + (l2[-1],))
+    return [cand for cand in joined
+            if all(sub in frequent for sub in itertools.combinations(cand, len(cand) - 1))]
+
+
+def random_closed_level(seed, k):
+    """Level k of a seeded downward-closed family: the k-subsets of a few
+    random sets, over a universe in shuffled order, listed in random order."""
+    rng = random.Random(seed)
+    universe = tuple(rng.sample(string.ascii_lowercase[:9], 9))
+    itemsets = set()
+    for _ in range(rng.randint(2, 6)):
+        top = sorted(rng.sample(universe, rng.randint(k, 7)), key=universe.index)
+        itemsets.update(itertools.combinations(top, k))
+    listed = [CountedItemset(items, 1) for items in sorted(itemsets)]
+    rng.shuffle(listed)
+    return FrequentLevel(k=k, universe=universe, itemsets=tuple(listed),
+                         candidates_evaluated=tuple(listed))
+
+
 class TestGenerateCandidates:
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_join(self, seed, k):
+        level = random_closed_level(seed, k)
+        assert generate_candidates(level) == reference_join(level)
+
     L2 = level_of(2, {
         ("I1", "I2"): 4, ("I1", "I3"): 4, ("I1", "I5"): 2,
         ("I2", "I3"): 4, ("I2", "I4"): 2, ("I2", "I5"): 2,
