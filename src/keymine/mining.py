@@ -2,9 +2,13 @@
 
 Works over an in-memory transaction database of counted rows, one per
 distinct itemset. Itemsets are kept as tuples in canonical universe order,
-so each level joins within groups that share a prefix. The miner performs
-exactly one scan of the distinct rows per level, each row cut to the items
-that some candidate holds; `brute_force_frequent` is the independent
+so each level joins within groups that share a prefix and its candidates
+come out in universe order. The miner performs exactly one scan per level.
+Before a scan the rows are cut to the items that some candidate holds; the
+cut rows are kept for the next level, which cuts them further, so rows that
+become equal merge and rows too short for the level drop out. The scan
+counts every size-k subset of the rows in one `Counter`, and each candidate
+reads its count from it. `brute_force_frequent` is the independent
 exponential oracle used to cross-check it.
 """
 
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,9 +62,6 @@ class TransactionDB:
         for tid, items in transactions:
             rows[_canonical(items, order, f"transaction {tid}")] += 1
         return cls(universe=universe, rows=rows)
-
-    def order(self) -> dict[str, int]:
-        return {item: i for i, item in enumerate(self.universe)}
 
     def support_count(self, items: Iterable[str]) -> int:
         """Number of transactions containing every given item."""
@@ -111,31 +112,55 @@ class FrequentLevel:
         return {ci.items: ci.support_count for ci in self.itemsets}
 
 
+class _LevelRows:
+    """The rows a level is counted over: a database's rows, cut to the items
+    that some candidate holds. Each cut starts from the previous one, which
+    is right as long as every level's candidates hold only items of the
+    previous level's candidates, as Apriori's do."""
+
+    def __init__(self, db: TransactionDB) -> None:
+        self.rows = db.rows
+        self.held = set(db.universe)  # every item the rows can still hold
+
+    def count(self, candidates: list[tuple[str, ...]], k: int) -> list[CountedItemset]:
+        """Count canonical, distinct size-k candidates; results keep their order."""
+        wanted = set(chain.from_iterable(candidates))
+        if not self.held <= wanted:
+            cut: dict[tuple[str, ...], int] = {}
+            for row, n in self.rows.items():
+                row = tuple(filter(wanted.__contains__, row))
+                if len(row) >= k:
+                    cut[row] = cut.get(row, 0) + n
+            self.rows, self.held = cut, wanted
+        unit_rows = [row for row, n in self.rows.items() if n == 1]
+        counts = Counter(chain.from_iterable(map(combinations, unit_rows, repeat(k))))
+        for row, n in self.rows.items():
+            if n > 1:
+                for sub in combinations(row, k):
+                    counts[sub] += n
+        # pop frees each counted key as its result is built (lower peak RSS)
+        return [CountedItemset(c, counts.pop(c, 0)) for c in candidates]
+
+
 def count_supports(
     db: TransactionDB, candidates: Iterable[tuple[str, ...] | Iterable[str]]
 ) -> list[CountedItemset]:
     """Count, for each candidate itemset, the transactions containing it.
 
-    One pass over the distinct rows. Each row is first cut to the items that
-    appear in some candidate; the cut row then enumerates its own size-k
-    subsets and adds its multiplicity to the matching candidates. Results
-    come back once per distinct candidate, in universe order.
+    The candidates are canonicalized once and grouped by size; each size is
+    counted by the path `mine_frequent` uses, one pass over the rows cut to
+    that size's candidate items, in which every size-k subset of a row adds
+    the row's multiplicity. Results come back once per distinct candidate,
+    in universe order.
     """
-    order = db.order()
-    counts = {_canonical(c, order, "candidate"): 0 for c in candidates}
-    wanted = {item for c in counts for item in c}
-    sizes = sorted({len(c) for c in counts})
-    for row, n in db.rows.items():
-        # a list: freed short tuples would stock CPython's tuple free lists (peak RSS)
-        row = [item for item in row if item in wanted]
-        for k in sizes:
-            if k > len(row):
-                break
-            for sub in combinations(row, k):
-                if sub in counts:
-                    counts[sub] += n
+    order = {item: i for i, item in enumerate(db.universe)}
+    by_size: dict[int, set[tuple[str, ...]]] = {}
+    for c in candidates:
+        items = _canonical(c, order, "candidate")
+        by_size.setdefault(len(items), set()).add(items)
+    counted = [ci for k, group in by_size.items() for ci in _LevelRows(db).count(list(group), k)]
     rank = order.__getitem__
-    return [CountedItemset(c, counts[c]) for c in sorted(counts, key=lambda c: tuple(map(rank, c)))]
+    return sorted(counted, key=lambda ci: tuple(map(rank, ci.items)))
 
 
 def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
@@ -143,22 +168,26 @@ def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
 
     The level is sorted once and grouped by prefix (all items but the last);
     two itemsets join only within their group, the one whose last item sorts
-    first going first, so the join costs time linear in its output. Both
-    parents of a candidate are frequent, so pruning checks only the subsets
-    that drop a prefix item.
+    first going first, so the join costs time linear in its output and the
+    candidates come out in universe order. Both parents of a candidate are
+    frequent, so pruning checks only the subsets that drop a prefix item,
+    and nothing at k = 2.
     """
     rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
     frequent = {ci.items for ci in prev.itemsets}
     groups: dict[tuple[str, ...], list[str]] = {}
     for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
         groups.setdefault(items[:-1], []).append(items[-1])
-    joined = []
+    joined: list[tuple[str, ...]] = []
     for prefix, lasts in groups.items():
-        for pos, a in enumerate(lasts):
-            for b in lasts[pos + 1 :]:
-                cand = prefix + (a, b)
-                if all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(prefix))):
-                    joined.append(cand)
+        pairs = combinations(lasts, 2)
+        if not prefix:
+            joined += pairs
+            continue
+        for pair in pairs:
+            cand = prefix + pair
+            if all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(prefix))):
+                joined.append(cand)
     return joined
 
 
@@ -172,16 +201,18 @@ class Levels(list):
 def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     """Level-wise search: L1, L2, ... until a level is empty or nothing joins.
 
-    Exactly one database scan per level. Returned levels contain only
-    non-empty frequent sets; candidate counts are kept alongside for audit.
+    Exactly one database scan per level, over rows cut further at each
+    level. Returned levels contain only non-empty frequent sets; candidate
+    counts are kept alongside for audit.
     """
     if not db.universe:
         raise ValueError("cannot mine a database with an empty universe")
     levels = Levels()
+    rows = _LevelRows(db)
     candidates: list[tuple[str, ...]] = [(item,) for item in db.universe]
     k = 1
     while candidates:
-        counted = count_supports(db, candidates)
+        counted = rows.count(candidates, k)
         levels.scans += 1
         frequent = tuple(ci for ci in counted if ci.support_count >= params.min_support_count)
         if not frequent:

@@ -139,6 +139,19 @@ class TestMine:
         assert "level 3" not in log
         assert "scans performed: 3" in log
 
+    def test_basket_fixture_matches_golden_files(self, tmp_path, data_dir, capsys):
+        # levels reach k = 5, and the infrequent item r0 makes level 2 cut its rows
+        out = tmp_path / "out"
+        assert main(["mine", "--transactions", str(data_dir / "baskets400.tsv"),
+                     "--min-support", "0.04", "--min-confidence", "0.6",
+                     "--output-dir", str(out)]) == 0
+        golden = data_dir / "golden" / "baskets400"
+        for name in ("frequent_itemsets.tsv", "rules.tsv"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
+        log = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(("level ", "scans performed:"))]
+        assert "\n".join(log) + "\n" == (golden / "stdout.txt").read_text(encoding="utf-8")
+
     def test_no_frequent_itemsets_is_one_scan(self, tmp_path, data_dir, capsys):
         main(["mine", "--transactions", str(data_dir / "market9.tsv"),
               "--min-support", "10", "--min-confidence", "0.7",

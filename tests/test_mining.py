@@ -230,6 +230,99 @@ class TestMineFrequent:
             assert {i.items for i in level.itemsets} <= candidates
 
 
+def weighted_db(seed):
+    """Seeded counted rows over a universe in shuffled order: 1-5 of seven
+    common items, plus one of three rare items in about 30% of rows, each
+    drawn with multiplicity 1-3 (a row drawn twice adds both)."""
+    rng = random.Random(seed)
+    universe = tuple(rng.sample(string.ascii_lowercase[:10], 10))
+    common, rare = universe[:7], universe[7:]
+    rows: dict[tuple[str, ...], int] = {}
+    for _ in range(rng.randint(25, 40)):
+        picked = set(rng.sample(common, rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            picked.add(rng.choice(rare))
+        row = tuple(item for item in universe if item in picked)
+        rows[row] = rows.get(row, 0) + rng.choice((1, 1, 1, 2, 3))
+    return TransactionDB(universe, rows)
+
+
+def scan_candidates(db, levels):
+    """The candidates of every scan `mine_frequent` made: each level's, plus
+    those of a last scan in which nothing was frequent."""
+    scans = [[ci.items for ci in level.candidates_evaluated] for level in levels]
+    last = generate_candidates(levels[-1]) if levels else [(item,) for item in db.universe]
+    return scans + [last] if last else scans
+
+
+class TestLevelOracle:
+    SEEDS = range(16)
+
+    @staticmethod
+    def mined(seed):
+        db = weighted_db(seed)
+        params = MiningParams(min_support_count=(3, 8, 12)[seed % 3], min_confidence=0.0)
+        return db, params, mine_frequent(db, params)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_candidate_count_matches_support_count(self, seed):
+        db, params, levels = self.mined(seed)
+        rank = {item: i for i, item in enumerate(db.universe)}
+        expected = [(item,) for item in db.universe]
+        for k, level in enumerate(levels, 1):
+            assert level.k == k
+            assert [ci.items for ci in level.candidates_evaluated] == expected
+            keys = [tuple(rank[item] for item in ci.items) for ci in level.candidates_evaluated]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            for ci in level.candidates_evaluated:
+                assert ci.support_count == db.support_count(ci.items)
+            expected = generate_candidates(level)
+        assert levels.scans == len(scan_candidates(db, levels))
+        assert frequent_map(levels) == frequent_map(brute_force_frequent(db, params))
+
+    def test_dbs_cover_every_trimming_case(self):
+        # the rows a level counts are the rows cut to its candidates' items,
+        # dropped below k items; the cut is skipped when it would keep every item
+        seen = set()
+        for seed in self.SEEDS:
+            db, _, levels = self.mined(seed)
+            multiplicities = set(db.rows.values())
+            if 1 in multiplicities:
+                seen.add("multiplicity 1")
+            if max(multiplicities) > 1:
+                seen.add("multiplicity above 1")
+            if any(ci.support_count == 0 for lv in levels for ci in lv.candidates_evaluated):
+                seen.add("zero count")
+            scans = scan_candidates(db, levels)
+            if len(scans) > len(levels):
+                seen.add("last scan finds nothing")
+            held = set(db.universe)
+            for k, candidates in enumerate(scans, 1):
+                wanted = {item for c in candidates for item in c}
+                if held <= wanted:
+                    if k >= 2:
+                        seen.add("cut skipped at k >= 2")
+                    continue
+                held = wanted
+                cuts: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+                for row in db.rows:
+                    cut = tuple(item for item in row if item in wanted)
+                    if len(row) >= k > len(cut):
+                        seen.add("row falls below k")
+                    elif len(cut) >= k:
+                        cuts.setdefault(cut, []).append(row)
+                if any(cut in candidates for cut in cuts if len(cut) == k):
+                    seen.add("cut row of exactly k items")
+                if any(len(rows) > 1 and any(set(c) <= set(cut) for c in candidates)
+                       for cut, rows in cuts.items()):
+                    seen.add("rows merge")
+        assert seen == {
+            "multiplicity 1", "multiplicity above 1", "zero count", "last scan finds nothing",
+            "cut skipped at k >= 2", "row falls below k", "cut row of exactly k items",
+            "rows merge",
+        }
+
+
 class TestBruteForce:
     def test_tiny_db(self):
         db = TransactionDB.build(("a", "b"), [("T1", ["a", "b"])])
