@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -111,10 +110,13 @@ def _load_corpus(args) -> tuple[list[Path], LetterStream]:
     return files, stream
 
 
-def _parse_support_threshold(raw) -> tuple[str, int | float]:
-    """An integer is an absolute count (>= 1); a float in (0, 1] is a
-    fraction of the database size, converted with ceiling once the size is
-    known. Validated before any input is read."""
+def _parse_support_threshold(raw) -> tuple[str, int | tuple[int, int]]:
+    """An integer is an absolute count (>= 1); a fraction in (0, 1] comes
+    back as the exact ratio (numerator, denominator) of its decimal text
+    (`repr` for a float from a config file), so that once the database size
+    is known the count is its exact ceiling: 0.07 of 100 rows is 7, where
+    the float product 0.07 * 100 is just above 7. Validated before any input
+    is read."""
     if isinstance(raw, bool):
         raise CliError("--min-support must be a count or a fraction")
     if isinstance(raw, int):
@@ -122,18 +124,22 @@ def _parse_support_threshold(raw) -> tuple[str, int | float]:
             raise CliError(f"--min-support count must be >= 1, got {raw}")
         return "count", raw
     if isinstance(raw, float):
-        if not 0 < raw <= 1:
-            raise CliError(f"--min-support fraction must be in (0, 1], got {raw}")
-        return "fraction", raw
-    text = str(raw).strip()
+        text = repr(raw)
+    else:
+        text = str(raw).strip()
+        try:
+            return _parse_support_threshold(int(text))
+        except ValueError:
+            pass
     try:
-        return _parse_support_threshold(int(text))
-    except ValueError:
-        pass
-    try:
-        return _parse_support_threshold(float(text))
+        value = float(text)
     except ValueError:
         raise CliError(f"--min-support must be a count or a fraction, got {text!r}") from None
+    if not 0 < value <= 1:
+        raise CliError(f"--min-support fraction must be in (0, 1], got {value}")
+    from decimal import Decimal  # only `mine` takes a fraction; kept off the other commands' imports
+
+    return "fraction", Decimal(text).as_integer_ratio()
 
 
 def cmd_stats(args) -> int:
@@ -189,7 +195,11 @@ def cmd_mine(args) -> int:
         db = digraphs_as_transactions(digraphs)
         inputs = [Path(args.alphabet), Path(args.manifest), *files]
         source = {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}
-    count = support_value if support_kind == "count" else math.ceil(support_value * len(db))
+    if support_kind == "count":
+        count = support_value
+    else:
+        numerator, denominator = support_value
+        count = -(-numerator * len(db) // denominator)
     params = MiningParams(min_support_count=count, min_confidence=min_confidence)
     if min_confidence > 1:
         print(f"warning: minimum confidence {min_confidence} exceeds 1; no rule can satisfy it")

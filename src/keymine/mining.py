@@ -8,8 +8,10 @@ Before a scan the rows are cut to the items that some candidate holds; the
 cut rows are kept for the next level, which cuts them further, so rows that
 become equal merge and rows too short for the level drop out. The scan
 counts every size-k subset of the rows in one `Counter`, and each candidate
-reads its count from it. `brute_force_frequent` is the independent
-exponential oracle used to cross-check it.
+reads its count from it. A level longer than every row is never built: it
+is a scan over no rows, recorded only when its join yields a candidate.
+`brute_force_frequent` is the independent exponential oracle used to
+cross-check it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import NGraphTable
 
@@ -116,11 +118,13 @@ class _LevelRows:
     """The rows a level is counted over: a database's rows, cut to the items
     that some candidate holds. Each cut starts from the previous one, which
     is right as long as every level's candidates hold only items of the
-    previous level's candidates, as Apriori's do."""
+    previous level's candidates, as Apriori's do. `longest` is the size of
+    the longest row."""
 
     def __init__(self, db: TransactionDB) -> None:
         self.rows = db.rows
         self.held = set(db.universe)  # every item the rows can still hold
+        self.longest = max(map(len, self.rows), default=0)
 
     def count(self, candidates: list[tuple[str, ...]], k: int) -> list[CountedItemset]:
         """Count canonical, distinct size-k candidates; results keep their order."""
@@ -132,6 +136,7 @@ class _LevelRows:
                 if len(row) >= k:
                     cut[row] = cut.get(row, 0) + n
             self.rows, self.held = cut, wanted
+            self.longest = max(map(len, cut), default=0)
         unit_rows = [row for row, n in self.rows.items() if n == 1]
         counts = Counter(chain.from_iterable(map(combinations, unit_rows, repeat(k))))
         for row, n in self.rows.items():
@@ -163,6 +168,25 @@ def count_supports(
     return sorted(counted, key=lambda ci: tuple(map(rank, ci.items)))
 
 
+def _joined(prev: FrequentLevel) -> Iterator[tuple[str, ...]]:
+    """The candidates `generate_candidates` lists, yielded lazily."""
+    rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
+    frequent = {ci.items for ci in prev.itemsets}
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
+        groups.setdefault(items[:-1], []).append(items[-1])
+
+    def kept(cand: tuple[str, ...]) -> bool:
+        return all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(cand) - 2))
+
+    # groups chain in C, so the k = 2 join (one empty prefix) stays a bare `combinations`
+    return chain.from_iterable(
+        filter(kept, map(prefix.__add__, combinations(lasts, 2))) if prefix
+        else combinations(lasts, 2)
+        for prefix, lasts in groups.items()
+    )
+
+
 def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     """Join the frequent (k-1)-itemsets with themselves, then prune.
 
@@ -173,27 +197,14 @@ def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     frequent, so pruning checks only the subsets that drop a prefix item,
     and nothing at k = 2.
     """
-    rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
-    frequent = {ci.items for ci in prev.itemsets}
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
-        groups.setdefault(items[:-1], []).append(items[-1])
-    joined: list[tuple[str, ...]] = []
-    for prefix, lasts in groups.items():
-        pairs = combinations(lasts, 2)
-        if not prefix:
-            joined += pairs
-            continue
-        for pair in pairs:
-            cand = prefix + pair
-            if all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(prefix))):
-                joined.append(cand)
-    return joined
+    return list(_joined(prev))
 
 
 class Levels(list):
     """Frequent levels plus `scans`, the database passes that produced them:
-    one more than the levels when the last pass found nothing frequent."""
+    one more than the levels when the last pass found nothing frequent. A
+    level longer than every row counts as a pass over no rows, although its
+    candidates are never built."""
 
     scans = 0
 
@@ -202,8 +213,11 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     """Level-wise search: L1, L2, ... until a level is empty or nothing joins.
 
     Exactly one database scan per level, over rows cut further at each
-    level. Returned levels contain only non-empty frequent sets; candidate
-    counts are kept alongside for audit.
+    level. Once no row holds more than k items, every (k+1)-candidate has
+    support 0, so the search stops without building them; that level still
+    counts as a scan, over no rows, if its join yields a candidate.
+    Returned levels contain only non-empty frequent sets; candidate counts
+    are kept alongside for audit.
     """
     if not db.universe:
         raise ValueError("cannot mine a database with an empty universe")
@@ -224,6 +238,10 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
             candidates_evaluated=tuple(counted),
         )
         levels.append(level)
+        if rows.longest <= k:
+            if any(_joined(level)):
+                levels.scans += 1
+            break
         candidates = generate_candidates(level)
         k += 1
     return levels

@@ -1,9 +1,14 @@
 """End-to-end command tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import keymine
 from keymine.cli import main
 from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
 from keymine.evaluation import read_report_json
@@ -131,13 +136,14 @@ class TestMine:
                      "--manifest", str(data_dir / "sample" / "manifest.txt"),
                      "--min-support", "0.01", "--min-confidence", "0.1",
                      "--output-dir", str(out)]) == 0
+        golden = data_dir / "golden" / "sample" / "mine"
         for name in ("frequent_itemsets.tsv", "rules.tsv"):
-            golden = data_dir / "golden" / "sample" / "mine" / name
-            assert (out / name).read_bytes() == golden.read_bytes()
-        # digraph rows hold at most two letters: level 3 is counted, nothing frequent
-        log = capsys.readouterr().out
-        assert "level 3" not in log
-        assert "scans performed: 3" in log
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
+        # digraph rows hold at most two letters: level 3 joins to candidates,
+        # none of which any row can hold, so it is a scan over no rows
+        log = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(("level ", "scans performed:"))]
+        assert "\n".join(log) + "\n" == (golden / "stdout.txt").read_text(encoding="utf-8")
 
     def test_basket_fixture_matches_golden_files(self, tmp_path, data_dir, capsys):
         # levels reach k = 5, and the infrequent item r0 makes level 2 cut its rows
@@ -187,6 +193,50 @@ class TestMine:
               "--output-dir", str(out)])
         golden = (data_dir / "golden" / "frequent_itemsets.tsv").read_bytes()
         assert (out / "frequent_itemsets.tsv").read_bytes() == golden
+
+    @staticmethod
+    def seven_in_a_hundred(tmp_path):
+        # `a b` in 7 of 100 rows: a support of exactly 0.07
+        path = tmp_path / "db.tsv"
+        path.write_text("tid\titems\n" + "".join(
+            f"T{i}\t{'a b' if i < 7 else 'c'}\n" for i in range(100)), encoding="utf-8")
+        return path
+
+    def mined_at(self, out, db_path, *extra):
+        assert main(["mine", "--transactions", str(db_path), "--min-confidence", "0.5",
+                     "--output-dir", str(out), *extra]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        return manifest["parameters"]["min_support_count"], (
+            out / "frequent_itemsets.tsv").read_text(encoding="utf-8").splitlines()
+
+    def test_exact_fraction_flag_keeps_the_threshold(self, tmp_path):
+        # 0.07 * 100 is 7.000000000000001 in floats; the threshold is exactly 7
+        db_path = self.seven_in_a_hundred(tmp_path)
+        count, lines = self.mined_at(tmp_path / "frac", db_path, "--min-support", "0.07")
+        assert count == 7
+        assert {"a\t7\t0.070000", "b\t7\t0.070000", "a b\t7\t0.070000"} <= set(lines)
+        assert (count, lines) == self.mined_at(tmp_path / "count", db_path, "--min-support", "7")
+
+    def test_exact_fraction_from_config_float(self, tmp_path):
+        db_path = self.seven_in_a_hundred(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_support": 0.07}), encoding="utf-8")
+        count, lines = self.mined_at(tmp_path / "out", db_path, "--config", str(config))
+        assert count == 7 and "a b\t7\t0.070000" in lines
+
+    @pytest.mark.parametrize("raw, message", [
+        ("nan", "--min-support fraction must be in (0, 1], got nan"),
+        ("inf", "--min-support fraction must be in (0, 1], got inf"),
+        ("1.5", "--min-support fraction must be in (0, 1], got 1.5"),
+        ("0.0", "--min-support fraction must be in (0, 1], got 0.0"),
+        ("0", "--min-support count must be >= 1, got 0"),
+        ("seven", "--min-support must be a count or a fraction, got 'seven'"),
+    ])
+    def test_bad_threshold_messages(self, tmp_path, data_dir, capsys, raw, message):
+        assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
+                     "--min-support", raw, "--min-confidence", "0.5",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_random_db_matches_brute_force(self, tmp_path):
         db = random_db(7, universe_size=6, n_transactions=20)
@@ -493,6 +543,25 @@ class TestConfigAndManifest:
         assert manifest["inputs"][str(data_dir / "market9.tsv")] == digest
         assert manifest["command"] == "mine"
         assert "time" not in json.dumps(manifest).lower()
+
+    def test_only_mine_imports_decimal(self, tmp_path, data_dir):
+        # a fresh interpreter, since pytest itself imports `decimal`
+        alpha = data_dir / "alphabets" / "english.json"
+        corpus = ["--alphabet", str(alpha), "--manifest", str(data_dir / "sample" / "manifest.txt")]
+        layout = data_dir / "sample" / "layouts" / "partial.json"
+        commands = [["stats", *corpus], ["design", *corpus], ["evaluate", *corpus, str(layout)]]
+        for argv in commands:
+            argv += ["--output-dir", str(tmp_path / argv[0])]
+        script = (
+            "import sys\n"
+            "from keymine.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {commands!r})\n"
+            "assert 'decimal' not in sys.modules, 'decimal imported'\n"
+        )
+        src = Path(keymine.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
 
     def test_missing_required_flag_reported(self, tmp_path, capsys):
         assert main(["stats", "--output-dir", str(tmp_path / "out")]) == 1

@@ -6,6 +6,7 @@ import string
 
 import pytest
 
+from keymine import mining
 from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
 from keymine.mining import (
     AssociationRule,
@@ -216,13 +217,54 @@ class TestMineFrequent:
         levels = mine_frequent(market9, params)
         assert levels == [] and levels.scans == 1
 
-    def test_empty_last_level_still_counts_as_a_scan(self):
-        # digraph rows hold at most two letters, so level 3 is counted and empty
+    @staticmethod
+    def spied(monkeypatch, db, params):
+        """Mine, recording the size of every candidate built and every k counted."""
+        built, counted = [], []
+        join, count = mining.generate_candidates, mining._LevelRows.count
+
+        def spy_join(prev):
+            candidates = join(prev)
+            built.extend(map(len, candidates))
+            return candidates
+
+        def spy_count(rows, candidates, k):
+            counted.append(k)
+            return count(rows, candidates, k)
+
+        monkeypatch.setattr(mining, "generate_candidates", spy_join)
+        monkeypatch.setattr(mining._LevelRows, "count", spy_count)
+        return mine_frequent(db, params), built, counted
+
+    def test_empty_last_level_still_counts_as_a_scan(self, monkeypatch):
+        # digraph rows hold at most two letters and every pair is frequent, so
+        # level 3 joins to a candidate but is a scan over no rows, never built
         alpha = AlphabetConfig(name="abc", letters=("a", "b", "c"))
         table = count_ngraphs(tokenize("abcabcacb" * 5, alpha), 2)
-        levels = mine_frequent(digraphs_as_transactions(table), MiningParams(1, 0.0))
+        db = digraphs_as_transactions(table)
+        levels, built, counted = self.spied(monkeypatch, db, MiningParams(1, 0.0))
         assert [lv.k for lv in levels] == [1, 2]
+        assert len(levels[1].itemsets) == 3
         assert levels.scans == 3
+        assert counted == [1, 2] and max(built) == 2
+
+    # levels mined and scans made
+    STOPS = {
+        # {b, c} is infrequent, so the join's only candidate {a, b, c} is pruned
+        "pruned join": ([1, 2], 2),
+        # the row {b, c, d} holds 3 items until level 2 cuts d away
+        "row cut to k items": ([1, 2], 3),
+        # one row holds 3 items, so level 3 is built and counted after level 2
+        "row of k+1 items": ([1, 2, 3], 3),
+    }
+
+    @pytest.mark.parametrize("case", STOPS)
+    def test_no_level_is_built_beyond_the_longest_row(self, monkeypatch, case):
+        db, support = STOP_DBS[case]
+        ks, scans = self.STOPS[case]
+        levels, built, counted = self.spied(monkeypatch, db, MiningParams(support, 0.0))
+        assert [lv.k for lv in levels] == ks and levels.scans == scans
+        assert counted == ks and max(built) == ks[-1]
 
     def test_frequent_subset_of_candidates(self, market9):
         for level in mine_frequent(market9, PARAMS2):
@@ -247,6 +289,28 @@ def weighted_db(seed):
     return TransactionDB(universe, rows)
 
 
+def _stop_dbs():
+    """Small DBs, with their support counts, whose rows end before the join does."""
+    alpha = AlphabetConfig(name="abcd", letters=("a", "b", "c", "d"))
+    digraphs = digraphs_as_transactions(count_ngraphs(tokenize("abacadbcbdcd" * 2, alpha), 2))
+    return {
+        # every pair is frequent and no row holds 3 items: level 3 joins, and stops
+        "digraphs, all pairs frequent": (digraphs, 2),
+        # {b, c} is infrequent: the level-3 join is pruned away, and the miner stops
+        "pruned join": (TransactionDB(("a", "b", "c", "d"), {
+            ("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 1, ("d",): 1}), 2),
+        # level 2 cuts the infrequent d from the only row of 3 items
+        "row cut to k items": (TransactionDB(("a", "b", "c", "d"), {
+            ("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 1, ("b", "c", "d"): 1}), 2),
+        # a row of exactly 3 items keeps level 3; level 4 joins to nothing
+        "row of k+1 items": (TransactionDB(("a", "b", "c"), {
+            ("a", "b", "c"): 2, ("a", "b"): 1, ("c",): 1}), 2),
+    }
+
+
+STOP_DBS = _stop_dbs()
+
+
 def scan_candidates(db, levels):
     """The candidates of every scan `mine_frequent` made: each level's, plus
     those of a last scan in which nothing was frequent."""
@@ -256,17 +320,20 @@ def scan_candidates(db, levels):
 
 
 class TestLevelOracle:
-    SEEDS = range(16)
+    CASES = [*range(16), *STOP_DBS]
 
     @staticmethod
-    def mined(seed):
-        db = weighted_db(seed)
-        params = MiningParams(min_support_count=(3, 8, 12)[seed % 3], min_confidence=0.0)
+    def mined(case):
+        if case in STOP_DBS:
+            db, support = STOP_DBS[case]
+        else:
+            db, support = weighted_db(case), (3, 8, 12)[case % 3]
+        params = MiningParams(min_support_count=support, min_confidence=0.0)
         return db, params, mine_frequent(db, params)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_candidate_count_matches_support_count(self, seed):
-        db, params, levels = self.mined(seed)
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_candidate_count_matches_support_count(self, case):
+        db, params, levels = self.mined(case)
         rank = {item: i for i, item in enumerate(db.universe)}
         expected = [(item,) for item in db.universe]
         for k, level in enumerate(levels, 1):
@@ -282,10 +349,12 @@ class TestLevelOracle:
 
     def test_dbs_cover_every_trimming_case(self):
         # the rows a level counts are the rows cut to its candidates' items,
-        # dropped below k items; the cut is skipped when it would keep every item
+        # dropped below k items; the cut is skipped when it would keep every item.
+        # Once no row of the last level holds more than k items, the next level
+        # is not built: a scan over no rows if its join yields a candidate.
         seen = set()
-        for seed in self.SEEDS:
-            db, _, levels = self.mined(seed)
+        for case in self.CASES:
+            db, _, levels = self.mined(case)
             multiplicities = set(db.rows.values())
             if 1 in multiplicities:
                 seen.add("multiplicity 1")
@@ -297,11 +366,13 @@ class TestLevelOracle:
             if len(scans) > len(levels):
                 seen.add("last scan finds nothing")
             held = set(db.universe)
+            longest = [max(map(len, db.rows), default=0)]  # of the rows each scan counts
             for k, candidates in enumerate(scans, 1):
                 wanted = {item for c in candidates for item in c}
                 if held <= wanted:
                     if k >= 2:
                         seen.add("cut skipped at k >= 2")
+                    longest.append(longest[-1])
                     continue
                 held = wanted
                 cuts: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
@@ -316,10 +387,14 @@ class TestLevelOracle:
                 if any(len(rows) > 1 and any(set(c) <= set(cut) for c in candidates)
                        for cut, rows in cuts.items()):
                     seen.add("rows merge")
+                longest.append(max(map(len, cuts), default=0))
+            k = len(levels)
+            if levels and longest[k] <= k:
+                seen.add("stop, join yields" if len(scans) > k else "stop, join empty")
         assert seen == {
             "multiplicity 1", "multiplicity above 1", "zero count", "last scan finds nothing",
             "cut skipped at k >= 2", "row falls below k", "cut row of exactly k items",
-            "rows merge",
+            "rows merge", "stop, join yields", "stop, join empty",
         }
 
 
