@@ -4,6 +4,10 @@ Every command validates its inputs up front, writes its outputs plus a
 machine-readable run manifest (content hashes of inputs, parameters, tool
 version) into the output directory, and exits 0 only if all requested
 outputs were written and all embedded audits passed.
+
+A `--config` JSON value is parsed as its `--key=value` flag placed right
+after the command name: it is checked as the flag is, and an explicit flag,
+coming later, wins. Input-file errors name the file.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .corpus import (
     IngestionError,
     LetterStream,
     count_ngraphs,
+    read_json,
     read_manifest,
     tokenize_file,
     write_ngraph_tsv,
@@ -110,27 +115,21 @@ def _load_corpus(args) -> tuple[list[Path], LetterStream]:
     return files, stream
 
 
-def _parse_support_threshold(raw) -> tuple[str, int | tuple[int, int]]:
+def _parse_support_threshold(text: str) -> tuple[str, int | tuple[int, int]]:
     """An integer is an absolute count (>= 1); a fraction in (0, 1] comes
-    back as the exact ratio (numerator, denominator) of its decimal text
-    (`repr` for a float from a config file), so that once the database size
-    is known the count is its exact ceiling: 0.07 of 100 rows is 7, where
-    the float product 0.07 * 100 is just above 7. Validated before any input
-    is read."""
-    if isinstance(raw, bool):
-        raise CliError("--min-support must be a count or a fraction")
-    if isinstance(raw, int):
-        if raw < 1:
-            raise CliError(f"--min-support count must be >= 1, got {raw}")
-        return "count", raw
-    if isinstance(raw, float):
-        text = repr(raw)
+    back as the exact ratio (numerator, denominator) of its decimal text,
+    so that once the database size is known the count is its exact ceiling:
+    0.07 of 100 rows is 7, where the float product 0.07 * 100 is just above
+    7. Validated before any input is read."""
+    text = text.strip()
+    try:
+        count = int(text)
+    except ValueError:
+        pass
     else:
-        text = str(raw).strip()
-        try:
-            return _parse_support_threshold(int(text))
-        except ValueError:
-            pass
+        if count < 1:
+            raise CliError(f"--min-support count must be >= 1, got {count}")
+        return "count", count
     try:
         value = float(text)
     except ValueError:
@@ -179,7 +178,7 @@ def cmd_stats(args) -> int:
 def cmd_mine(args) -> int:
     _require(args, "min_support", "min_confidence")
     support_kind, support_value = _parse_support_threshold(args.min_support)
-    min_confidence = float(args.min_confidence)
+    min_confidence = args.min_confidence
     if min_confidence < 0:
         raise CliError(f"--min-confidence must be >= 0, got {min_confidence}")
     inputs: list[Path]
@@ -322,8 +321,8 @@ def cmd_compare_only(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file supplying defaults for any flag")
-    common.add_argument("--output-dir", help="directory for outputs (default: .)")
-    common.add_argument("--format", choices=("tsv", "json"), help="summary format (default: tsv)")
+    common.add_argument("--output-dir", default=".", help="directory for outputs (default: .)")
+    common.add_argument("--format", choices=("tsv", "json"), default="tsv", help="summary format (default: tsv)")
 
     corpus = argparse.ArgumentParser(add_help=False)
     corpus.add_argument("--alphabet", help="alphabet JSON file")
@@ -352,9 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_design.add_argument(
         "--tie-policy",
         choices=TIE_POLICIES,
+        default="left-biased",
         help="where mixed-signal letters go (default: left-biased)",
     )
-    p_design.add_argument("--name", help="layout name (default: designed)")
+    p_design.add_argument("--name", default="designed", help="layout name (default: designed)")
 
     p_eval = sub.add_parser(
         "evaluate", parents=[common, corpus], help="score layout files against a corpus"
@@ -382,28 +382,21 @@ _CONFIG_KEYS = (
     "transactions",
 )
 
-_DEFAULTS = {"output_dir": ".", "format": "tsv", "tie_policy": "left-biased", "name": "designed"}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file, then from built-in defaults."""
-    if args.config:
-        path = Path(args.config)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"{path}: cannot read config: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CliError(f"{path}: config must be a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-        for key in _CONFIG_KEYS:
-            if key in data and getattr(args, key, None) is None:
-                setattr(args, key, data[key])
-    for attr, value in _DEFAULTS.items():
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The config file's values for the keys this command takes, as
+    `--key=value` flags; a null value is left out."""
+    path = Path(args.config)
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: config must be a JSON object")
+    unknown = set(data) - set(_CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+    return [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in data.items()
+        if key in vars(args) and value is not None
+    ]
 
 
 _COMMANDS = {
@@ -416,10 +409,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
         return _COMMANDS[args.command](args)
     except (
         CliError,

@@ -72,12 +72,7 @@ class AlphabetConfig:
     def from_json(cls, path: str | Path) -> "AlphabetConfig":
         """Load an alphabet file: {"name": str, "letters": [str, ...]}."""
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise IngestionError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"{path}: invalid JSON: {exc}") from exc
+        data = read_json(path)
         if not isinstance(data, dict) or "name" not in data or "letters" not in data:
             raise IngestionError(f"{path}: expected an object with 'name' and 'letters'")
         letters = data["letters"]
@@ -173,14 +168,25 @@ def monograph_ranking(table: NGraphTable) -> list[RankedLetter]:
     ]
 
 
-def read_text(path: str | Path) -> str:
-    """Read a UTF-8 corpus file; decoding failures name the byte offset."""
+def read_text(path: str | Path, error: type[ValueError] = IngestionError) -> str:
+    """Read a UTF-8 input file; a decoding failure raises `error` naming the
+    file and the byte offset."""
     path = Path(path)
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
+        raise error(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
+
+
+def read_json(path: str | Path, error: type[ValueError] = IngestionError):
+    """Read a UTF-8 JSON input file; a decoding or parse failure raises
+    `error` naming the file."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{Path(path)}: invalid JSON: {exc}") from exc
 
 
 def tokenize_file(path: str | Path, alphabet: AlphabetConfig) -> LetterStream:

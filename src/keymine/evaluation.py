@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NGraphTable
+from .corpus import NGraphTable, read_json
 from .layout import Layout
 
 
@@ -116,7 +116,7 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 def read_report_json(path: str | Path) -> EvalReport:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path, ValueError)
     try:
         return EvalReport(
             layout_name=str(data["layout_name"]),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NGraphTable, monograph_ranking
+from .corpus import NGraphTable, monograph_ranking, read_json
 
 HANDS = ("left", "right")
 ROWS = ("home", "top", "bottom")
@@ -425,10 +425,7 @@ _GEOMETRY_FIELDS = ("id", "hand", "finger", "row", "layer", "cost")
 def load_geometry(path: str | Path) -> KeyboardGeometry:
     """Load a geometry file: a JSON array of position records."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GeometryFormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path, GeometryFormatError)
     if not isinstance(data, list):
         raise GeometryFormatError(f"{path}: expected a JSON array of positions")
     positions = []
@@ -478,10 +475,7 @@ def load_layout(path: str | Path, geometry: KeyboardGeometry | None = None) -> L
     files shipped without their geometry).
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LayoutFormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path, LayoutFormatError)
     if not isinstance(data, dict):
         raise LayoutFormatError(f"{path}: expected a JSON object")
     required = ("name", "mapping") if geometry is not None else ("name", "geometry_ref", "mapping")

@@ -22,7 +22,7 @@ from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import NGraphTable
+from .corpus import NGraphTable, read_text
 
 
 class UniverseError(ValueError):
@@ -369,7 +369,7 @@ def read_transactions_tsv(path: str | Path, universe: Sequence[str] | None = Non
     """
     path = Path(path)
     rows: list[tuple[str, list[str]]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, TransactionFormatError).splitlines(), 1):
         if not line.strip() or line.startswith("#") or line == "tid\titems":
             continue
         parts = line.split("\t")

@@ -46,10 +46,6 @@ def zipf_weights(n: int) -> list[float]:
     return [1.0 / k for k in range(1, n + 1)]
 
 
-def letters_alphabet(letters: str, name: str = "synthetic") -> AlphabetConfig:
-    return AlphabetConfig(name=name, letters=tuple(letters))
-
-
 # Two-group corpus: within-group frequency weights are spaced so the top
 # ranked letter and the fourth come from group one and ranks two and three
 # from group two, regardless of seed, at the default length.

@@ -566,3 +566,84 @@ class TestConfigAndManifest:
     def test_missing_required_flag_reported(self, tmp_path, capsys):
         assert main(["stats", "--output-dir", str(tmp_path / "out")]) == 1
         assert "--alphabet" in capsys.readouterr().err
+
+    @staticmethod
+    def sample_argv(data_dir, command, out):
+        argv = [command, "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                "--manifest", str(data_dir / "sample" / "manifest.txt"), "--output-dir", str(out)]
+        return argv + (["--min-support", "0.01"] if command == "mine" else [])
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("stats", "format", "xml"),
+        ("design", "tie_policy", "coin-flip"),
+        ("mine", "min_confidence", True),
+        ("mine", "min_confidence", [0.5]),
+    ], ids=["format-xml", "tie-policy-coin-flip", "min-confidence-true", "min-confidence-list"])
+    def test_config_value_checked_as_flag(self, tmp_path, data_dir, command, key, value):
+        argv = self.sample_argv(data_dir, command, tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(SystemExit):
+            main(argv + ["--config", str(config)])
+        with pytest.raises(SystemExit):
+            main(argv + [f"--{key.replace('_', '-')}={value}"])
+        assert not (tmp_path / "out").exists()
+
+    def test_config_path_of_wrong_type_is_an_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _, manifest = write_corpus(tmp_path, ["abab"], "ab")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alphabet": 5}), encoding="utf-8")
+        assert main(["stats", "--manifest", str(manifest), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'5'" in err
+
+    def test_keys_of_other_commands_are_skipped(self, tmp_path, data_dir):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_support": 2, "name": 7}), encoding="utf-8")
+        assert main(self.sample_argv(data_dir, "design", out) + ["--config", str(config)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["parameters"]["name"] == "7"
+        assert json.loads((out / "layout.json").read_text(encoding="utf-8"))["name"] == "7"
+
+    def test_null_config_value_keeps_the_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        alpha, manifest = write_corpus(tmp_path, ["abab"], "ab")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output_dir": None, "format": None}), encoding="utf-8")
+        assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--config", str(config)]) == 0
+        assert (tmp_path / "summary.tsv").is_file()
+
+
+INPUT_READERS = ("alphabet", "geometry", "layout", "report", "config", "transactions")
+
+
+class TestInputFileErrors:
+    @staticmethod
+    def argv(reader, bad, data_dir, out):
+        alphabet = ["--alphabet", str(data_dir / "alphabets" / "english.json")]
+        corpus = ["--manifest", str(data_dir / "sample" / "manifest.txt"), "--output-dir", str(out)]
+        return {
+            "alphabet": ["stats", "--alphabet", bad, *corpus],
+            "geometry": ["design", *alphabet, *corpus, "--geometry", bad],
+            "layout": ["evaluate", *alphabet, *corpus, bad],
+            "report": ["compare-only", "--output-dir", str(out), bad],
+            "config": ["stats", *alphabet, *corpus, "--config", bad],
+            "transactions": ["mine", "--transactions", bad, "--min-support", "2",
+                             "--min-confidence", "0.5", "--output-dir", str(out)],
+        }[reader]
+
+    @pytest.mark.parametrize("reader, content, message", [
+        *(pytest.param(r, b'{"a": "\xff"}', "not valid UTF-8 at byte offset 7", id=f"{r}-utf8")
+          for r in INPUT_READERS),
+        *(pytest.param(r, b'{"a": ', "invalid JSON", id=f"{r}-json")
+          for r in INPUT_READERS if r != "transactions"),
+    ])
+    def test_error_names_the_file(self, tmp_path, data_dir, capsys, reader, content, message):
+        bad = tmp_path / f"bad-{reader}.json"
+        bad.write_bytes(content)
+        assert main(self.argv(reader, str(bad), data_dir, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
