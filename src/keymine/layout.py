@@ -317,6 +317,8 @@ class KeyboardGeometry:
                 raise ValueError(f"{pos.position_id}: row must be one of {ROWS}")
             if pos.layer not in LAYERS:
                 raise ValueError(f"{pos.position_id}: layer must be one of {LAYERS}")
+            if isinstance(pos.cost, bool) or not isinstance(pos.cost, (int, float)):
+                raise ValueError(f"{pos.position_id}: cost must be a number, got {pos.cost!r}")
             if not pos.cost > 0:
                 raise ValueError(f"{pos.position_id}: cost must be strictly positive")
             if pos.layer == "base":

@@ -2,16 +2,18 @@
 
 Works over an in-memory transaction database of counted rows, one per
 distinct itemset. Itemsets are kept as tuples in canonical universe order,
-so each level joins within groups that share a prefix and its candidates
-come out in universe order. The miner performs exactly one scan per level.
-Before a scan the rows are cut to the items that some candidate holds; the
-cut rows are kept for the next level, which cuts them further, so rows that
-become equal merge and rows too short for the level drop out. The scan
-counts every size-k subset of the rows in one `Counter`, and each candidate
-reads its count from it. A level longer than every row is never built: it
-is a scan over no rows, recorded only when its join yields a candidate.
-`brute_force_frequent` is the independent exponential oracle used to
-cross-check it.
+holding the universe's own item objects, so a database keeps one string per
+item however many rows it has. Each level joins within groups that share a
+prefix, and its candidates come out in universe order. The miner performs
+exactly one scan per level. Before a scan the rows are cut to the items that
+some candidate holds and, from k = 3 on, split into the pieces that the
+level's candidates link together; the rows are kept for the next level,
+which cuts them further, so rows that become equal merge and rows too short
+for the level drop out. The scan counts every size-k subset of the rows in
+one `Counter`, and each candidate reads its count from it. A level longer
+than every row is never built: it is a scan over no rows, recorded only when
+its join yields a candidate. `brute_force_frequent` is the independent
+exponential oracle used to cross-check it.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class TransactionDB:
             raise ValueError("universe items must be unique")
         rows: Counter[tuple[str, ...]] = Counter()
         for tid, items in transactions:
-            rows[_canonical(items, order, f"transaction {tid}")] += 1
+            rows[_canonical(items, order, universe, f"transaction {tid}")] += 1
         return cls(universe=universe, rows=rows)
 
     def support_count(self, items: Iterable[str]) -> int:
@@ -71,9 +73,13 @@ class TransactionDB:
         return sum(n for row, n in self.rows.items() if needed.issubset(row))
 
 
-def _canonical(items: Iterable[str], order: dict[str, int], context: str) -> tuple[str, ...]:
+def _canonical(
+    items: Iterable[str], order: dict[str, int], universe: tuple[str, ...], context: str
+) -> tuple[str, ...]:
+    """`items` deduplicated in universe order, each as the universe's own object,
+    so the rows of a database hold one string per item however many rows it has."""
     try:
-        return tuple(sorted(set(items), key=order.__getitem__))
+        return tuple(map(universe.__getitem__, sorted({order[item] for item in items})))
     except KeyError as exc:
         raise UniverseError(f"{context}: item {exc.args[0]!r} is not in the universe") from None
 
@@ -114,12 +120,47 @@ class FrequentLevel:
         return {ci.items: ci.support_count for ci in self.itemsets}
 
 
+def _join_graph(candidates: list[tuple[str, ...]]) -> dict[str, set[str]]:
+    """Link two items when some candidate holds both: each candidate item maps
+    to every item it shares a candidate with, itself included."""
+    links: dict[str, set[str]] = {}
+    for cand in candidates:
+        for item in cand:
+            links.setdefault(item, set()).update(cand)
+    return links
+
+
+def _pieces(row: tuple[str, ...], links: dict[str, set[str]]) -> Iterator[tuple[str, ...]]:
+    """The connected pieces of `row` in the join graph restricted to the row's
+    items, each in row order. Every item of the row must be in `links`."""
+    rest = set(row)
+    for start in row:
+        if start in rest:
+            rest.discard(start)
+            piece, frontier = {start}, [start]
+            while frontier:
+                near = links[frontier.pop()] & rest
+                rest -= near
+                piece |= near
+                frontier += near
+            yield row if len(piece) == len(row) else tuple(filter(piece.__contains__, row))
+
+
 class _LevelRows:
     """The rows a level is counted over: a database's rows, cut to the items
-    that some candidate holds. Each cut starts from the previous one, which
-    is right as long as every level's candidates hold only items of the
-    previous level's candidates, as Apriori's do. `longest` is the size of
-    the longest row."""
+    that some candidate holds. From k = 3 on, each cut row is also split into
+    its pieces: the connected parts of the level's join graph (two items are
+    linked when some candidate holds both) restricted to the row. A candidate
+    inside a row links all its items, so it lies inside exactly one piece and
+    counting over the pieces is exact. Equal rows merge, adding their
+    multiplicities, and rows below k items drop out.
+
+    Each cut starts from the previous level's rows, which is right as long as
+    every level's candidates hold only items of the previous level's
+    candidates, and every pair of items a candidate holds sits in some
+    candidate of the previous level, as Apriori's do (each (k-1)-subset of a
+    k-candidate is a frequent (k-1)-itemset). `longest` is the size of the
+    longest row."""
 
     def __init__(self, db: TransactionDB) -> None:
         self.rows = db.rows
@@ -135,6 +176,13 @@ class _LevelRows:
                 row = tuple(filter(wanted.__contains__, row))
                 if len(row) >= k:
                     cut[row] = cut.get(row, 0) + n
+            if k >= 3:  # Apriori's 2-candidates pair every wanted item: no row splits
+                links, pieces = _join_graph(candidates), {}
+                for row, n in cut.items():
+                    for piece in _pieces(row, links):
+                        if len(piece) >= k:
+                            pieces[piece] = pieces.get(piece, 0) + n
+                cut = pieces
             self.rows, self.held = cut, wanted
             self.longest = max(map(len, cut), default=0)
         unit_rows = [row for row, n in self.rows.items() if n == 1]
@@ -161,7 +209,7 @@ def count_supports(
     order = {item: i for i, item in enumerate(db.universe)}
     by_size: dict[int, set[tuple[str, ...]]] = {}
     for c in candidates:
-        items = _canonical(c, order, "candidate")
+        items = _canonical(c, order, db.universe, "candidate")
         by_size.setdefault(len(items), set()).add(items)
     counted = [ci for k, group in by_size.items() for ci in _LevelRows(db).count(list(group), k)]
     rank = order.__getitem__
@@ -354,7 +402,7 @@ def digraphs_as_transactions(table: NGraphTable) -> TransactionDB:
     order = {item: i for i, item in enumerate(universe)}
     rows: Counter[tuple[str, ...]] = Counter()
     for pair, count in table.counts.items():
-        rows[_canonical(pair, order, f"digraph {pair!r}")] += count
+        rows[_canonical(pair, order, universe, f"digraph {pair!r}")] += count
     return TransactionDB(universe=universe, rows=rows)
 
 

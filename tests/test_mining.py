@@ -49,6 +49,27 @@ class TestTransactionDB:
         with pytest.raises(UniverseError):
             TransactionDB.build(("A",), [("T1", ["A", "X"])])
 
+    def test_rows_hold_the_universe_item_objects(self, data_dir):
+        # equal strings built apart are distinct objects; every row must hold
+        # the universe's own, so a database keeps one string per item
+        def fresh(text):
+            return "".join(list(text))
+
+        def foreign(db):
+            ids = {id(item) for item in db.universe}
+            return [item for row in db.rows for item in row if id(item) not in ids]
+
+        universe = ("apple", "pear", "fig")
+        built = TransactionDB.build(universe, [
+            ("T1", [fresh("pear"), fresh("apple")]), ("T2", [fresh("fig")])])
+        assert built.rows == {("apple", "pear"): 1, ("fig",): 1}
+        baskets = read_transactions_tsv(data_dir / "baskets400.tsv")
+        assert len(baskets.rows) > 100
+        alpha = AlphabetConfig(name="greek", letters=("α", "β", "γ"))
+        digraphs = digraphs_as_transactions(count_ngraphs(tokenize("αβγαγββα", alpha), 2))
+        assert len(digraphs.rows) == 4
+        assert foreign(built) == foreign(baskets) == foreign(digraphs) == []
+
     def test_support_count_subset_semantics(self, market9):
         assert market9.support_count(("I1", "I2")) == 4
         assert market9.support_count(("I3", "I4")) == 0
@@ -256,6 +277,9 @@ class TestMineFrequent:
         "row cut to k items": ([1, 2], 3),
         # one row holds 3 items, so level 3 is built and counted after level 2
         "row of k+1 items": ([1, 2, 3], 3),
+        # level 3 splits the only row of 4 items into pieces of 2, so the
+        # level-4 candidate {a, b, c, d} is joined but never built or counted
+        "row split below k+1 items": ([1, 2, 3], 4),
     }
 
     @pytest.mark.parametrize("case", STOPS)
@@ -305,10 +329,48 @@ def _stop_dbs():
         # a row of exactly 3 items keeps level 3; level 4 joins to nothing
         "row of k+1 items": (TransactionDB(("a", "b", "c"), {
             ("a", "b", "c"): 2, ("a", "b"): 1, ("c",): 1}), 2),
+        # every 3-subset of {a, b, c, d} and {x, y, z} is frequent, but only
+        # {a, b, x, y} holds 4 items and no candidate links {a, b} to {x, y};
+        # {e, x} is frequent, so level 3 cuts e away and splits the rows
+        "row split below k+1 items": (TransactionDB(tuple("abcdexyz"), {
+            ("a", "b", "c"): 2, ("a", "b", "d"): 2, ("a", "c", "d"): 2, ("b", "c", "d"): 2,
+            ("x", "y", "z"): 2, ("e", "x"): 2, ("a", "b", "x", "y"): 1}), 2),
     }
 
 
 STOP_DBS = _stop_dbs()
+
+
+def planted_db(seed):
+    """Seeded counted rows over a universe in shuffled order with three
+    planted 4-item groups, the first two sharing one item, and three
+    background items. A row carries one group, with multiplicity 2-3, or two,
+    with multiplicity 1; each member is dropped with probability 0.2, and one
+    background item joins 30% of rows."""
+    rng = random.Random(seed)
+    universe = tuple(rng.sample(string.ascii_lowercase[:14], 14))
+    groups = (universe[0:4], universe[3:7], universe[7:11])
+    rows: dict[tuple[str, ...], int] = {}
+    for _ in range(rng.randint(25, 35)):
+        carried = rng.sample(groups, rng.randint(1, 2))
+        picked = {item for group in carried for item in group if rng.random() >= 0.2}
+        if rng.random() < 0.3:
+            picked.add(rng.choice(universe[11:]))
+        row = tuple(item for item in universe if item in picked)
+        rows[row] = rows.get(row, 0) + (1 if len(carried) > 1 else rng.choice((2, 3)))
+    return TransactionDB(universe, rows)
+
+
+def split_row(row, candidates):
+    """The pieces of `row`: its items grouped so that two items share a group
+    whenever some candidate holds both, each group in row order."""
+    groups = [{item} for item in row]
+    for cand in candidates:
+        inside = set(cand) & set(row)
+        touched = [g for g in groups if g & inside]
+        if len(touched) > 1:
+            groups = [g for g in groups if not g & inside] + [set().union(*touched)]
+    return [tuple(item for item in row if item in g) for g in groups]
 
 
 def scan_candidates(db, levels):
@@ -320,12 +382,15 @@ def scan_candidates(db, levels):
 
 
 class TestLevelOracle:
-    CASES = [*range(16), *STOP_DBS]
+    CASES = [*range(16), *STOP_DBS, *(f"planted {seed}" for seed in range(8))]
 
     @staticmethod
     def mined(case):
         if case in STOP_DBS:
             db, support = STOP_DBS[case]
+        elif isinstance(case, str):
+            db = planted_db(int(case.split()[1]))
+            support = round(0.15 * len(db))
         else:
             db, support = weighted_db(case), (3, 8, 12)[case % 3]
         params = MiningParams(min_support_count=support, min_confidence=0.0)
@@ -347,9 +412,19 @@ class TestLevelOracle:
         assert levels.scans == len(scan_candidates(db, levels))
         assert frequent_map(levels) == frequent_map(brute_force_frequent(db, params))
 
+    def test_planted_dbs_reach_level_4_and_split_rows(self):
+        for seed in range(8):
+            db, _, levels = self.mined(f"planted {seed}")
+            assert len(levels) >= 4
+            c3 = [ci.items for ci in levels[2].candidates_evaluated]
+            wanted = {item for c in c3 for item in c}
+            cuts = {tuple(item for item in row if item in wanted) for row in db.rows}
+            assert any(len(split_row(cut, c3)) > 1 for cut in cuts)
+
     def test_dbs_cover_every_trimming_case(self):
-        # the rows a level counts are the rows cut to its candidates' items,
-        # dropped below k items; the cut is skipped when it would keep every item.
+        # the rows a level counts are the rows cut to its candidates' items and,
+        # from k = 3 on, split into pieces no candidate links; pieces below k
+        # items drop out. The cut is skipped when it would keep every item.
         # Once no row of the last level holds more than k items, the next level
         # is not built: a scan over no rows if its join yields a candidate.
         seen = set()
@@ -375,26 +450,41 @@ class TestLevelOracle:
                     longest.append(longest[-1])
                     continue
                 held = wanted
-                cuts: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+                # each kept piece -> the distinct cut rows, and the rows, it came from
+                pieces: dict[tuple[str, ...], tuple[set, list]] = {}
                 for row in db.rows:
                     cut = tuple(item for item in row if item in wanted)
                     if len(row) >= k > len(cut):
                         seen.add("row falls below k")
-                    elif len(cut) >= k:
-                        cuts.setdefault(cut, []).append(row)
-                if any(cut in candidates for cut in cuts if len(cut) == k):
+                    if len(cut) < k:
+                        continue
+                    split = split_row(cut, candidates) if k >= 3 else [cut]
+                    kept = [piece for piece in split if len(piece) >= k]
+                    if len(split) > 1:
+                        seen.add("row split into pieces")
+                        if len(kept) < len(split):
+                            seen.add("piece falls below k")
+                    for piece in kept:
+                        cuts, rows = pieces.setdefault(piece, (set(), []))
+                        cuts.add(cut)
+                        rows.append(row)
+                if any(piece in candidates for piece in pieces if len(piece) == k):
                     seen.add("cut row of exactly k items")
-                if any(len(rows) > 1 and any(set(c) <= set(cut) for c in candidates)
-                       for cut, rows in cuts.items()):
+                holds_candidate = {piece for piece in pieces
+                                   if any(set(c) <= set(piece) for c in candidates)}
+                if any(len(pieces[piece][1]) > 1 for piece in holds_candidate):
                     seen.add("rows merge")
-                longest.append(max(map(len, cuts), default=0))
+                if any(len(pieces[piece][0]) > 1 and k >= 3 for piece in holds_candidate):
+                    seen.add("pieces of different cut rows merge")
+                longest.append(max(map(len, pieces), default=0))
             k = len(levels)
             if levels and longest[k] <= k:
                 seen.add("stop, join yields" if len(scans) > k else "stop, join empty")
         assert seen == {
             "multiplicity 1", "multiplicity above 1", "zero count", "last scan finds nothing",
             "cut skipped at k >= 2", "row falls below k", "cut row of exactly k items",
-            "rows merge", "stop, join yields", "stop, join empty",
+            "rows merge", "stop, join yields", "stop, join empty", "row split into pieces",
+            "piece falls below k", "pieces of different cut rows merge",
         }
 
 
