@@ -19,7 +19,7 @@ from .corpus import (
     monograph_ranking,
     tokenize,
 )
-from .evaluation import ComparisonTable, EvalReport, compare, evaluate
+from .evaluation import EvalReport, compare, evaluate
 from .layout import (
     HandPartition,
     KeyboardGeometry,
@@ -47,7 +47,6 @@ from .mining import (
 __all__ = [
     "AlphabetConfig",
     "AssociationRule",
-    "ComparisonTable",
     "CountedItemset",
     "EvalReport",
     "FrequentLevel",

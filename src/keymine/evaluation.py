@@ -72,12 +72,7 @@ class ComparisonRow(NamedTuple):
     load_imbalance: float
 
 
-@dataclass
-class ComparisonTable:
-    rows: list[ComparisonRow]
-
-
-def compare(reports: Sequence[EvalReport]) -> ComparisonTable:
+def compare(reports: Sequence[EvalReport]) -> list[ComparisonRow]:
     """Rank reports by hand switching, best first; stable on ties.
 
     All reports must cover the same character total. Each output row adds
@@ -105,7 +100,7 @@ def compare(reports: Sequence[EvalReport]) -> ComparisonTable:
                 abs(r.left_load - r.right_load) / typed if typed else 0.0,
             )
         )
-    return ComparisonTable(rows)
+    return rows
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
@@ -115,10 +110,13 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def read_report_json(path: str | Path) -> EvalReport:
+    """Load a report written by `write_report_json`; a report whose loads
+    do not add up to its total, or that switches hands more often than its
+    typed pairs allow, is rejected naming the file."""
     path = Path(path)
     data = read_json(path, ValueError)
     try:
-        return EvalReport(
+        report = EvalReport(
             layout_name=str(data["layout_name"]),
             hand_switching=int(data["hand_switching"]),
             left_load=int(data["left_load"]),
@@ -126,8 +124,10 @@ def read_report_json(path: str | Path) -> EvalReport:
             undetermined=int(data["undetermined"]),
             total_chars=int(data["total_chars"]),
         )
+        report.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid evaluation report: {exc}") from exc
+    return report
 
 
 _REPORT_COLUMNS = ("layout_name", "hand_switching", "left_load", "right_load", "undetermined", "total_chars")
@@ -139,12 +139,12 @@ def write_report_tsv(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_comparison_tsv(table: ComparisonTable, path: str | Path) -> None:
+def write_comparison_tsv(rows: Sequence[ComparisonRow], path: str | Path) -> None:
     lines = [
         "layout_name\thand_switching\tleft_load\tright_load\tundetermined"
         "\tswitching_ratio\tload_imbalance"
     ]
-    for row in table.rows:
+    for row in rows:
         lines.append(
             f"{row.layout_name}\t{row.hand_switching}\t{row.left_load}\t{row.right_load}"
             f"\t{row.undetermined}\t{row.switching_ratio:.6f}\t{row.load_imbalance:.6f}"

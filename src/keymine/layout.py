@@ -311,7 +311,7 @@ class KeyboardGeometry:
             by_id[pos.position_id] = pos
             if pos.hand not in HANDS:
                 raise ValueError(f"{pos.position_id}: hand must be one of {HANDS}")
-            if pos.finger not in FINGERS:
+            if isinstance(pos.finger, (bool, float)) or pos.finger not in FINGERS:
                 raise ValueError(f"{pos.position_id}: finger must be one of {FINGERS}")
             if pos.row not in ROWS:
                 raise ValueError(f"{pos.position_id}: row must be one of {ROWS}")
@@ -470,18 +470,13 @@ def save_layout(layout: Layout, path: str | Path, geometry_ref: str) -> None:
     Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
 
 
-def load_layout(path: str | Path, geometry: KeyboardGeometry | None = None) -> Layout:
-    """Load a layout file, resolving its geometry_ref relative to the file.
-
-    Pass `geometry` to override the reference (e.g. for third-party layout
-    files shipped without their geometry).
-    """
+def load_layout(path: str | Path) -> Layout:
+    """Load a layout file, resolving its geometry_ref relative to the file."""
     path = Path(path)
     data = read_json(path, LayoutFormatError)
     if not isinstance(data, dict):
         raise LayoutFormatError(f"{path}: expected a JSON object")
-    required = ("name", "mapping") if geometry is not None else ("name", "geometry_ref", "mapping")
-    for key in required:
+    for key in ("name", "geometry_ref", "mapping"):
         if key not in data:
             raise LayoutFormatError(f"{path}: missing field '{key}'")
     if not isinstance(data["mapping"], dict):
@@ -489,9 +484,8 @@ def load_layout(path: str | Path, geometry: KeyboardGeometry | None = None) -> L
     for letter, pid in data["mapping"].items():
         if not isinstance(pid, str):
             raise LayoutFormatError(f"{path}: mapping[{letter!r}] must be a position id string")
-    if geometry is None:
-        ref = Path(str(data["geometry_ref"]))
-        geometry = load_geometry(ref if ref.is_absolute() else path.parent / ref)
+    ref = Path(str(data["geometry_ref"]))
+    geometry = load_geometry(ref if ref.is_absolute() else path.parent / ref)
     try:
         return Layout(name=str(data["name"]), geometry=geometry, mapping=dict(data["mapping"]))
     except ValueError as exc:

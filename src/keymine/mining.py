@@ -97,7 +97,7 @@ class MiningParams:
     def __post_init__(self) -> None:
         if self.min_support_count < 1:
             raise ValueError("min_support_count must be >= 1")
-        if self.min_confidence < 0:
+        if not self.min_confidence >= 0:
             raise ValueError("min_confidence must be >= 0")
 
 
@@ -410,24 +410,24 @@ class TransactionFormatError(ValueError):
     """Malformed transaction TSV."""
 
 
-def read_transactions_tsv(path: str | Path, universe: Sequence[str] | None = None) -> TransactionDB:
+def read_transactions_tsv(path: str | Path) -> TransactionDB:
     """Load a transaction DB from TSV: tid, space-separated item list.
 
-    Unless given, the universe is the lexicographically sorted set of items.
+    The universe is the sorted set of items, so a row is its distinct items
+    in string order; each line is counted as it is read, and rows and
+    universe hold one string object per item.
     """
     path = Path(path)
-    rows: list[tuple[str, list[str]]] = []
+    held: dict[str, str] = {}
+    rows: Counter[tuple[str, ...]] = Counter()
     for lineno, line in enumerate(read_text(path, TransactionFormatError).splitlines(), 1):
         if not line.strip() or line.startswith("#") or line == "tid\titems":
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise TransactionFormatError(f"{path}:{lineno}: expected 2 tab-separated columns")
-        tid, items = parts
-        rows.append((tid, items.split()))
-    if universe is None:
-        universe = sorted({item for _, items in rows for item in items})
-    return TransactionDB.build(universe, rows)
+        rows[tuple(sorted({held.setdefault(item, item) for item in parts[1].split()}))] += 1
+    return TransactionDB(universe=tuple(sorted(held)), rows=rows)
 
 
 def write_frequent_tsv(levels: Sequence[FrequentLevel], db_size: int, path: str | Path) -> None:

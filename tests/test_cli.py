@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,29 @@ class TestMine:
                if line.startswith(("level ", "scans performed:"))]
         assert "\n".join(log) + "\n" == (golden / "stdout.txt").read_text(encoding="utf-8")
 
+    def test_basket_rows_shuffled_renamed_and_reordered_mine_identically(self, tmp_path, data_dir):
+        # a row is its set of items and the tids are labels: neither the order
+        # of rows or items, nor the tids, nor a repeated item may change the output
+        header, *lines = (data_dir / "baskets400.tsv").read_text(encoding="utf-8").splitlines()
+        rows = [line.split("\t")[1].split() for line in lines]
+        rng = random.Random(11)
+        rng.shuffle(rows)
+        for row in rows:
+            rng.shuffle(row)
+        rows[0].append(rows[0][0])
+        moved = tmp_path / "moved.tsv"
+        moved.write_text(header + "\n" + "".join(
+            f"basket-{len(rows) - i}\t{' '.join(row)}\n" for i, row in enumerate(rows)),
+            encoding="utf-8")
+        outputs = []
+        for path in (data_dir / "baskets400.tsv", moved):
+            out = tmp_path / path.stem
+            assert main(["mine", "--transactions", str(path), "--min-support", "0.04",
+                         "--min-confidence", "0.6", "--output-dir", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("frequent_itemsets.tsv", "rules.tsv")])
+        assert outputs[0] == outputs[1]
+
     def test_no_frequent_itemsets_is_one_scan(self, tmp_path, data_dir, capsys):
         main(["mine", "--transactions", str(data_dir / "market9.tsv"),
               "--min-support", "10", "--min-confidence", "0.7",
@@ -184,6 +208,16 @@ class TestMine:
         assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
                      "--min-support", "2", "--min-confidence", "-0.5",
                      "--output-dir", str(tmp_path / "out")]) == 1
+
+    def test_nan_confidence_rejected(self, tmp_path, data_dir, capsys):
+        argv = ["mine", "--transactions", str(data_dir / "market9.tsv"), "--min-support", "2",
+                "--output-dir", str(tmp_path / "out")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_confidence": float("nan")}), encoding="utf-8")
+        assert main(argv + ["--min-confidence", "nan"]) == 1
+        assert main(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: --min-confidence must be >= 0, got nan\n" * 2
+        assert not (tmp_path / "out").exists()
 
     def test_fraction_support_converts_by_ceiling(self, tmp_path, data_dir):
         out = tmp_path / "out"
@@ -486,6 +520,20 @@ class TestCompareOnly:
                      str(a), str(b)]) == 1
         assert "totals" in capsys.readouterr().err
 
+    def test_inconsistent_report_exits_nonzero_without_writing(self, tmp_path, capsys):
+        from keymine.evaluation import write_report_json
+        from keymine.evaluation import EvalReport
+
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_report_json(EvalReport("fine", 10, 25, 25, 0, 50), a)
+        write_report_json(EvalReport("broken", 999, 1, 1, 0, 50), b)
+        out = tmp_path / "out"
+        assert main(["compare-only", "--output-dir", str(out), str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {b}: ") and err.count("\n") == 1
+        assert not (out / "comparison.tsv").exists()
+
 
 class TestConfigAndManifest:
     def test_config_file_supplies_defaults(self, tmp_path, data_dir):
@@ -588,6 +636,18 @@ class TestConfigAndManifest:
         with pytest.raises(SystemExit):
             main(argv + [f"--{key.replace('_', '-')}={value}"])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["design", "mine"])
+    def test_format_is_a_stats_flag_only(self, tmp_path, data_dir, capsys, command):
+        argv = self.sample_argv(data_dir, command, tmp_path / "out") + ["--format", "json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        stats = self.sample_argv(data_dir, "stats", tmp_path / "stats") + ["--format", "json"]
+        assert main(stats) == 0
+        assert (tmp_path / "stats" / "summary.json").is_file()
 
     def test_config_path_of_wrong_type_is_an_error_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

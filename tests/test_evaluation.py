@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import string
 import unicodedata
 
@@ -218,12 +219,12 @@ class TestCompare:
     ]
 
     def test_highest_switching_ranks_first(self):
-        table = compare(list(reversed(self.ROWS)))
-        assert [row.layout_name for row in table.rows] == [
+        rows = compare(list(reversed(self.ROWS)))
+        assert [row.layout_name for row in rows] == [
             "designed", "baseline-a", "baseline-b"]
 
     def test_single_report_row_has_ratios(self):
-        (row,) = compare([self.ROWS[1]]).rows
+        (row,) = compare([self.ROWS[1]])
         typed = 475556 + 242526
         assert row.switching_ratio == pytest.approx(358873 / typed)
         assert row.load_imbalance == pytest.approx((475556 - 242526) / typed)
@@ -231,8 +232,8 @@ class TestCompare:
     def test_ties_keep_input_order(self):
         a = EvalReport("first", 10, 6, 6, 0, 12)
         b = EvalReport("second", 10, 6, 6, 0, 12)
-        table = compare([a, b])
-        assert [row.layout_name for row in table.rows] == ["first", "second"]
+        rows = compare([a, b])
+        assert [row.layout_name for row in rows] == ["first", "second"]
 
     def test_mismatched_totals_rejected(self):
         with pytest.raises(IncomparableReportsError):
@@ -243,7 +244,7 @@ class TestCompare:
             compare([])
 
     def test_zero_typed_gives_zero_ratios(self):
-        (row,) = compare([EvalReport("x", 0, 0, 0, 5, 5)]).rows
+        (row,) = compare([EvalReport("x", 0, 0, 0, 5, 5)])
         assert row.switching_ratio == 0.0 and row.load_imbalance == 0.0
 
 
@@ -261,6 +262,16 @@ class TestReportFiles:
         with pytest.raises(ValueError, match="hand_switching"):
             read_report_json(path)
 
+    @pytest.mark.parametrize("report, message", [
+        (EvalReport("x", 0, 1, 1, 1, 4), "loads plus undetermined"),
+        (EvalReport("x", 5, 2, 2, 0, 4), "more hand switches"),
+    ], ids=["loads", "switching"])
+    def test_inconsistent_report_rejected_naming_the_file(self, tmp_path, report, message):
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            read_report_json(path)
+
     def test_report_tsv_format(self, tmp_path):
         path = tmp_path / "report.tsv"
         write_report_tsv(self.REPORT, path)
@@ -271,9 +282,8 @@ class TestReportFiles:
         assert lines[1].split("\t") == ["fixture", "3", "2", "2", "1", "5"]
 
     def test_comparison_tsv_format(self, tmp_path):
-        table = compare([self.REPORT])
         path = tmp_path / "comparison.tsv"
-        write_comparison_tsv(table, path)
+        write_comparison_tsv(compare([self.REPORT]), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].split("\t") == [
             "layout_name", "hand_switching", "left_load", "right_load",

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import string
 from collections import Counter
 
@@ -427,6 +428,18 @@ class TestGeometry:
         err = capsys.readouterr().err
         assert err == f"error: {path}: P: cost must be a number, got {cost!r}\n"
 
+    @pytest.mark.parametrize("finger", [True, 1.0], ids=["bool", "float"])
+    def test_non_int_finger_rejected(self, tmp_path, finger):
+        # True == 1 and 1.0 == 1, so a plain membership test would take either as finger 1
+        records = [
+            {"id": "P", "hand": "left", "finger": finger, "row": "home", "layer": "base", "cost": 1.0},
+            {"id": "Q", "hand": "right", "finger": 1, "row": "home", "layer": "base", "cost": 1.0},
+        ]
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        with pytest.raises(GeometryFormatError, match=f"^{re.escape(str(path))}: P: finger must be one of"):
+            load_geometry(path)
+
     def test_hand_without_base_position_rejected(self):
         with pytest.raises(ValueError, match="base"):
             KeyboardGeometry(positions=[
@@ -475,18 +488,22 @@ class TestLayoutFiles:
         save_layout(layout, tmp_path / "two.json", geometry_ref="geometry.json")
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
-    def test_missing_field_names_path(self, tmp_path):
+    @staticmethod
+    def write_layout(tmp_path, data):
+        save_geometry(default_geometry(), tmp_path / "geometry.json")
         path = tmp_path / "layout.json"
-        path.write_text(json.dumps({"name": "x"}), encoding="utf-8")
-        with pytest.raises(LayoutFormatError, match="mapping"):
-            load_layout(path, geometry=default_geometry())
+        path.write_text(json.dumps({"geometry_ref": "geometry.json", **data}), encoding="utf-8")
+        return path
+
+    def test_missing_field_names_path(self, tmp_path):
+        path = self.write_layout(tmp_path, {"name": "x"})
+        with pytest.raises(LayoutFormatError, match=f"^{re.escape(str(path))}: missing field 'mapping'"):
+            load_layout(path)
 
     def test_unknown_position_rejected(self, tmp_path):
-        path = tmp_path / "layout.json"
-        path.write_text(json.dumps(
-            {"name": "x", "mapping": {"a": "nope"}}), encoding="utf-8")
-        with pytest.raises((LayoutFormatError, ValueError), match="nope"):
-            load_layout(path, geometry=default_geometry())
+        path = self.write_layout(tmp_path, {"name": "x", "mapping": {"a": "nope"}})
+        with pytest.raises(LayoutFormatError, match="nope"):
+            load_layout(path)
 
     def test_non_injective_mapping_rejected(self):
         with pytest.raises(ValueError):

@@ -84,6 +84,11 @@ class TestMiningParams:
         with pytest.raises(ValueError):
             MiningParams(min_support_count=1, min_confidence=-0.1)
 
+    def test_rejects_nan_confidence(self):
+        # every comparison with NaN is false, so it would pass a `< 0` check and admit no rule
+        with pytest.raises(ValueError):
+            MiningParams(min_support_count=1, min_confidence=float("nan"))
+
     def test_confidence_above_one_allowed_but_unsatisfiable(self, market9):
         params = MiningParams(min_support_count=2, min_confidence=1.01)
         levels = mine_frequent(market9, params)
@@ -639,7 +644,9 @@ class TestTransactionTsv:
         assert max(db.rows.values()) > 1
         path = tmp_path / "db.tsv"
         write_transactions_tsv(db, path)
-        assert read_transactions_tsv(path, universe=db.universe) == db
+        written = [("T", row) for row, n in db.rows.items() for _ in range(n)]
+        present = sorted({item for row in db.rows for item in row})
+        assert read_transactions_tsv(path) == TransactionDB.build(present, written)
 
     def test_checked_in_fixture_matches(self, market9, data_dir):
         assert read_transactions_tsv(data_dir / "market9.tsv") == market9
