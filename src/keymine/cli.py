@@ -179,6 +179,8 @@ def cmd_mine(args) -> int:
     inputs: list[Path]
     if args.transactions:
         db = read_transactions_tsv(args.transactions)
+        if not db.rows:
+            raise CliError(f"{args.transactions}: no transactions to mine")
         inputs = [Path(args.transactions)]
         source = {"transactions": str(args.transactions)}
     else:
@@ -200,7 +202,7 @@ def cmd_mine(args) -> int:
     levels = mine_frequent(db, params)
     for level in levels:
         print(
-            f"level {level.k}: {len(level.candidates_evaluated)} candidates, "
+            f"level {level.k}: {level.candidates} candidates, "
             f"{len(level.itemsets)} frequent (1 scan)"
         )
     print(f"scans performed: {levels.scans}" + ("" if levels else " (no frequent itemsets)"))

@@ -9,11 +9,15 @@ exactly one scan per level. Before a scan the rows are cut to the items that
 some candidate holds and, from k = 3 on, split into the pieces that the
 level's candidates link together; the rows are kept for the next level,
 which cuts them further, so rows that become equal merge and rows too short
-for the level drop out. The scan counts every size-k subset of the rows in
-one `Counter`, and each candidate reads its count from it. A level longer
-than every row is never built: it is a scan over no rows, recorded only when
-its join yields a candidate. `brute_force_frequent` is the independent
-exponential oracle used to cross-check it.
+for the level drop out. At k = 2 the scan adds each row's multiplicity for
+every pair it holds into one flat triangular array of counts; at every other
+k it counts the size-k subsets of the rows in one `Counter`. Each candidate's
+count is read out as the candidates are walked: level 2's, every pair of
+frequent items, come lazily from the join and are never listed, and a level
+keeps only its frequent itemsets and the number of candidates it counted. A
+level longer than every row is never built: it is a scan over no rows,
+recorded only when its join yields a candidate. `brute_force_frequent` is
+the independent exponential oracle used to cross-check it.
 """
 
 from __future__ import annotations
@@ -108,13 +112,13 @@ class CountedItemset(NamedTuple):
 
 @dataclass
 class FrequentLevel:
-    """One Apriori level: the frequent k-itemsets plus every candidate that
-    was counted to produce them (retained for audit)."""
+    """One Apriori level: the frequent k-itemsets with their counts, and
+    `candidates`, the number of k-itemsets counted to find them."""
 
     k: int
     universe: tuple[str, ...]
     itemsets: tuple[CountedItemset, ...]
-    candidates_evaluated: tuple[CountedItemset, ...]
+    candidates: int
 
     def counts(self) -> dict[tuple[str, ...], int]:
         return {ci.items: ci.support_count for ci in self.itemsets}
@@ -155,6 +159,12 @@ class _LevelRows:
     counting over the pieces is exact. Equal rows merge, adding their
     multiplicities, and rows below k items drop out.
 
+    Level 2 counts every pair of the wanted items in one flat triangular
+    array of 8-byte counts, indexed by the items' rank among the wanted items
+    in universe order (Bodon's counting scheme); every other level counts the
+    size-k subsets of the rows in one `Counter`. Either way each candidate's
+    count is read out as the candidates are walked.
+
     Each cut starts from the previous level's rows, which is right as long as
     every level's candidates hold only items of the previous level's
     candidates, and every pair of items a candidate holds sits in some
@@ -163,12 +173,16 @@ class _LevelRows:
     longest row."""
 
     def __init__(self, db: TransactionDB) -> None:
+        self.universe = db.universe
         self.rows = db.rows
         self.held = set(db.universe)  # every item the rows can still hold
         self.longest = max(map(len, self.rows), default=0)
 
-    def count(self, candidates: list[tuple[str, ...]], k: int) -> list[CountedItemset]:
-        """Count canonical, distinct size-k candidates; results keep their order."""
+    def count(self, candidates: Iterable[tuple[str, ...]], k: int) -> Iterator[CountedItemset]:
+        """Count canonical, distinct size-k candidates, yielding each with its
+        count in the order given. `candidates` is walked more than once: for
+        the items to cut the rows to (and, from k = 3 on, for the join graph)
+        and again as the counts are read out."""
         wanted = set(chain.from_iterable(candidates))
         if not self.held <= wanted:
             cut: dict[tuple[str, ...], int] = {}
@@ -185,14 +199,28 @@ class _LevelRows:
                 cut = pieces
             self.rows, self.held = cut, wanted
             self.longest = max(map(len, cut), default=0)
+        if k == 2:
+            from array import array  # only level 2 uses one; kept off the other commands' imports
+
+            # the pair (a, b), a before b in universe order, sits at start[b] + rank[a]
+            rank = {item: r for r, item in enumerate(filter(wanted.__contains__, self.universe))}
+            start = {item: r * (r - 1) // 2 for item, r in rank.items()}
+            pairs = array("q", bytes(8 * (len(rank) * (len(rank) - 1) // 2)))
+            for row, n in self.rows.items():
+                for a, b in combinations(row, 2):
+                    pairs[start[b] + rank[a]] += n
+            for c in candidates:
+                yield CountedItemset(c, pairs[start[c[1]] + rank[c[0]]])
+            return
         unit_rows = [row for row, n in self.rows.items() if n == 1]
         counts = Counter(chain.from_iterable(map(combinations, unit_rows, repeat(k))))
         for row, n in self.rows.items():
             if n > 1:
                 for sub in combinations(row, k):
                     counts[sub] += n
-        # pop frees each counted key as its result is built (lower peak RSS)
-        return [CountedItemset(c, counts.pop(c, 0)) for c in candidates]
+        # pop frees each counted key as its result is read out (lower peak RSS)
+        for c in candidates:
+            yield CountedItemset(c, counts.pop(c, 0))
 
 
 def count_supports(
@@ -216,23 +244,27 @@ def count_supports(
     return sorted(counted, key=lambda ci: tuple(map(rank, ci.items)))
 
 
-def _joined(prev: FrequentLevel) -> Iterator[tuple[str, ...]]:
-    """The candidates `generate_candidates` lists, yielded lazily."""
-    rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
-    frequent = {ci.items for ci in prev.itemsets}
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
-        groups.setdefault(items[:-1], []).append(items[-1])
+class _Join:
+    """The candidates `generate_candidates` lists, yielded lazily each time
+    the join is walked, so that level 2's pairs need never be listed."""
 
-    def kept(cand: tuple[str, ...]) -> bool:
-        return all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(cand) - 2))
+    def __init__(self, prev: FrequentLevel) -> None:
+        rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
+        self.frequent = {ci.items for ci in prev.itemsets}
+        self.groups: dict[tuple[str, ...], list[str]] = {}
+        for items in sorted(self.frequent, key=lambda c: tuple(map(rank, c))):
+            self.groups.setdefault(items[:-1], []).append(items[-1])
 
-    # groups chain in C, so the k = 2 join (one empty prefix) stays a bare `combinations`
-    return chain.from_iterable(
-        filter(kept, map(prefix.__add__, combinations(lasts, 2))) if prefix
-        else combinations(lasts, 2)
-        for prefix, lasts in groups.items()
-    )
+    def _kept(self, cand: tuple[str, ...]) -> bool:
+        return all(cand[:j] + cand[j + 1 :] in self.frequent for j in range(len(cand) - 2))
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        # groups chain in C, so the k = 2 join (one empty prefix) stays a bare `combinations`
+        return chain.from_iterable(
+            filter(self._kept, map(prefix.__add__, combinations(lasts, 2))) if prefix
+            else combinations(lasts, 2)
+            for prefix, lasts in self.groups.items()
+        )
 
 
 def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
@@ -245,7 +277,7 @@ def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     frequent, so pruning checks only the subsets that drop a prefix item,
     and nothing at k = 2.
     """
-    return list(_joined(prev))
+    return list(_Join(prev))
 
 
 class Levels(list):
@@ -261,36 +293,41 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     """Level-wise search: L1, L2, ... until a level is empty or nothing joins.
 
     Exactly one database scan per level, over rows cut further at each
-    level. Once no row holds more than k items, every (k+1)-candidate has
-    support 0, so the search stops without building them; that level still
-    counts as a scan, over no rows, if its join yields a candidate.
-    Returned levels contain only non-empty frequent sets; candidate counts
-    are kept alongside for audit.
+    level. Level 2's candidates, every pair of frequent items, are walked
+    lazily from the join and never listed; from level 3 on they are listed
+    by `generate_candidates`. Only the frequent itemsets of a level are
+    kept, with the number of candidates counted. Once no row holds more
+    than k items, every (k+1)-candidate has support 0, so the search stops
+    without building them; that level still counts as a scan, over no rows,
+    if its join yields a candidate. Returned levels contain only non-empty
+    frequent sets.
     """
     if not db.universe:
         raise ValueError("cannot mine a database with an empty universe")
     levels = Levels()
     rows = _LevelRows(db)
-    candidates: list[tuple[str, ...]] = [(item,) for item in db.universe]
+    candidates: Iterable[tuple[str, ...]] = [(item,) for item in db.universe]
     k = 1
-    while candidates:
-        counted = rows.count(candidates, k)
+    while True:
+        walked, frequent = 0, []
+        for ci in rows.count(candidates, k):
+            walked += 1
+            if ci.support_count >= params.min_support_count:
+                frequent.append(ci)
         levels.scans += 1
-        frequent = tuple(ci for ci in counted if ci.support_count >= params.min_support_count)
         if not frequent:
             break
         level = FrequentLevel(
-            k=k,
-            universe=db.universe,
-            itemsets=frequent,
-            candidates_evaluated=tuple(counted),
+            k=k, universe=db.universe, itemsets=tuple(frequent), candidates=walked
         )
         levels.append(level)
-        if rows.longest <= k:
-            if any(_joined(level)):
-                levels.scans += 1
+        join = _Join(level)
+        if not any(join):
             break
-        candidates = generate_candidates(level)
+        if rows.longest <= k:
+            levels.scans += 1  # the next level: a scan over no rows
+            break
+        candidates = join if k == 1 else generate_candidates(level)
         k += 1
     return levels
 
@@ -317,9 +354,7 @@ def brute_force_frequent(db: TransactionDB, params: MiningParams) -> list[Freque
         if not frequent:
             break
         levels.append(
-            FrequentLevel(
-                k=k, universe=db.universe, itemsets=frequent, candidates_evaluated=tuple(counted)
-            )
+            FrequentLevel(k=k, universe=db.universe, itemsets=frequent, candidates=len(counted))
         )
     return levels
 

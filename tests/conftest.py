@@ -1,14 +1,16 @@
-"""Shared fixtures: the nine-transaction demo database, repo paths, and a
-helper that scores a layout the way `keymine evaluate` does."""
+"""Shared fixtures: the nine-transaction demo database, repo paths, a spy
+on Apriori's counting, and a helper that scores a layout the way
+`keymine evaluate` does."""
 
 from pathlib import Path
 
 import pytest
 
+from keymine import mining
 from keymine.corpus import LetterStream, count_ngraphs
 from keymine.evaluation import EvalReport, evaluate
 from keymine.layout import Layout
-from keymine.mining import TransactionDB
+from keymine.mining import CountedItemset, TransactionDB
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -30,6 +32,25 @@ MARKET9_UNIVERSE = ("I1", "I2", "I3", "I4", "I5")
 @pytest.fixture
 def market9() -> TransactionDB:
     return TransactionDB.build(MARKET9_UNIVERSE, MARKET9_ROWS)
+
+
+@pytest.fixture
+def count_spy(monkeypatch) -> list[list[CountedItemset]]:
+    """Every scan `mining._LevelRows.count` makes while the test runs: one
+    list per call, holding each candidate with its count as the call yields
+    it. Clear it to start a new record."""
+    scans: list[list[CountedItemset]] = []
+    count = mining._LevelRows.count
+
+    def spy(rows, candidates, k):
+        scan: list[CountedItemset] = []
+        scans.append(scan)
+        for ci in count(rows, candidates, k):
+            scan.append(ci)
+            yield ci
+
+    monkeypatch.setattr(mining._LevelRows, "count", spy)
+    return scans
 
 
 def write_transactions_tsv(db: TransactionDB, path: Path) -> None:

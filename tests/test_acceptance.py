@@ -48,7 +48,7 @@ def corpus_tables(text, alphabet):
     return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
 
 
-def test_worked_example_fidelity():
+def test_worked_example_fidelity(count_spy):
     """Nine-transaction demo DB at min count 2: exact levels, under 1 s."""
     started = time.perf_counter()
     db = TransactionDB.build(MARKET9_UNIVERSE, MARKET9_ROWS)
@@ -57,12 +57,13 @@ def test_worked_example_fidelity():
     ok = [lv.k for lv in levels] == [1, 2, 3]
     ok = ok and levels[0].counts() == {
         ("I1",): 6, ("I2",): 7, ("I3",): 6, ("I4",): 2, ("I5",): 2}
-    c2 = {c.items: c.support_count for c in levels[1].candidates_evaluated}
-    ok = ok and len(c2) == 10 and c2[("I1", "I2")] == 4 and c2[("I3", "I4")] == 0
+    c2 = {c.items: c.support_count for c in count_spy[1]}
+    ok = ok and len(c2) == levels[1].candidates == 10
+    ok = ok and c2[("I1", "I2")] == 4 and c2[("I3", "I4")] == 0
     ok = ok and levels[1].counts() == {
         ("I1", "I2"): 4, ("I1", "I3"): 4, ("I1", "I5"): 2,
         ("I2", "I3"): 4, ("I2", "I4"): 2, ("I2", "I5"): 2}
-    ok = ok and [c.items for c in levels[2].candidates_evaluated] == [
+    ok = ok and [c.items for c in count_spy[2]] == [
         ("I1", "I2", "I3"), ("I1", "I2", "I5")]
     ok = ok and levels[2].counts() == {("I1", "I2", "I3"): 2, ("I1", "I2", "I5"): 2}
     ok = ok and len(levels) == 3  # the level-4 candidate set is empty

@@ -219,6 +219,16 @@ class TestMine:
         assert capsys.readouterr().err == "error: --min-confidence must be >= 0, got nan\n" * 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("support", ["0.5", "2"])
+    def test_empty_database_rejected_naming_the_file(self, tmp_path, capsys, support):
+        # a fraction of 0 transactions would round to a count of 0
+        path = tmp_path / "empty.tsv"
+        path.write_text("tid\titems\n", encoding="utf-8")
+        assert main(["mine", "--transactions", str(path), "--min-support", support,
+                     "--min-confidence", "0.5", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no transactions to mine\n"
+        assert not (tmp_path / "out").exists()
+
     def test_fraction_support_converts_by_ceiling(self, tmp_path, data_dir):
         out = tmp_path / "out"
         # 0.22 of 9 transactions -> ceiling 1.98 -> count 2
@@ -593,7 +603,8 @@ class TestConfigAndManifest:
         assert "time" not in json.dumps(manifest).lower()
 
     def test_only_mine_imports_decimal(self, tmp_path, data_dir):
-        # a fresh interpreter, since pytest itself imports `decimal`
+        # a fresh interpreter, since pytest itself imports `decimal`; nor do
+        # they load `array`, which only mining's level-2 count uses
         alpha = data_dir / "alphabets" / "english.json"
         corpus = ["--alphabet", str(alpha), "--manifest", str(data_dir / "sample" / "manifest.txt")]
         layout = data_dir / "sample" / "layouts" / "partial.json"
@@ -605,6 +616,7 @@ class TestConfigAndManifest:
             "from keymine.cli import main\n"
             f"assert all(main(argv) == 0 for argv in {commands!r})\n"
             "assert 'decimal' not in sys.modules, 'decimal imported'\n"
+            "assert 'array' not in sys.modules, 'array imported'\n"
         )
         src = Path(keymine.__file__).resolve().parent.parent
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -3,6 +3,7 @@
 import itertools
 import random
 import string
+from collections.abc import Sized
 
 import pytest
 
@@ -136,6 +137,8 @@ class TestCountSupports:
         candidates = [rng.sample(universe, rng.randint(1, 4)) for _ in range(60)]
         candidates += candidates[:10] + [c[::-1] for c in candidates[10:20]]
         candidates += [[idle[0]], [active[0], idle[1]]]
+        # every pair of the universe, each listed back to front
+        candidates += [pair[::-1] for pair in itertools.combinations(universe, 2)]
         counted = count_supports(db, candidates)
         rank = {item: i for i, item in enumerate(universe)}
         keys = [tuple(rank[item] for item in c.items) for c in counted]
@@ -153,8 +156,7 @@ def level_of(k, itemset_counts, universe=MARKET9_UNIVERSE):
     itemsets = tuple(
         CountedItemset(items, count) for items, count in sorted(itemset_counts.items())
     )
-    return FrequentLevel(k=k, universe=universe, itemsets=itemsets,
-                         candidates_evaluated=itemsets)
+    return FrequentLevel(k=k, universe=universe, itemsets=itemsets, candidates=len(itemsets))
 
 
 def reference_join(prev):
@@ -184,8 +186,7 @@ def random_closed_level(seed, k):
         itemsets.update(itertools.combinations(top, k))
     listed = [CountedItemset(items, 1) for items in sorted(itemsets)]
     rng.shuffle(listed)
-    return FrequentLevel(k=k, universe=universe, itemsets=tuple(listed),
-                         candidates_evaluated=tuple(listed))
+    return FrequentLevel(k=k, universe=universe, itemsets=tuple(listed), candidates=len(listed))
 
 
 class TestGenerateCandidates:
@@ -232,10 +233,10 @@ class TestMineFrequent:
         # the level-4 candidate set is empty, so no fourth scan runs
         assert levels.scans == 3
 
-    def test_c2_includes_infrequent_candidates(self, market9):
+    def test_c2_includes_infrequent_candidates(self, market9, count_spy):
         levels = mine_frequent(market9, PARAMS2)
-        c2 = {c.items: c.support_count for c in levels[1].candidates_evaluated}
-        assert len(c2) == 10
+        c2 = {c.items: c.support_count for c in count_spy[1]}
+        assert len(c2) == levels[1].candidates == 10
         assert c2[("I1", "I4")] == 1 and c2[("I3", "I4")] == 0
 
     def test_threshold_above_db_size_yields_no_levels(self, market9):
@@ -244,35 +245,51 @@ class TestMineFrequent:
         assert levels == [] and levels.scans == 1
 
     @staticmethod
-    def spied(monkeypatch, db, params):
-        """Mine, recording the size of every candidate built and every k counted."""
-        built, counted = [], []
-        join, count = mining.generate_candidates, mining._LevelRows.count
+    def spied(monkeypatch, count_spy, db, params):
+        """Mine, recording the size of every candidate `generate_candidates`
+        lists and every k counted."""
+        built = []
+        join = mining.generate_candidates
 
         def spy_join(prev):
             candidates = join(prev)
             built.extend(map(len, candidates))
             return candidates
 
-        def spy_count(rows, candidates, k):
-            counted.append(k)
-            return count(rows, candidates, k)
-
         monkeypatch.setattr(mining, "generate_candidates", spy_join)
-        monkeypatch.setattr(mining._LevelRows, "count", spy_count)
-        return mine_frequent(db, params), built, counted
+        levels = mine_frequent(db, params)
+        return levels, built, [len(scan[0].items) for scan in count_spy]
 
-    def test_empty_last_level_still_counts_as_a_scan(self, monkeypatch):
+    def test_empty_last_level_still_counts_as_a_scan(self, monkeypatch, count_spy):
         # digraph rows hold at most two letters and every pair is frequent, so
         # level 3 joins to a candidate but is a scan over no rows, never built
         alpha = AlphabetConfig(name="abc", letters=("a", "b", "c"))
         table = count_ngraphs(tokenize("abcabcacb" * 5, alpha), 2)
         db = digraphs_as_transactions(table)
-        levels, built, counted = self.spied(monkeypatch, db, MiningParams(1, 0.0))
+        levels, built, counted = self.spied(monkeypatch, count_spy, db, MiningParams(1, 0.0))
         assert [lv.k for lv in levels] == [1, 2]
         assert len(levels[1].itemsets) == 3
         assert levels.scans == 3
-        assert counted == [1, 2] and max(built) == 2
+        # no candidate longer than the last mined level is built
+        assert counted == [1, 2] and all(size <= 2 for size in built)
+
+    def test_pair_candidates_are_walked_not_listed(self, monkeypatch):
+        # level 2 counts every pair of 40 frequent items without listing the
+        # 780 pairs; level 3 lists its candidates as before
+        universe = tuple(f"i{n:02d}" for n in range(40))
+        rows = {universe[n:n + 3]: 2 for n in range(38)}
+        given = {}
+        count = mining._LevelRows.count
+
+        def spy(rows, candidates, k):
+            given[k] = candidates
+            return count(rows, candidates, k)
+
+        monkeypatch.setattr(mining._LevelRows, "count", spy)
+        levels = mine_frequent(TransactionDB(universe, rows), MiningParams(2, 0.0))
+        assert [(lv.k, lv.candidates) for lv in levels] == [(1, 40), (2, 780), (3, 38)]
+        assert not isinstance(given[2], Sized)
+        assert isinstance(given[3], list)
 
     # levels mined and scans made
     STOPS = {
@@ -288,16 +305,19 @@ class TestMineFrequent:
     }
 
     @pytest.mark.parametrize("case", STOPS)
-    def test_no_level_is_built_beyond_the_longest_row(self, monkeypatch, case):
+    def test_no_level_is_built_beyond_the_longest_row(self, monkeypatch, count_spy, case):
         db, support = STOP_DBS[case]
         ks, scans = self.STOPS[case]
-        levels, built, counted = self.spied(monkeypatch, db, MiningParams(support, 0.0))
+        levels, built, counted = self.spied(monkeypatch, count_spy, db, MiningParams(support, 0.0))
         assert [lv.k for lv in levels] == ks and levels.scans == scans
-        assert counted == ks and max(built) == ks[-1]
+        # no candidate longer than the last mined level is built
+        assert counted == ks and all(size <= ks[-1] for size in built)
 
-    def test_frequent_subset_of_candidates(self, market9):
-        for level in mine_frequent(market9, PARAMS2):
-            candidates = {c.items for c in level.candidates_evaluated}
+    def test_frequent_subset_of_candidates(self, market9, count_spy):
+        levels = mine_frequent(market9, PARAMS2)
+        assert len(count_spy) == len(levels)
+        for level, scan in zip(levels, count_spy):
+            candidates = {c.items for c in scan}
             assert {i.items for i in level.itemsets} <= candidates
 
 
@@ -378,11 +398,11 @@ def split_row(row, candidates):
     return [tuple(item for item in row if item in g) for g in groups]
 
 
-def scan_candidates(db, levels):
-    """The candidates of every scan `mine_frequent` made: each level's, plus
-    those of a last scan in which nothing was frequent."""
-    scans = [[ci.items for ci in level.candidates_evaluated] for level in levels]
-    last = generate_candidates(levels[-1]) if levels else [(item,) for item in db.universe]
+def scan_candidates(levels, counted):
+    """The candidates of every scan `mine_frequent` made: those of each scan
+    it counted, plus the joined candidates of a last scan over no rows."""
+    scans = [[ci.items for ci in scan] for scan in counted]
+    last = generate_candidates(levels[-1]) if len(counted) == len(levels) else []
     return scans + [last] if last else scans
 
 
@@ -390,7 +410,9 @@ class TestLevelOracle:
     CASES = [*range(16), *STOP_DBS, *(f"planted {seed}" for seed in range(8))]
 
     @staticmethod
-    def mined(case):
+    def mined(case, count_spy):
+        """Mine a case's DB, returning it, the params, the levels and the
+        candidates of every scan counted, each with its count."""
         if case in STOP_DBS:
             db, support = STOP_DBS[case]
         elif isinstance(case, str):
@@ -399,34 +421,40 @@ class TestLevelOracle:
         else:
             db, support = weighted_db(case), (3, 8, 12)[case % 3]
         params = MiningParams(min_support_count=support, min_confidence=0.0)
-        return db, params, mine_frequent(db, params)
+        count_spy.clear()
+        return db, params, mine_frequent(db, params), list(count_spy)
 
     @pytest.mark.parametrize("case", CASES)
-    def test_every_candidate_count_matches_support_count(self, case):
-        db, params, levels = self.mined(case)
+    def test_every_candidate_count_matches_support_count(self, case, count_spy):
+        db, params, levels, counted = self.mined(case, count_spy)
         rank = {item: i for i, item in enumerate(db.universe)}
         expected = [(item,) for item in db.universe]
-        for k, level in enumerate(levels, 1):
+        for k, (level, scan) in enumerate(zip(levels, counted), 1):
             assert level.k == k
-            assert [ci.items for ci in level.candidates_evaluated] == expected
-            keys = [tuple(rank[item] for item in ci.items) for ci in level.candidates_evaluated]
+            assert [ci.items for ci in scan] == expected
+            assert level.candidates == len(scan)
+            keys = [tuple(rank[item] for item in ci.items) for ci in scan]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-            for ci in level.candidates_evaluated:
+            for ci in scan:
                 assert ci.support_count == db.support_count(ci.items)
             expected = generate_candidates(level)
-        assert levels.scans == len(scan_candidates(db, levels))
+        assert len(counted) in (len(levels), len(levels) + 1)
+        for scan in counted[len(levels):]:  # a last scan, in which nothing was frequent
+            for ci in scan:
+                assert ci.support_count == db.support_count(ci.items) < params.min_support_count
+        assert levels.scans == len(scan_candidates(levels, counted))
         assert frequent_map(levels) == frequent_map(brute_force_frequent(db, params))
 
-    def test_planted_dbs_reach_level_4_and_split_rows(self):
+    def test_planted_dbs_reach_level_4_and_split_rows(self, count_spy):
         for seed in range(8):
-            db, _, levels = self.mined(f"planted {seed}")
+            db, _, levels, counted = self.mined(f"planted {seed}", count_spy)
             assert len(levels) >= 4
-            c3 = [ci.items for ci in levels[2].candidates_evaluated]
+            c3 = [ci.items for ci in counted[2]]
             wanted = {item for c in c3 for item in c}
             cuts = {tuple(item for item in row if item in wanted) for row in db.rows}
             assert any(len(split_row(cut, c3)) > 1 for cut in cuts)
 
-    def test_dbs_cover_every_trimming_case(self):
+    def test_dbs_cover_every_trimming_case(self, count_spy):
         # the rows a level counts are the rows cut to its candidates' items and,
         # from k = 3 on, split into pieces no candidate links; pieces below k
         # items drop out. The cut is skipped when it would keep every item.
@@ -434,15 +462,15 @@ class TestLevelOracle:
         # is not built: a scan over no rows if its join yields a candidate.
         seen = set()
         for case in self.CASES:
-            db, _, levels = self.mined(case)
+            db, _, levels, counted = self.mined(case, count_spy)
             multiplicities = set(db.rows.values())
             if 1 in multiplicities:
                 seen.add("multiplicity 1")
             if max(multiplicities) > 1:
                 seen.add("multiplicity above 1")
-            if any(ci.support_count == 0 for lv in levels for ci in lv.candidates_evaluated):
+            if any(ci.support_count == 0 for scan in counted[:len(levels)] for ci in scan):
                 seen.add("zero count")
-            scans = scan_candidates(db, levels)
+            scans = scan_candidates(levels, counted)
             if len(scans) > len(levels):
                 seen.add("last scan finds nothing")
             held = set(db.universe)
