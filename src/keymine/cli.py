@@ -94,9 +94,11 @@ def _require(args, *names: str) -> None:
             raise CliError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
-def _load_corpus(args) -> tuple[list[Path], LetterStream]:
-    """The manifest's files and one stream holding the letter runs of all of
-    them; a run never spans two files, so no n-gram crosses a file."""
+def _load_corpus(args) -> tuple[list[Path], dict, LetterStream]:
+    """A corpus command's input paths (the alphabet, the manifest, then the
+    manifest's files), its alphabet and manifest parameters, and one stream
+    holding the letter runs of all the files; a run never spans two files,
+    so no n-gram crosses a file."""
     _require(args, "alphabet", "manifest")
     alphabet = AlphabetConfig.from_json(args.alphabet)
     files = read_manifest(args.manifest)
@@ -107,7 +109,8 @@ def _load_corpus(args) -> tuple[list[Path], LetterStream]:
         source = tokenize_file(path, alphabet)
         stream.runs += source.runs
         stream.undetermined_count += source.undetermined_count
-    return files, stream
+    inputs = [Path(args.alphabet), Path(args.manifest), *files]
+    return inputs, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, stream
 
 
 def _parse_support_threshold(text: str) -> tuple[str, int | tuple[int, int]]:
@@ -137,7 +140,7 @@ def _parse_support_threshold(text: str) -> tuple[str, int | tuple[int, int]]:
 
 
 def cmd_stats(args) -> int:
-    files, stream = _load_corpus(args)
+    inputs, parameters, stream = _load_corpus(args)
     tables = {n: count_ngraphs(stream, n) for n in (1, 2, 3)}
     total_letters = tables[1].total
     if total_letters == 0:
@@ -150,7 +153,7 @@ def cmd_stats(args) -> int:
         "total_letters": total_letters,
         "distinct_letters": len(tables[1].counts),
         "undetermined": stream.undetermined_count,
-        "sources": len(files),
+        "sources": len(inputs) - 2,  # the corpus files, after alphabet and manifest
     }
     if args.format == "json":
         (out / "summary.json").write_text(
@@ -159,12 +162,7 @@ def cmd_stats(args) -> int:
     else:
         lines = [f"{k}\t{v}" for k, v in summary.items()]
         (out / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_manifest(
-        out,
-        "stats",
-        {"alphabet": str(args.alphabet), "manifest": str(args.manifest), "format": args.format},
-        [Path(args.alphabet), Path(args.manifest), *files],
-    )
+    _write_run_manifest(out, "stats", {**parameters, "format": args.format}, inputs)
     print(f"stats: {total_letters} letters, {summary['distinct_letters']} distinct, "
           f"{summary['undetermined']} undetermined -> {out}")
     return 0
@@ -176,21 +174,20 @@ def cmd_mine(args) -> int:
     min_confidence = args.min_confidence
     if not min_confidence >= 0:
         raise CliError(f"--min-confidence must be >= 0, got {min_confidence}")
-    inputs: list[Path]
     if args.transactions:
         db = read_transactions_tsv(args.transactions)
         if not db.rows:
             raise CliError(f"{args.transactions}: no transactions to mine")
+        if not db.universe:
+            raise CliError(f"{args.transactions}: no items to mine")
         inputs = [Path(args.transactions)]
         source = {"transactions": str(args.transactions)}
     else:
-        files, stream = _load_corpus(args)
+        inputs, source, stream = _load_corpus(args)
         digraphs = count_ngraphs(stream, 2)
         if digraphs.total == 0:
             raise CliError("corpus contains no digraphs to mine")
         db = digraphs_as_transactions(digraphs)
-        inputs = [Path(args.alphabet), Path(args.manifest), *files]
-        source = {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}
     if support_kind == "count":
         count = support_value
     else:
@@ -227,7 +224,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_design(args) -> int:
-    files, stream = _load_corpus(args)
+    inputs, parameters, stream = _load_corpus(args)
     monographs = count_ngraphs(stream, 1)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
@@ -243,15 +240,13 @@ def cmd_design(args) -> int:
         save_geometry(geometry, out / "geometry.json")
     save_layout(layout, out / "layout.json", geometry_ref="geometry.json")
     write_trace_tsv(partition, out / "trace.tsv")
-    inputs = [Path(args.alphabet), Path(args.manifest), *files]
     if args.geometry:
         inputs.append(Path(args.geometry))
     _write_run_manifest(
         out,
         "design",
         {
-            "alphabet": str(args.alphabet),
-            "manifest": str(args.manifest),
+            **parameters,
             "geometry": str(args.geometry) if args.geometry else "<default>",
             "tie_policy": args.tie_policy,
             "name": args.name,
@@ -266,7 +261,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    files, stream = _load_corpus(args)
+    inputs, parameters, stream = _load_corpus(args)
     monographs = count_ngraphs(stream, 1)
     digraphs = count_ngraphs(stream, 2)
     total_chars = monographs.total + stream.undetermined_count
@@ -288,12 +283,8 @@ def cmd_evaluate(args) -> int:
     _write_run_manifest(
         out,
         "evaluate",
-        {
-            "alphabet": str(args.alphabet),
-            "manifest": str(args.manifest),
-            "layouts": [str(p) for p in args.layouts],
-        },
-        [Path(args.alphabet), Path(args.manifest), *files, *(Path(p) for p in args.layouts)],
+        {**parameters, "layouts": [str(p) for p in args.layouts]},
+        [*inputs, *(Path(p) for p in args.layouts)],
     )
     print(f"evaluate: comparison of {len(reports)} layout(s) -> {out}")
     return 0

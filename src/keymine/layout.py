@@ -9,7 +9,9 @@ its stronger association, so that the digraphs it participates in tend to
 alternate hands. The decision rule is deliberately asymmetric: only a
 letter whose left support AND left confidence both dominate goes right;
 every other case (clear right association, mixed signals, exact ties)
-goes left.
+goes left. `assign_hands` is the one place this rule runs; the audit
+recomputes the assignment with it and compares the two decision traces
+record by record.
 
 Each hand's letters are then placed on physical key positions in
 frequency order, cheapest position first.
@@ -17,6 +19,7 @@ frequency order, cheapest position first.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -140,6 +143,12 @@ class _PairIndex:
                 confidence += joint / denom
         return support, confidence
 
+    def affinity(self, letter: str, partition: HandPartition) -> HandAffinity:
+        """The letter's cumulative support and confidence toward each hand."""
+        ls, lc = self.cumulative(letter, partition.left)
+        rs, rc = self.cumulative(letter, partition.right)
+        return HandAffinity(letter, ls, rs, lc, rc)
+
 
 def affinity(
     letter: str,
@@ -157,33 +166,12 @@ def affinity(
         raise UndefinedConfidenceError(
             f"letter {letter!r} has zero monograph count; confidence is undefined"
         )
-    return _affinity(letter, assigned, _PairIndex(digraphs))
-
-
-def _affinity(letter: str, assigned: HandPartition, index: _PairIndex) -> HandAffinity:
-    ls, lc = index.cumulative(letter, assigned.left)
-    rs, rc = index.cumulative(letter, assigned.right)
-    return HandAffinity(letter, ls, rs, lc, rc)
+    return _PairIndex(digraphs).affinity(letter, assigned)
 
 
 # Rank -> hand for the first four letters; the top letter and the fourth
 # anchor the right hand, the second and third the left.
 _SEED_HANDS = {1: "right", 2: "left", 3: "left", 4: "right"}
-
-
-def _decide(aff: HandAffinity, tie_policy: str, flip_state: list[bool]) -> str:
-    toward_left = aff.left_support > aff.right_support and aff.left_confidence > aff.right_confidence
-    if toward_left:
-        return "right"
-    if tie_policy == "left-biased":
-        return "left"
-    toward_right = aff.right_support > aff.left_support and aff.right_confidence > aff.left_confidence
-    if toward_right:
-        return "left"
-    # Mixed signal under the balanced policy: alternate, starting left.
-    hand = "right" if flip_state[0] else "left"
-    flip_state[0] = not flip_state[0]
-    return hand
 
 
 def assign_hands(
@@ -193,13 +181,14 @@ def assign_hands(
 ) -> HandPartition:
     """Distribute every letter with a nonzero monograph count onto a hand.
 
-    Letters are taken in descending frequency (ties by alphabet order).
-    Ranks 1 and 4 seed the right hand, ranks 2 and 3 the left; from rank 5
-    on, a letter goes right only when both its support and its confidence
-    toward the left set strictly exceed those toward the right set,
-    otherwise left. The `balanced` tie policy instead alternates the
-    mixed-signal letters between hands. Every decision is recorded in the
-    trace.
+    This is the only place the decision rule runs. Letters are taken in
+    descending frequency (ties by alphabet order). Ranks 1 and 4 seed the
+    right hand, ranks 2 and 3 the left; from rank 5 on, a letter goes right
+    only when both its support and its confidence toward the left set
+    strictly exceed those toward the right set, otherwise left. The
+    `balanced` tie policy instead alternates the mixed-signal letters, those
+    leaning toward neither set on both counts, between hands, starting
+    left. Every decision is recorded in the trace.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
@@ -208,77 +197,65 @@ def assign_hands(
         raise ValueError("cannot assign hands: no letter has a nonzero count")
     index = _PairIndex(digraphs)
     partition = HandPartition(tie_policy=tie_policy)
-    flip_state = [False]
+    alternate = itertools.cycle(HANDS)
     for rank, row in enumerate(ranking, start=1):
-        aff = _affinity(row.letter, partition, index)
+        letter, ls, rs, lc, rc = index.affinity(row.letter, partition)
         if rank in _SEED_HANDS:
             hand = _SEED_HANDS[rank]
+        elif ls > rs and lc > rc:
+            hand = "right"
+        elif tie_policy == "balanced" and not (rs > ls and rc > lc):
+            hand = next(alternate)
         else:
-            hand = _decide(aff, tie_policy, flip_state)
-        (partition.left if hand == "left" else partition.right).append(row.letter)
-        partition.trace.append(
-            TraceRecord(
-                rank,
-                row.letter,
-                aff.left_support,
-                aff.right_support,
-                aff.left_confidence,
-                aff.right_confidence,
-                hand,
-            )
-        )
+            hand = "left"
+        (partition.left if hand == "left" else partition.right).append(letter)
+        partition.trace.append(TraceRecord(rank, letter, ls, rs, lc, rc, hand))
     return partition
 
 
 def audit_partition(
     partition: HandPartition, monographs: NGraphTable, digraphs: NGraphTable
 ) -> AuditResult:
-    """Replay every assignment decision and report the first divergence.
+    """Recompute the assignment and report the first record that differs.
 
-    Rebuilds the partition letter by letter from the trace, recomputes each
-    affinity from the digraph table, and checks that the recorded values match
-    and that the decision rule produced the recorded hand. Passes only if
-    the whole trace replays identically and the hand lists agree with it.
+    Runs `assign_hands` again on the same tables and tie policy, then
+    compares the partition's trace with the recomputed one record by record:
+    rank and letter, the four affinities, then the hand. Passes only if
+    every record matches and the hand lists agree with the trace. The
+    recomputation shares the rule and the pair sums with the assignment, so
+    it catches a partition or trace changed after the fact, not a fault in
+    the rule itself.
     """
     if not partition.trace:
         raise MissingTraceError("partition carries no trace; audit is impossible")
     ranking = monograph_ranking(monographs)
     if len(ranking) != len(partition.trace):
         return AuditResult(False, f"trace has {len(partition.trace)} records for {len(ranking)} ranked letters")
-    index = _PairIndex(digraphs)
-    replay = HandPartition(tie_policy=partition.tie_policy)
-    flip_state = [False]
-    for rank, (row, rec) in enumerate(zip(ranking, partition.trace), start=1):
-        if rec.rank != rank or rec.letter != row.letter:
+    expected = assign_hands(monographs, digraphs, partition.tie_policy)
+    for rec, want in zip(partition.trace, expected.trace):
+        if rec.rank != want.rank or rec.letter != want.letter:
             return AuditResult(
                 False,
                 f"trace rank {rec.rank} letter {rec.letter!r} does not match "
-                f"ranking rank {rank} letter {row.letter!r}",
-                rank,
+                f"ranking rank {want.rank} letter {want.letter!r}",
+                want.rank,
                 rec.letter,
             )
-        aff = _affinity(rec.letter, replay, index)
-        recorded = (rec.left_support, rec.right_support, rec.left_confidence, rec.right_confidence)
-        if recorded != tuple(aff[1:]):
+        if rec[2:6] != want[2:6]:
             return AuditResult(
                 False,
-                f"recorded affinities {recorded} differ from recomputed {tuple(aff[1:])}",
-                rank,
+                f"recorded affinities {rec[2:6]} differ from recomputed {want[2:6]}",
+                want.rank,
                 rec.letter,
             )
-        if rank in _SEED_HANDS:
-            expected = _SEED_HANDS[rank]
-        else:
-            expected = _decide(aff, partition.tie_policy, flip_state)
-        if rec.hand != expected:
+        if rec.hand != want.hand:
             return AuditResult(
                 False,
-                f"recorded hand {rec.hand!r} but the decision rule gives {expected!r}",
-                rank,
+                f"recorded hand {rec.hand!r} but the decision rule gives {want.hand!r}",
+                want.rank,
                 rec.letter,
             )
-        (replay.left if expected == "left" else replay.right).append(rec.letter)
-    if replay.left != partition.left or replay.right != partition.right:
+    if expected.left != partition.left or expected.right != partition.right:
         return AuditResult(False, "hand lists do not match the replayed trace")
     return AuditResult(True, "all decisions replay identically")
 

@@ -1,13 +1,13 @@
 """Shared fixtures: the nine-transaction demo database, repo paths, a spy
-on Apriori's counting, and a helper that scores a layout the way
-`keymine evaluate` does."""
+on Apriori's counting, a helper that counts a text's letter tables, and
+one that scores a layout the way `keymine evaluate` does."""
 
 from pathlib import Path
 
 import pytest
 
 from keymine import mining
-from keymine.corpus import LetterStream, count_ngraphs
+from keymine.corpus import LetterStream, count_ngraphs, tokenize
 from keymine.evaluation import EvalReport, evaluate
 from keymine.layout import Layout
 from keymine.mining import CountedItemset, TransactionDB
@@ -59,6 +59,12 @@ def write_transactions_tsv(db: TransactionDB, path: Path) -> None:
     for row, n in db.rows.items():
         lines += [f"T{len(lines)}\t{' '.join(row)}" for _ in range(n)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def corpus_tables(text, alphabet):
+    """The monograph and digraph tables of one text."""
+    stream = tokenize(text, alphabet)
+    return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
 
 
 def score(layout: Layout, *streams: LetterStream) -> EvalReport:

@@ -34,18 +34,13 @@ from keymine.synth import (
     zipf_weights,
 )
 
-from conftest import ACCEPTANCE_RESULTS, MARKET9_ROWS, MARKET9_UNIVERSE, score
+from conftest import ACCEPTANCE_RESULTS, MARKET9_ROWS, MARKET9_UNIVERSE, corpus_tables, score
 
 
 def record(name: str, ok: bool, detail: str = "") -> None:
     ACCEPTANCE_RESULTS.append((name, ok, detail))
     print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f" ({detail})" if detail else ""))
     assert ok, f"acceptance criterion failed: {name} {detail}"
-
-
-def corpus_tables(text, alphabet):
-    stream = tokenize(text, alphabet)
-    return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
 
 
 def test_worked_example_fidelity(count_spy):

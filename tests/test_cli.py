@@ -3,8 +3,11 @@
 import json
 import os
 import random
+import re
+import string
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -22,9 +25,9 @@ from keymine.layout import (
     save_layout,
 )
 from keymine.mining import MiningParams, brute_force_frequent
-from keymine.synth import random_db, random_text
+from keymine.synth import random_db, random_text, zipf_weights
 
-from conftest import score, write_transactions_tsv
+from conftest import DATA, score, write_transactions_tsv
 
 
 def write_corpus(tmp_path, texts, letters="abcd", name="tiny"):
@@ -227,6 +230,15 @@ class TestMine:
         assert main(["mine", "--transactions", str(path), "--min-support", support,
                      "--min-confidence", "0.5", "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {path}: no transactions to mine\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_rows_without_items_rejected_naming_the_file(self, tmp_path, capsys):
+        # two transactions, but no item in either: the universe is empty
+        path = tmp_path / "itemless.tsv"
+        path.write_text("tid\titems\nT1\t\nT2\t \n", encoding="utf-8")
+        assert main(["mine", "--transactions", str(path), "--min-support", "0.5",
+                     "--min-confidence", "0.5", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no items to mine\n"
         assert not (tmp_path / "out").exists()
 
     def test_fraction_support_converts_by_ceiling(self, tmp_path, data_dir):
@@ -543,6 +555,182 @@ class TestCompareOnly:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {b}: ") and err.count("\n") == 1
         assert not (out / "comparison.tsv").exists()
+
+
+def bangla_corpus_texts():
+    """How `data/bangla/corpus1.txt` and `corpus2.txt` were made: seeded
+    letter soup over the Bangla alphabet plus two decomposed pieces, with
+    spaces, and with ZWNJ, ZWJ, danda and Bengali digits as junk, broken
+    into lines of 72 characters. NFC composes the first piece, e + aa, to
+    the letter o; it leaves the second, ya + nukta, as two letters, because
+    the precomposed U+09DF is a composition exclusion."""
+    letters = [*AlphabetConfig.from_json(DATA / "alphabets" / "bangla.json").letters,
+               "\u09c7\u09be", "\u09af\u09bc"]
+    junk = "\u200c\u200d\u0964" + "".join(map(chr, range(0x09E6, 0x09F0)))
+    texts = []
+    for seed in (1, 2):
+        text = random_text(letters, 2000, seed, weights=zipf_weights(len(letters)),
+                           space_prob=0.15, junk=junk, junk_prob=0.03)
+        texts.append("\n".join(text[i:i + 72] for i in range(0, len(text), 72)) + "\n")
+    return texts
+
+
+class TestBanglaGolden:
+    """The paper's own script end to end: every command's outputs on the
+    seeded Bangla corpus match files written before the hand-assignment
+    loop was last rewritten."""
+
+    @staticmethod
+    def corpus(data_dir):
+        return ["--alphabet", str(data_dir / "alphabets" / "bangla.json"),
+                "--manifest", str(data_dir / "bangla" / "manifest.txt")]
+
+    @staticmethod
+    def golden(data_dir, *parts):
+        return data_dir.joinpath("golden", "bangla", *parts)
+
+    def design_wide(self, tmp_path, data_dir, tie_policy):
+        out = tmp_path / f"design-{tie_policy}"
+        assert main(["design", *self.corpus(data_dir), "--output-dir", str(out),
+                     "--geometry", str(data_dir / "bangla" / "layouts" / "geometry.json"),
+                     "--tie-policy", tie_policy]) == 0
+        return out
+
+    def test_corpus_is_the_seeded_recipe_and_covers_the_script(self, data_dir):
+        raw = [(data_dir / "bangla" / f"corpus{i}.txt").read_text(encoding="utf-8")
+               for i in (1, 2)]
+        assert raw == bangla_corpus_texts()
+        text = "".join(raw)
+        nfc = unicodedata.normalize("NFC", text)
+        assert "\u09c7\u09be" in text and "\u09c7\u09be" not in nfc
+        assert "\u09af\u09bc" in nfc
+        letter = "[\u0981-\u09ce]"
+        for joiner in ("\u200c", "\u200d"):
+            assert re.search(letter + joiner + letter, text), "joiner inside a word"
+        assert "\u0964" in text and re.search("[\u09e6-\u09ef]", text)
+
+    def test_stats_match_golden_files(self, tmp_path, data_dir):
+        out = tmp_path / "out"
+        assert main(["stats", *self.corpus(data_dir), "--output-dir", str(out)]) == 0
+        for name in ("monographs.tsv", "digraphs.tsv", "trigraphs.tsv", "summary.tsv"):
+            assert (out / name).read_bytes() == self.golden(data_dir, "stats", name).read_bytes()
+
+    def test_design_overflows_the_default_geometry(self, tmp_path, data_dir, capsys):
+        # ROADMAP item 5: the left hand gets 33 letters for 30 positions
+        out = tmp_path / "out"
+        assert main(["design", *self.corpus(data_dir), "--output-dir", str(out)]) == 1
+        golden = self.golden(data_dir, "design", "stderr.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().err == golden
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tie_policy", ["left-biased", "balanced"])
+    def test_design_on_a_wider_geometry_matches_golden_files(self, tmp_path, data_dir,
+                                                            tie_policy):
+        # 36 positions a hand; both hands spill over the 18 base positions
+        out = self.design_wide(tmp_path, data_dir, tie_policy)
+        for name in ("layout.json", "trace.tsv"):
+            golden = self.golden(data_dir, "design-wide", tie_policy, name)
+            assert (out / name).read_bytes() == golden.read_bytes()
+        layout = load_layout(out / "layout.json")
+        by_id = layout.geometry.by_id()
+        shift = {by_id[pid].hand for pid in layout.mapping.values()
+                 if by_id[pid].layer == "shift"}
+        assert shift == {"left", "right"}
+
+    def test_mine_matches_golden_files(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "out"
+        assert main(["mine", *self.corpus(data_dir), "--min-support", "0.01",
+                     "--min-confidence", "0.1", "--output-dir", str(out)]) == 0
+        for name in ("frequent_itemsets.tsv", "rules.tsv"):
+            assert (out / name).read_bytes() == self.golden(data_dir, "mine", name).read_bytes()
+        log = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(("level ", "scans performed:"))]
+        golden = self.golden(data_dir, "mine", "stdout.txt").read_text(encoding="utf-8")
+        assert "\n".join(log) + "\n" == golden
+
+    def test_evaluate_matches_golden_files(self, tmp_path, data_dir):
+        # the designed layout plus a partial one that maps the digit one
+        designed = self.design_wide(tmp_path, data_dir, "left-biased") / "layout.json"
+        out = tmp_path / "out"
+        assert main(["evaluate", *self.corpus(data_dir), "--output-dir", str(out),
+                     str(designed), str(data_dir / "bangla" / "layouts" / "partial.json")]) == 0
+        golden = self.golden(data_dir, "evaluate")
+        names = sorted(p.name for p in golden.iterdir())
+        assert names == ["comparison.tsv", "report_01_layout.json", "report_01_layout.tsv",
+                         "report_02_partial.json", "report_02_partial.tsv"]
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+
+class TestMetamorphic:
+    """Outputs that must move, or stay, as the definitions say when the
+    inputs are changed in a known way."""
+
+    def test_permuted_manifest_changes_only_its_hash(self, tmp_path, data_dir):
+        # the corpus is the set of its files: listing them in another order
+        # may change no output byte, trace floats included
+        letters = string.ascii_lowercase
+        texts = [random_text(letters, 3000, 60 + i, weights=zipf_weights(26),
+                             space_prob=0.15, junk="0.,", junk_prob=0.02) for i in range(4)]
+        alpha, manifest = write_corpus(tmp_path, texts, letters)
+        names = manifest.read_text(encoding="utf-8").splitlines()
+        partial = str(data_dir / "sample" / "layouts" / "partial.json")
+        runs = [tmp_path / "listed", tmp_path / "permuted"]
+        for out, listing in zip(runs, (names, [names[i] for i in (2, 0, 3, 1)])):
+            manifest.write_text("\n".join(listing) + "\n", encoding="utf-8")
+            corpus = ["--alphabet", str(alpha), "--manifest", str(manifest)]
+            assert main(["stats", *corpus, "--output-dir", str(out / "stats")]) == 0
+            assert main(["design", *corpus, "--output-dir", str(out / "design")]) == 0
+            assert main(["mine", *corpus, "--min-support", "0.01", "--min-confidence", "0.1",
+                         "--output-dir", str(out / "mine")]) == 0
+            # both score the layout designed from the files as first listed
+            assert main(["evaluate", *corpus, "--output-dir", str(out / "evaluate"),
+                         str(runs[0] / "design" / "layout.json"), partial]) == 0
+        files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
+        for name in files:
+            listed, permuted = (run / name for run in runs)
+            if name.name != "run_manifest.json":
+                assert listed.read_bytes() == permuted.read_bytes(), name
+                continue
+            listed, permuted = (json.loads(p.read_text(encoding="utf-8"))
+                                for p in (listed, permuted))
+            assert listed["inputs"].pop(str(manifest)) != permuted["inputs"].pop(str(manifest))
+            assert listed == permuted
+
+    def test_mirrored_hands_keep_switching_and_swap_loads(self, tmp_path, data_dir):
+        # a designed and a partial layout and their mirrors, scored in one run
+        design = tmp_path / "design"
+        assert main(["design", *TestBanglaGolden.corpus(data_dir), "--output-dir", str(design),
+                     "--geometry", str(data_dir / "bangla" / "layouts" / "geometry.json")]) == 0
+        originals = [design / "layout.json", data_dir / "bangla" / "layouts" / "partial.json"]
+        mirrors = []
+        for path in originals:
+            layout = load_layout(path)
+            positions = [p._replace(hand="right" if p.hand == "left" else "left")
+                         for p in layout.geometry.positions]
+            geometry = KeyboardGeometry(positions)
+            mirror = tmp_path / f"mirrored-{path.stem}.json"
+            save_geometry(geometry, tmp_path / f"mirrored-{path.stem}-geometry.json")
+            save_layout(Layout(f"mirrored-{layout.name}", geometry, layout.mapping), mirror,
+                        geometry_ref=f"mirrored-{path.stem}-geometry.json")
+            mirrors.append(mirror)
+        out = tmp_path / "out"
+        paths = [*originals, *mirrors]
+        assert main(["evaluate", *TestBanglaGolden.corpus(data_dir), "--output-dir", str(out),
+                     *map(str, paths)]) == 0
+        reports = [read_report_json(out / f"report_{i:02d}_{p.stem}.json")
+                   for i, p in enumerate(paths, start=1)]
+        rows = {line.split("\t")[0]: line.split("\t")[1:] for line in
+                (out / "comparison.tsv").read_text(encoding="utf-8").splitlines()[1:]}
+        for original, mirror in zip(reports[:2], reports[2:]):
+            assert original.left_load != original.right_load
+            assert (mirror.hand_switching, mirror.left_load, mirror.right_load,
+                    mirror.undetermined, mirror.total_chars) == (
+                original.hand_switching, original.right_load, original.left_load,
+                original.undetermined, original.total_chars)
+            switching, left, right, *rest = rows[original.layout_name]
+            assert rows[mirror.layout_name] == [switching, right, left, *rest]
 
 
 class TestConfigAndManifest:

@@ -34,12 +34,9 @@ from keymine.layout import (
 from keymine.mining import digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
+from conftest import corpus_tables
+
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
-
-
-def corpus_tables(text, alphabet):
-    stream = tokenize(text, alphabet)
-    return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
 
 
 def pieces(*pairs):
