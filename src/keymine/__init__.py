@@ -24,7 +24,6 @@ from .layout import (
     HandPartition,
     KeyboardGeometry,
     Layout,
-    affinity,
     assign_hands,
     audit_partition,
     default_geometry,
@@ -58,7 +57,6 @@ __all__ = [
     "MiningParams",
     "NGraphTable",
     "TransactionDB",
-    "affinity",
     "assign_hands",
     "audit_partition",
     "brute_force_frequent",

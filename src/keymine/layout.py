@@ -36,10 +36,6 @@ FINGERS = (1, 2, 3, 4, "thumb")
 TIE_POLICIES = ("left-biased", "balanced")
 
 
-class UndefinedConfidenceError(ValueError):
-    """Affinity requested for a letter that never occurs in the corpus."""
-
-
 class MissingTraceError(ValueError):
     """A partition without a decision trace cannot be audited."""
 
@@ -63,17 +59,6 @@ class GeometryFormatError(ValueError):
 
 class LayoutFormatError(ValueError):
     """Malformed layout JSON."""
-
-
-class HandAffinity(NamedTuple):
-    """Cumulative pair support / confidence of one letter toward each hand's
-    already-assigned letters."""
-
-    letter: str
-    left_support: float
-    right_support: float
-    left_confidence: float
-    right_confidence: float
 
 
 class TraceRecord(NamedTuple):
@@ -112,63 +97,6 @@ class AuditResult:
         return self.ok
 
 
-class _PairIndex:
-    """Pair statistics read off the digraph table, which is the transaction
-    view: each digraph occurrence is one transaction over its unordered
-    letter pair, |D| is the digraph total, a letter's count is the number of
-    digraphs holding it (a doubled letter once), and a pair's joint count
-    adds both directions."""
-
-    def __init__(self, digraphs: NGraphTable):
-        self.digraphs = digraphs.counts
-        self.size = digraphs.total
-        self.item_counts: Counter[str] = Counter()
-        for (a, b), n in digraphs.counts.items():
-            self.item_counts[a] += n
-            if b != a:
-                self.item_counts[b] += n
-
-    def cumulative(self, letter: str, assigned: Sequence[str]) -> tuple[float, float]:
-        """Sum of pair supports and of confidences of letter toward a hand set."""
-        if self.size == 0:
-            return 0.0, 0.0
-        d = self.digraphs
-        denom = self.item_counts.get(letter, 0)
-        support = 0.0
-        confidence = 0.0
-        for other in assigned:
-            joint = d[(letter, other)] + d[(other, letter)] if other != letter else 0
-            support += joint / self.size
-            if denom:
-                confidence += joint / denom
-        return support, confidence
-
-    def affinity(self, letter: str, partition: HandPartition) -> HandAffinity:
-        """The letter's cumulative support and confidence toward each hand."""
-        ls, lc = self.cumulative(letter, partition.left)
-        rs, rc = self.cumulative(letter, partition.right)
-        return HandAffinity(letter, ls, rs, lc, rc)
-
-
-def affinity(
-    letter: str,
-    assigned: HandPartition,
-    monographs: NGraphTable,
-    digraphs: NGraphTable,
-) -> HandAffinity:
-    """Score one unassigned letter against the partition built so far.
-
-    Support of a pair is the fraction of digraphs holding both letters, in
-    either order; confidence of letter=>other is that joint count over the
-    number of digraphs holding the letter.
-    """
-    if monographs.counts.get((letter,), 0) == 0:
-        raise UndefinedConfidenceError(
-            f"letter {letter!r} has zero monograph count; confidence is undefined"
-        )
-    return _PairIndex(digraphs).affinity(letter, assigned)
-
-
 # Rank -> hand for the first four letters; the top letter and the fourth
 # anchor the right hand, the second and third the left.
 _SEED_HANDS = {1: "right", 2: "left", 3: "left", 4: "right"}
@@ -189,17 +117,40 @@ def assign_hands(
     `balanced` tie policy instead alternates the mixed-signal letters, those
     leaning toward neither set on both counts, between hands, starting
     left. Every decision is recorded in the trace.
+
+    A pair's joint count adds both directions of the digraph table; its
+    support is joint/|D| and its confidence joint/(digraphs holding the
+    letter, a doubled letter once), each summed over a hand's letters in
+    assignment order. With no digraphs every sum is 0.0.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     ranking = monograph_ranking(monographs)
     if not ranking:
         raise ValueError("cannot assign hands: no letter has a nonzero count")
-    index = _PairIndex(digraphs)
+    d = digraphs.counts
+    total = digraphs.total
+    holding: Counter[str] = Counter()
+    for (a, b), n in d.items():
+        holding[a] += n
+        if b != a:
+            holding[b] += n
     partition = HandPartition(tie_policy=tie_policy)
     alternate = itertools.cycle(HANDS)
     for rank, row in enumerate(ranking, start=1):
-        letter, ls, rs, lc, rc = index.affinity(row.letter, partition)
+        letter = row.letter
+        own = holding[letter]
+        sums = []
+        for assigned in (partition.left, partition.right):
+            support = confidence = 0.0
+            if total:
+                for other in assigned:
+                    joint = d[(letter, other)] + d[(other, letter)]
+                    support += joint / total
+                    if own:
+                        confidence += joint / own
+            sums.append((support, confidence))
+        (ls, lc), (rs, rc) = sums
         if rank in _SEED_HANDS:
             hand = _SEED_HANDS[rank]
         elif ls > rs and lc > rc:

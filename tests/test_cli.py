@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -731,6 +732,78 @@ class TestMetamorphic:
                 original.undetermined, original.total_chars)
             switching, left, right, *rest = rows[original.layout_name]
             assert rows[mirror.layout_name] == [switching, right, left, *rest]
+
+    NGRAM_TSVS = ("monographs.tsv", "digraphs.tsv", "trigraphs.tsv")
+
+    @staticmethod
+    def bangla(data_dir):
+        """The Bangla corpus files' texts, its letters, and its junk: the
+        code points that are neither letters nor whitespace after NFC."""
+        texts = [(data_dir / "bangla" / f"corpus{i}.txt").read_text(encoding="utf-8")
+                 for i in (1, 2)]
+        alphabet = json.loads((data_dir / "alphabets" / "bangla.json").read_text(encoding="utf-8"))
+        letters = alphabet["letters"]
+        nfc = unicodedata.normalize("NFC", "".join(texts))
+        junk = sorted({ch for ch in nfc if ch not in letters and not ch.isspace()})
+        return texts, letters, junk
+
+    @staticmethod
+    def stats(run, texts, letters):
+        """`keymine stats` over `texts` as the files of one manifest; the
+        output directory and the summary as a dict of strings."""
+        run.mkdir()
+        alpha, manifest = write_corpus(run, texts, letters, "bangla")
+        out = run / "out"
+        assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out)]) == 0
+        lines = (out / "summary.tsv").read_text(encoding="utf-8").splitlines()
+        return out, dict(line.split("\t") for line in lines)
+
+    @staticmethod
+    def golden_summary(data_dir):
+        path = TestBanglaGolden.golden(data_dir, "stats", "summary.tsv")
+        return dict(line.split("\t") for line in path.read_text(encoding="utf-8").splitlines())
+
+    def test_split_after_junk_keeps_tables_and_summary(self, tmp_path, data_dir):
+        # a junk character already ends a run, so a file boundary right after
+        # it cuts no n-gram; one at whitespace would, as whitespace does not
+        texts, letters, junk = self.bangla(data_dir)
+        after_junk = re.compile("(?<=[" + "".join(map(re.escape, junk)) + "])")
+        pieces = [piece for text in texts for piece in after_junk.split(text) if piece]
+        assert len(pieces) > 100
+        out, summary = self.stats(tmp_path / "split", pieces, letters)
+        for name in self.NGRAM_TSVS:
+            golden = TestBanglaGolden.golden(data_dir, "stats", name)
+            assert (out / name).read_bytes() == golden.read_bytes(), name
+        assert summary == {**self.golden_summary(data_dir), "sources": str(len(pieces))}
+
+    def test_files_joined_over_one_junk_character(self, tmp_path, data_dir):
+        texts, letters, junk = self.bangla(data_dir)
+        out, summary = self.stats(tmp_path / "joined", [junk[0].join(texts)], letters)
+        for name in self.NGRAM_TSVS:
+            golden = TestBanglaGolden.golden(data_dir, "stats", name)
+            assert (out / name).read_bytes() == golden.read_bytes(), name
+        golden = self.golden_summary(data_dir)
+        assert summary == {**golden, "undetermined": str(int(golden["undetermined"]) + 1),
+                           "sources": "1"}
+
+    def test_permuted_alphabet_keeps_tables(self, tmp_path, data_dir):
+        # the alphabet order breaks ties in the written order, not the counts
+        texts, letters, _ = self.bangla(data_dir)
+        permuted = list(letters)
+        random.Random(7).shuffle(permuted)
+        assert permuted != letters
+        out, summary = self.stats(tmp_path / "permuted", texts, permuted)
+
+        def table(path):
+            lines = path.read_text(encoding="utf-8").splitlines()[1:]
+            return Counter({ngram: int(count) for ngram, count, _ in
+                            (line.split("\t") for line in lines)})
+
+        for name in self.NGRAM_TSVS:
+            golden = TestBanglaGolden.golden(data_dir, "stats", name)
+            assert table(out / name) == table(golden), name
+        assert summary == self.golden_summary(data_dir)
 
 
 class TestConfigAndManifest:

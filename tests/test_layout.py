@@ -19,8 +19,6 @@ from keymine.layout import (
     Layout,
     LayoutFormatError,
     MissingTraceError,
-    UndefinedConfidenceError,
-    affinity,
     assign_hands,
     audit_partition,
     default_geometry,
@@ -53,57 +51,6 @@ def pieces(*pairs):
 AFFINITY_TEXT = pieces(("ab", 8), ("ac", 6), ("ad", 6), ("eb", 2), ("ec", 2), ("ea", 1))
 
 
-class TestAffinity:
-    def test_hand_computed_values(self):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
-        seeded = HandPartition(left=["b", "c"], right=["a", "d"])
-        aff = affinity("e", seeded, mono, di)
-        assert aff.left_support == 4 / 25
-        assert aff.right_support == 1 / 25
-        assert aff.left_confidence == 4 / 5
-        assert aff.right_confidence == 1 / 5
-
-    def test_all_pairs_one_letter(self):
-        # corpus of "ea" repetitions: every transaction is {a, e}
-        mono, di = corpus_tables("ea" * 15, ABCDE)
-        aff = affinity("e", HandPartition(left=["b", "c"], right=["a", "d"]), mono, di)
-        assert aff.right_support == 1.0 and aff.right_confidence == 1.0
-        assert aff.left_support == 0.0 and aff.left_confidence == 0.0
-
-    def test_no_cooccurrence_is_all_zero(self):
-        # c and d never sit next to a or b
-        mono, di = corpus_tables(pieces(("ab", 3), ("cd", 3)), ABCDE)
-        aff = affinity("c", HandPartition(left=["a"], right=["b"]), mono, di)
-        assert aff == ("c", 0.0, 0.0, 0.0, 0.0)
-
-    def test_relabeling_swaps_sides_exactly(self):
-        text = pieces(("ea", 3), ("eb", 5), ("ab", 4))
-        swapped = text.translate(str.maketrans("ab", "ba"))
-        part = HandPartition(left=["b"], right=["a"])
-        aff = affinity("e", part, *corpus_tables(text, ABCDE))
-        mirror = affinity("e", part, *corpus_tables(swapped, ABCDE))
-        assert (aff.left_support, aff.left_confidence) == (
-            mirror.right_support, mirror.right_confidence)
-        assert (aff.right_support, aff.right_confidence) == (
-            mirror.left_support, mirror.left_confidence)
-
-    def test_zero_monograph_count_rejected(self):
-        mono, di = corpus_tables("abab", ABCDE)
-        with pytest.raises(UndefinedConfidenceError):
-            affinity("e", HandPartition(left=["a"], right=["b"]), mono, di)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_values_stay_in_unit_range(self, seed):
-        letters = string.ascii_lowercase[:8]
-        alpha = AlphabetConfig(name="eight", letters=tuple(letters))
-        mono, di = corpus_tables(random_text(letters, 2000, seed), alpha)
-        part = HandPartition(left=list("abc"), right=list("def"))
-        for letter in "gh":
-            aff = affinity(letter, part, mono, di)
-            for value in aff[1:]:
-                assert 0.0 <= value <= 1.0
-
-
 class TestAssignHands:
     def test_seeds_first_four_ranks(self):
         # p q r s with strictly descending counts
@@ -134,6 +81,39 @@ class TestAssignHands:
         # e leans left on both support and confidence, so it types right
         assert part.right == ["a", "d", "e"]
         assert part.left == ["b", "c"]
+
+    def test_hand_computed_statistics(self):
+        # the seeds put b and c left and a and d right before e is scored
+        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        rec = assign_hands(mono, di).trace[4]
+        assert rec.letter == "e"
+        assert rec.left_support == 4 / 25
+        assert rec.right_support == 1 / 25
+        assert rec.left_confidence == 4 / 5
+        assert rec.right_confidence == 1 / 5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_statistics_stay_in_unit_range(self, seed):
+        letters = string.ascii_lowercase[:8]
+        alpha = AlphabetConfig(name="eight", letters=tuple(letters))
+        mono, di = corpus_tables(random_text(letters, 2000, seed), alpha)
+        for rec in assign_hands(mono, di).trace:
+            for value in rec[2:6]:
+                assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("tie_policy", ["left-biased", "balanced"])
+    def test_letters_without_digraphs(self, tie_policy):
+        # every letter stands alone, so the digraph total is 0
+        alpha = AlphabetConfig(name="af", letters=tuple("abcdef"))
+        mono, di = corpus_tables("a0b0c0d0e0f0a", alpha)
+        assert di.total == 0
+        part = assign_hands(mono, di, tie_policy=tie_policy)
+        assert [rec[2:6] for rec in part.trace[4:]] == [(0.0, 0.0, 0.0, 0.0)] * 2
+        if tie_policy == "left-biased":
+            assert part.left == ["b", "c", "e", "f"] and part.right == ["a", "d"]
+        else:
+            assert part.left == ["b", "c", "e"] and part.right == ["a", "d", "f"]
+        assert audit_partition(part, mono, di).ok
 
     def test_trace_covers_every_letter_in_rank_order(self):
         mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
@@ -188,8 +168,8 @@ class TestTiePolicies:
         part = assign_hands(mono, di, tie_policy="balanced")
         assert audit_partition(part, mono, di).ok
 
-    @pytest.mark.xfail(strict=True, reason="_decide compares float sums; an exact "
-                       "integer tie is decided by rounding (0.1 + 0.2 > 0.3)")
+    @pytest.mark.xfail(strict=True, reason="assign_hands compares float sums inline; an "
+                       "exact integer tie is decided by rounding (0.1 + 0.2 > 0.3)")
     def test_exact_integer_tie_goes_left(self):
         # e's joint counts: 1 with b and 2 with c (left), 3 with a (right),
         # 0 with d (right); the doubled ee is counted once, so
@@ -256,7 +236,7 @@ class TestTraceOracle:
     def test_trace_matches_transaction_view_sums(self, seed):
         """Recompute every trace record's four floats in partition order from
         `support_count` over the transaction view of the same digraph table,
-        a path independent of the pair index: a doubled letter counted
+        a path independent of `assign_hands`'s own sums: a doubled letter counted
         twice, or one direction of a pair missed, shows as a mismatch."""
         letters = string.ascii_lowercase[: 6 + seed % 5]
         alpha = AlphabetConfig(name="rand", letters=tuple(letters))
