@@ -36,7 +36,6 @@ from .mining import (
     MiningParams,
     TransactionDB,
     brute_force_frequent,
-    count_supports,
     digraphs_as_transactions,
     generate_candidates,
     generate_rules,
@@ -62,7 +61,6 @@ __all__ = [
     "brute_force_frequent",
     "compare",
     "count_ngraphs",
-    "count_supports",
     "default_geometry",
     "digraphs_as_transactions",
     "evaluate",

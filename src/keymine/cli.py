@@ -139,6 +139,16 @@ def _parse_support_threshold(text: str) -> tuple[str, int | tuple[int, int]]:
     return "fraction", Decimal(text).as_integer_ratio()
 
 
+def _number_text(text: str) -> str:
+    """A flag's text, once it reads as a float: `--min-confidence` is decided
+    on the exact ratio of the decimal it is written as, not on its float."""
+    try:
+        float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    return text
+
+
 def cmd_stats(args) -> int:
     inputs, parameters, stream = _load_corpus(args)
     tables = {n: count_ngraphs(stream, n) for n in (1, 2, 3)}
@@ -171,7 +181,7 @@ def cmd_stats(args) -> int:
 def cmd_mine(args) -> int:
     _require(args, "min_support", "min_confidence")
     support_kind, support_value = _parse_support_threshold(args.min_support)
-    min_confidence = args.min_confidence
+    min_confidence = float(args.min_confidence)
     if not min_confidence >= 0:
         raise CliError(f"--min-confidence must be >= 0, got {min_confidence}")
     if args.transactions:
@@ -193,7 +203,9 @@ def cmd_mine(args) -> int:
     else:
         numerator, denominator = support_value
         count = -(-numerator * len(db) // denominator)
-    params = MiningParams(min_support_count=count, min_confidence=min_confidence)
+    from decimal import Decimal  # kept off the other commands' imports
+
+    params = MiningParams(min_support_count=count, min_confidence=Decimal(args.min_confidence))
     if min_confidence > 1:
         print(f"warning: minimum confidence {min_confidence} exceeds 1; no rule can satisfy it")
     levels = mine_frequent(db, params)
@@ -329,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_mine.add_argument("--transactions", help="mine a transaction TSV instead of a corpus")
     p_mine.add_argument("--min-support", help="absolute count or fraction in (0, 1]")
-    p_mine.add_argument("--min-confidence", type=float, help="minimum rule confidence")
+    p_mine.add_argument("--min-confidence", type=_number_text, help="minimum rule confidence")
 
     p_design = sub.add_parser(
         "design", parents=[common, corpus], help="design a layout from a corpus"

@@ -26,13 +26,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import NGraphTable, read_text
 
-
-class UniverseError(ValueError):
-    """An itemset or transaction mentions an item outside the universe."""
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 class UniverseTooLargeError(ValueError):
@@ -55,53 +54,29 @@ class TransactionDB:
     def __len__(self) -> int:
         return sum(self.rows.values())
 
-    @classmethod
-    def build(
-        cls,
-        universe: Sequence[str],
-        transactions: Iterable[tuple[str, Iterable[str]]],
-    ) -> "TransactionDB":
-        """Canonicalize raw (tid, items) pairs and count each distinct itemset."""
-        universe = tuple(universe)
-        order = {item: i for i, item in enumerate(universe)}
-        if len(order) != len(universe):
-            raise ValueError("universe items must be unique")
-        rows: Counter[tuple[str, ...]] = Counter()
-        for tid, items in transactions:
-            rows[_canonical(items, order, universe, f"transaction {tid}")] += 1
-        return cls(universe=universe, rows=rows)
-
     def support_count(self, items: Iterable[str]) -> int:
         """Number of transactions containing every given item."""
         needed = frozenset(items)
         return sum(n for row, n in self.rows.items() if needed.issubset(row))
 
 
-def _canonical(
-    items: Iterable[str], order: dict[str, int], universe: tuple[str, ...], context: str
-) -> tuple[str, ...]:
-    """`items` deduplicated in universe order, each as the universe's own object,
-    so the rows of a database hold one string per item however many rows it has."""
-    try:
-        return tuple(map(universe.__getitem__, sorted({order[item] for item in items})))
-    except KeyError as exc:
-        raise UniverseError(f"{context}: item {exc.args[0]!r} is not in the universe") from None
-
-
 @dataclass(frozen=True)
 class MiningParams:
     """Thresholds for the miner. Support is an absolute transaction count.
 
-    A confidence above 1.0 is permitted but unsatisfiable: it yields no rules.
+    Confidence is decided on the exact ratio of its decimal text: a float's
+    shortest text (0.1 is one tenth) or a `Decimal`'s own digits. A
+    confidence above 1.0 is permitted but unsatisfiable: it yields no rules.
     """
 
     min_support_count: int
-    min_confidence: float
+    min_confidence: float | Decimal
 
     def __post_init__(self) -> None:
         if self.min_support_count < 1:
             raise ValueError("min_support_count must be >= 1")
-        if not self.min_confidence >= 0:
+        # NaN is unequal to itself; ordering a Decimal NaN would raise instead of failing
+        if self.min_confidence != self.min_confidence or self.min_confidence < 0:
             raise ValueError("min_confidence must be >= 0")
 
 
@@ -223,27 +198,6 @@ class _LevelRows:
             yield CountedItemset(c, counts.pop(c, 0))
 
 
-def count_supports(
-    db: TransactionDB, candidates: Iterable[tuple[str, ...] | Iterable[str]]
-) -> list[CountedItemset]:
-    """Count, for each candidate itemset, the transactions containing it.
-
-    The candidates are canonicalized once and grouped by size; each size is
-    counted by the path `mine_frequent` uses, one pass over the rows cut to
-    that size's candidate items, in which every size-k subset of a row adds
-    the row's multiplicity. Results come back once per distinct candidate,
-    in universe order.
-    """
-    order = {item: i for i, item in enumerate(db.universe)}
-    by_size: dict[int, set[tuple[str, ...]]] = {}
-    for c in candidates:
-        items = _canonical(c, order, db.universe, "candidate")
-        by_size.setdefault(len(items), set()).add(items)
-    counted = [ci for k, group in by_size.items() for ci in _LevelRows(db).count(list(group), k)]
-    rank = order.__getitem__
-    return sorted(counted, key=lambda ci: tuple(map(rank, ci.items)))
-
-
 class _Join:
     """The candidates `generate_candidates` lists, yielded lazily each time
     the join is walked, so that level 2's pairs need never be listed."""
@@ -336,8 +290,8 @@ def brute_force_frequent(db: TransactionDB, params: MiningParams) -> list[Freque
     """Oracle miner: enumerate every non-empty subset of the universe.
 
     Exponential by design, so it refuses universes above 20 items. Support
-    counting goes through plain per-transaction subset tests, a code path
-    independent of `count_supports`.
+    counting goes through plain per-row subset tests, a code path
+    independent of `_LevelRows.count`.
     """
     if len(db.universe) > 20:
         raise UniverseTooLargeError(
@@ -391,9 +345,22 @@ def generate_rules(
 
     All 2^k - 2 non-empty proper subsets of each frequent k-itemset are
     enumerated directly; k stays small (5 on the market-basket benchmark).
+    A rule is kept when count(A∪B)·den >= num·count(A), where num/den is
+    the exact ratio of the threshold's decimal text, so no float rounding
+    decides it.
     """
     if db_size <= 0:
         raise ValueError("db_size must be positive")
+    if params.min_confidence > 1:
+        return []  # no confidence exceeds 1
+    from decimal import Decimal  # only `mine` makes rules; kept off the other commands' imports
+
+    threshold = Decimal(str(params.min_confidence))
+    # every count is at least 1 of at most db_size transactions, so no rule falls below
+    # 1/db_size and a threshold under 10**-len(str(db_size)) keeps them all; its ratio,
+    # whose denominator grows with the exponent (1e-999999999), is then never built
+    tiny = threshold.adjusted() < -len(str(db_size))
+    num, den = (0, 1) if tiny else threshold.as_integer_ratio()
     counts = frequent_map(levels)
     rules: list[AssociationRule] = []
     for level in levels:
@@ -408,15 +375,14 @@ def generate_rules(
                             f"subset {antecedent!r} of frequent itemset {ci.items!r} "
                             "was never counted; levels are inconsistent"
                         )
-                    confidence = ci.support_count / count_a
-                    if confidence >= params.min_confidence:
+                    if ci.support_count * den >= num * count_a:
                         consequent = tuple(x for x in ci.items if x not in antecedent)
                         rules.append(
                             AssociationRule(
                                 antecedent=antecedent,
                                 consequent=consequent,
                                 support=ci.support_count / db_size,
-                                confidence=confidence,
+                                confidence=ci.support_count / count_a,
                             )
                         )
     return rules
@@ -425,20 +391,22 @@ def generate_rules(
 def digraphs_as_transactions(table: NGraphTable) -> TransactionDB:
     """View each digraph occurrence as one transaction over unordered pairs.
 
-    The itemset is {first, second}; a doubled letter yields a singleton
-    transaction, and "ab" and "ba" share one row. Hand-switching benefit is
+    The itemset is {first, second} in alphabet order; a doubled letter
+    yields a singleton transaction, and "ab" and "ba" share one row. The
+    universe is the letters present, in alphabet order, and rows and
+    universe hold one string object per letter. Hand-switching benefit is
     direction-symmetric, so the directional statistics stay in the digraph
     table while the transaction view deliberately forgets order.
     """
     if table.n != 2:
         raise ValueError(f"digraph table required, got n={table.n}")
-    present = {ch for pair in table.counts for ch in pair}
-    universe = tuple(ch for ch in table.alphabet.letters if ch in present)
-    order = {item: i for i, item in enumerate(universe)}
+    index = table.alphabet.index_of
+    own: dict[str, str] = {}
     rows: Counter[tuple[str, ...]] = Counter()
-    for pair, count in table.counts.items():
-        rows[_canonical(pair, order, universe, f"digraph {pair!r}")] += count
-    return TransactionDB(universe=universe, rows=rows)
+    for (a, b), count in table.counts.items():
+        a, b = own.setdefault(a, a), own.setdefault(b, b)
+        rows[(a,) if a == b else (a, b) if index(a) < index(b) else (b, a)] += count
+    return TransactionDB(universe=tuple(sorted(own, key=index)), rows=rows)
 
 
 class TransactionFormatError(ValueError):

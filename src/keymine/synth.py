@@ -86,8 +86,9 @@ def random_db(
     """Random transaction database over single-letter items A, B, C, ..."""
     rng = random.Random(seed)
     universe = tuple(string.ascii_uppercase[:universe_size])
-    rows = []
-    for i in range(1, n_transactions + 1):
+    rows: dict[tuple[str, ...], int] = {}
+    for _ in range(n_transactions):
         size = rng.randint(1, min(max_items, universe_size))
-        rows.append((f"T{i}", rng.sample(universe, size)))
-    return TransactionDB.build(universe, rows)
+        row = tuple(sorted(rng.sample(universe, size)))
+        rows[row] = rows.get(row, 0) + 1
+    return TransactionDB(universe, rows)

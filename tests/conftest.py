@@ -2,6 +2,7 @@
 on Apriori's counting, a helper that counts a text's letter tables, and
 one that scores a layout the way `keymine evaluate` does."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,14 @@ MARKET9_ROWS = [
 MARKET9_UNIVERSE = ("I1", "I2", "I3", "I4", "I5")
 
 
+def market9_db() -> TransactionDB:
+    """The nine transactions as counted rows, built apart from the TSV reader."""
+    return TransactionDB(MARKET9_UNIVERSE, Counter(tuple(items) for _, items in MARKET9_ROWS))
+
+
 @pytest.fixture
 def market9() -> TransactionDB:
-    return TransactionDB.build(MARKET9_UNIVERSE, MARKET9_ROWS)
+    return market9_db()
 
 
 @pytest.fixture

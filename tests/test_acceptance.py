@@ -18,7 +18,6 @@ from keymine.layout import (
 )
 from keymine.mining import (
     MiningParams,
-    TransactionDB,
     brute_force_frequent,
     digraphs_as_transactions,
     frequent_map,
@@ -34,7 +33,7 @@ from keymine.synth import (
     zipf_weights,
 )
 
-from conftest import ACCEPTANCE_RESULTS, MARKET9_ROWS, MARKET9_UNIVERSE, corpus_tables, score
+from conftest import ACCEPTANCE_RESULTS, corpus_tables, market9_db, score
 
 
 def record(name: str, ok: bool, detail: str = "") -> None:
@@ -46,7 +45,7 @@ def record(name: str, ok: bool, detail: str = "") -> None:
 def test_worked_example_fidelity(count_spy):
     """Nine-transaction demo DB at min count 2: exact levels, under 1 s."""
     started = time.perf_counter()
-    db = TransactionDB.build(MARKET9_UNIVERSE, MARKET9_ROWS)
+    db = market9_db()
     levels = mine_frequent(db, MiningParams(min_support_count=2, min_confidence=0.7))
 
     ok = [lv.k for lv in levels] == [1, 2, 3]

@@ -201,6 +201,20 @@ class TestMine:
         assert (out / "rules.tsv").read_text(encoding="utf-8").splitlines() == [
             "antecedent\tconsequent\tsupport\tconfidence"]
 
+    @pytest.mark.parametrize("threshold, kept", [
+        ("0.33333333333333334", False), ("0.3333333333333333", True)])
+    def test_confidence_decided_on_its_digits(self, tmp_path, data_dir, threshold, kept):
+        # I1 => I5 holds in 2 of I1's 6 transactions; float("0.33333333333333334") == 1/3,
+        # but the decimal is above 1/3, so the rule must go
+        out = tmp_path / "out"
+        assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
+                     "--min-support", "2", "--min-confidence", threshold,
+                     "--output-dir", str(out)]) == 0
+        rules = (out / "rules.tsv").read_text(encoding="utf-8").splitlines()
+        assert ("I1\tI5\t0.222222\t0.333333" in rules) is kept
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["parameters"]["min_confidence"] == float(threshold)
+
     def test_bad_threshold_fails_before_writing(self, tmp_path, data_dir):
         out = tmp_path / "out"
         assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),

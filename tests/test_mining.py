@@ -4,6 +4,7 @@ import itertools
 import random
 import string
 from collections.abc import Sized
+from decimal import Decimal
 
 import pytest
 
@@ -17,10 +18,8 @@ from keymine.mining import (
     MiningInvariantError,
     TransactionDB,
     TransactionFormatError,
-    UniverseError,
     UniverseTooLargeError,
     brute_force_frequent,
-    count_supports,
     digraphs_as_transactions,
     frequent_map,
     generate_candidates,
@@ -36,40 +35,26 @@ PARAMS2 = MiningParams(min_support_count=2, min_confidence=0.7)
 
 
 class TestTransactionDB:
-    def test_items_deduplicated_and_universe_ordered(self):
-        db = TransactionDB.build(("B", "A"), [("T1", ["A", "B", "A"])])
-        assert db.rows == {("B", "A"): 1}
-
-    def test_equal_itemsets_share_one_counted_row(self):
-        db = TransactionDB.build(
-            ("a", "b"), [("T1", ["a", "b"]), ("T2", ["b", "a"]), ("T3", ["a"])])
+    def test_equal_itemsets_share_one_counted_row(self, tmp_path):
+        path = tmp_path / "db.tsv"
+        path.write_text("tid\titems\nT1\ta b\nT2\tb a a\nT3\ta\n", encoding="utf-8")
+        db = read_transactions_tsv(path)
         assert db.rows == {("a", "b"): 2, ("a",): 1}
         assert len(db) == 3
-
-    def test_rejects_item_outside_universe(self):
-        with pytest.raises(UniverseError):
-            TransactionDB.build(("A",), [("T1", ["A", "X"])])
 
     def test_rows_hold_the_universe_item_objects(self, data_dir):
         # equal strings built apart are distinct objects; every row must hold
         # the universe's own, so a database keeps one string per item
-        def fresh(text):
-            return "".join(list(text))
-
         def foreign(db):
             ids = {id(item) for item in db.universe}
             return [item for row in db.rows for item in row if id(item) not in ids]
 
-        universe = ("apple", "pear", "fig")
-        built = TransactionDB.build(universe, [
-            ("T1", [fresh("pear"), fresh("apple")]), ("T2", [fresh("fig")])])
-        assert built.rows == {("apple", "pear"): 1, ("fig",): 1}
         baskets = read_transactions_tsv(data_dir / "baskets400.tsv")
         assert len(baskets.rows) > 100
         alpha = AlphabetConfig(name="greek", letters=("α", "β", "γ"))
         digraphs = digraphs_as_transactions(count_ngraphs(tokenize("αβγαγββα", alpha), 2))
         assert len(digraphs.rows) == 4
-        assert foreign(built) == foreign(baskets) == foreign(digraphs) == []
+        assert foreign(baskets) == foreign(digraphs) == []
 
     def test_support_count_subset_semantics(self, market9):
         assert market9.support_count(("I1", "I2")) == 4
@@ -87,8 +72,9 @@ class TestMiningParams:
 
     def test_rejects_nan_confidence(self):
         # every comparison with NaN is false, so it would pass a `< 0` check and admit no rule
-        with pytest.raises(ValueError):
-            MiningParams(min_support_count=1, min_confidence=float("nan"))
+        for nan in (float("nan"), Decimal("NaN")):
+            with pytest.raises(ValueError):
+                MiningParams(min_support_count=1, min_confidence=nan)
 
     def test_confidence_above_one_allowed_but_unsatisfiable(self, market9):
         params = MiningParams(min_support_count=2, min_confidence=1.01)
@@ -97,33 +83,31 @@ class TestMiningParams:
 
 
 class TestCountSupports:
+    """Supports as `mine_frequent` counts them: at support 1 every itemset
+    some row holds is frequent, with its count."""
+
     def test_singleton_counts(self, market9):
-        counted = count_supports(market9, [(item,) for item in MARKET9_UNIVERSE])
-        assert {c.items[0]: c.support_count for c in counted} == {
-            "I1": 6, "I2": 7, "I3": 6, "I4": 2, "I5": 2}
+        level1 = mine_frequent(market9, MiningParams(1, 0.0))[0]
+        assert level1.counts() == {
+            ("I1",): 6, ("I2",): 7, ("I3",): 6, ("I4",): 2, ("I5",): 2}
 
     def test_pair_count(self, market9):
-        (counted,) = count_supports(market9, [("I1", "I2")])
-        assert counted.support_count == 4
+        level2 = mine_frequent(market9, MiningParams(1, 0.0))[1]
+        assert level2.counts()[("I1", "I2")] == 4
 
     def test_row_multiplicity_is_added(self):
         db = TransactionDB(universe=("a", "b"), rows={("a", "b"): 5, ("a",): 2})
-        counted = count_supports(db, [("a",), ("b",), ("a", "b")])
-        assert [c.support_count for c in counted] == [7, 5, 5]
+        assert frequent_map(mine_frequent(db, MiningParams(1, 0.0))) == {
+            ("a",): 7, ("b",): 5, ("a", "b"): 5}
 
     def test_empty_db_counts_zero(self):
-        db = TransactionDB.build(("A", "B"), [])
-        counted = count_supports(db, [("A",), ("A", "B")])
-        assert all(c.support_count == 0 for c in counted)
-
-    def test_candidate_outside_universe_rejected(self, market9):
-        with pytest.raises(UniverseError):
-            count_supports(market9, [("I9",)])
+        levels = mine_frequent(TransactionDB(("A", "B"), {}), MiningParams(1, 0.0))
+        assert levels == [] and levels.scans == 1
 
     @pytest.mark.parametrize("seed", range(24))
-    def test_weighted_db_matches_support_count(self, seed):
-        # universe in shuffled order with two items no row holds; candidates
-        # of sizes 1-4 listed out of universe order, repeated and reversed
+    def test_weighted_db_matches_support_count(self, seed, count_spy):
+        # a universe in shuffled order with two items no row holds; every count
+        # of every scan, the idle items' zeros included, is checked
         rng = random.Random(seed)
         universe = tuple(rng.sample(string.ascii_uppercase[:10], 10))
         idle, active = universe[:2], universe[2:]
@@ -134,22 +118,14 @@ class TestCountSupports:
             rows[row] = rows.get(row, 0) + rng.randint(1, 5)
         db = TransactionDB(universe, rows)
         assert max(rows.values()) > 1
-        candidates = [rng.sample(universe, rng.randint(1, 4)) for _ in range(60)]
-        candidates += candidates[:10] + [c[::-1] for c in candidates[10:20]]
-        candidates += [[idle[0]], [active[0], idle[1]]]
-        # every pair of the universe, each listed back to front
-        candidates += [pair[::-1] for pair in itertools.combinations(universe, 2)]
-        counted = count_supports(db, candidates)
-        rank = {item: i for i, item in enumerate(universe)}
-        keys = [tuple(rank[item] for item in c.items) for c in counted]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert all(list(key) == sorted(set(key)) for key in keys)
-        assert {c.items for c in counted} == {
-            tuple(sorted(set(c), key=rank.__getitem__)) for c in candidates}
-        for c in counted:
-            assert c.support_count == db.support_count(c.items)
-        with pytest.raises(UniverseError):
-            count_supports(db, candidates + [[active[0], "?"]])
+        found = frequent_map(mine_frequent(db, MiningParams(1, 0.0)))
+        assert set(found) == {
+            sub for row in rows for k in range(1, len(row) + 1)
+            for sub in itertools.combinations(row, k)}
+        counted = [ci for scan in count_spy for ci in scan]
+        assert {(item,) for item in idle} <= {ci.items for ci in counted}
+        for ci in counted:
+            assert ci.support_count == db.support_count(ci.items)
 
 
 def level_of(k, itemset_counts, universe=MARKET9_UNIVERSE):
@@ -523,14 +499,14 @@ class TestLevelOracle:
 
 class TestBruteForce:
     def test_tiny_db(self):
-        db = TransactionDB.build(("a", "b"), [("T1", ["a", "b"])])
+        db = TransactionDB(("a", "b"), {("a", "b"): 1})
         levels = brute_force_frequent(db, MiningParams(1, 0.0))
         assert levels[0].counts() == {("a",): 1, ("b",): 1}
         assert levels[1].counts() == {("a", "b"): 1}
 
     def test_universe_size_guard(self):
         universe = tuple(f"X{i}" for i in range(21))
-        db = TransactionDB.build(universe, [])
+        db = TransactionDB(universe, {})
         with pytest.raises(UniverseTooLargeError):
             brute_force_frequent(db, MiningParams(1, 0.0))
 
@@ -603,6 +579,33 @@ class TestGenerateRules:
         assert generate_rules(levels, len(market9),
                               MiningParams(2, 1.01)) == []
 
+    def test_confidence_decided_on_the_threshold_digits(self, market9):
+        def rules_at(db, threshold):
+            params = MiningParams(2, threshold)
+            rules = generate_rules(mine_frequent(db, params), len(db), params)
+            return {(r.antecedent, r.consequent) for r in rules}
+
+        # I1 => I5 has confidence exactly 2/6, and float("0.33333333333333334") == 1/3
+        assert (("I1",), ("I5",)) not in rules_at(market9, Decimal("0.33333333333333334"))
+        assert (("I1",), ("I5",)) in rules_at(market9, Decimal("0.3333333333333333"))
+        assert (("I1",), ("I5",)) in rules_at(market9, 1 / 3)  # a float as its shortest text
+        # a => b has confidence exactly 1/10, just below the float nearest 0.1
+        db = TransactionDB(("a", "b"), {("a", "b"): 2, ("a",): 18})
+        assert (("a",), ("b",)) in rules_at(db, 0.1)
+        assert (("a",), ("b",)) not in rules_at(db, Decimal("0.1000000000000000001"))
+
+    def test_tiny_threshold_keeps_every_rule(self):
+        # a => b holds in 1 of a's 11 transactions: no rule of 11 transactions is weaker
+        db = TransactionDB(("a", "b"), {("a", "b"): 1, ("a",): 10})
+        levels = mine_frequent(db, MiningParams(1, 0.0))
+        every = generate_rules(levels, len(db), MiningParams(1, 0.0))
+        assert len(every) == 2
+        for threshold in (0.09, 0.009, 5e-324, Decimal("1e-400"), Decimal("0E-400")):
+            assert generate_rules(levels, len(db), MiningParams(1, threshold)) == every
+        for threshold in (Decimal("0.095"), Decimal("0.0909091")):
+            (strong,) = generate_rules(levels, len(db), MiningParams(1, threshold))
+            assert (strong.antecedent, strong.consequent) == (("b",), ("a",))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_every_rule_meets_both_thresholds(self, seed):
         db = random_db(seed, universe_size=6, n_transactions=20)
@@ -652,7 +655,10 @@ class TestDigraphAdapter:
     def test_universe_is_alphabet_ordered_letters_present(self):
         alpha = AlphabetConfig(name="zxa", letters=("z", "x", "a"))
         table = count_ngraphs(tokenize("xaxz", alpha), 2)
-        assert digraphs_as_transactions(table).universe == ("z", "x", "a")
+        db = digraphs_as_transactions(table)
+        assert db.universe == ("z", "x", "a")
+        # each pair in alphabet order too, not code-point order: x before a, z before x
+        assert db.rows == {("x", "a"): 2, ("z", "x"): 1}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_support_matches_table_arithmetic(self, seed):
@@ -672,9 +678,8 @@ class TestTransactionTsv:
         assert max(db.rows.values()) > 1
         path = tmp_path / "db.tsv"
         write_transactions_tsv(db, path)
-        written = [("T", row) for row, n in db.rows.items() for _ in range(n)]
-        present = sorted({item for row in db.rows for item in row})
-        assert read_transactions_tsv(path) == TransactionDB.build(present, written)
+        present = tuple(sorted({item for row in db.rows for item in row}))
+        assert read_transactions_tsv(path) == TransactionDB(present, dict(db.rows))
 
     def test_checked_in_fixture_matches(self, market9, data_dir):
         assert read_transactions_tsv(data_dir / "market9.tsv") == market9
