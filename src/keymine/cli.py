@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -77,7 +78,7 @@ def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: S
         "inputs": {str(p): _sha256(p) for p in inputs},
     }
     (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
@@ -226,7 +227,8 @@ def cmd_mine(args) -> int:
             **source,
             "min_support": str(args.min_support),
             "min_support_count": params.min_support_count,
-            "min_confidence": min_confidence,
+            # JSON has no infinity: a non-finite threshold is kept as its flag's text
+            "min_confidence": min_confidence if math.isfinite(min_confidence) else args.min_confidence,
         },
         inputs,
     )
@@ -274,13 +276,13 @@ def cmd_design(args) -> int:
 
 def cmd_evaluate(args) -> int:
     inputs, parameters, stream = _load_corpus(args)
+    layouts = [load_layout(path) for path in args.layouts]
     monographs = count_ngraphs(stream, 1)
     digraphs = count_ngraphs(stream, 2)
     total_chars = monographs.total + stream.undetermined_count
     out = _out_dir(args)
     reports = []
-    for i, layout_path in enumerate(args.layouts, start=1):
-        layout = load_layout(layout_path)
+    for i, (layout_path, layout) in enumerate(zip(args.layouts, layouts), start=1):
         report = evaluate(monographs, digraphs, total_chars, layout)
         reports.append(report)
         stem = Path(layout_path).stem

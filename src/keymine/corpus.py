@@ -13,7 +13,6 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,24 +21,21 @@ class IngestionError(ValueError):
     """Corpus bytes or config files that cannot be decoded or parsed."""
 
 
-@dataclass(frozen=True)
 class AlphabetConfig:
     """Ordered set of Unicode code points considered typeable letters.
 
     The order is the canonical letter order used for deterministic
-    tie-breaking throughout the pipeline.
+    tie-breaking throughout the pipeline. Treated as immutable; two
+    alphabets are equal when their names and letters are.
     """
 
-    name: str
-    letters: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _runs: re.Pattern[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "letters", "_index", "_runs")
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, name: str, letters: tuple[str, ...]) -> None:
+        if not letters:
             raise ValueError("alphabet must contain at least one letter")
         seen: dict[str, int] = {}
-        for i, ch in enumerate(self.letters):
+        for i, ch in enumerate(letters):
             if len(ch) != 1:
                 raise ValueError(f"alphabet entry {ch!r} is not a single code point")
             if len(unicodedata.normalize("NFC", ch)) != 1:
@@ -54,9 +50,18 @@ class AlphabetConfig:
             if ch in seen:
                 raise ValueError(f"duplicate alphabet letter {ch!r}")
             seen[ch] = i
-        object.__setattr__(self, "_index", seen)
-        letters = "".join(re.escape(ch) for ch in self.letters)
-        object.__setattr__(self, "_runs", re.compile(f"[{letters}]+"))
+        self.name = name
+        self.letters = letters
+        self._index = seen
+        self._runs = re.compile("[" + "".join(re.escape(ch) for ch in letters) + "]+")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.letters) == (other.name, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.letters))
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._index
@@ -84,7 +89,6 @@ class AlphabetConfig:
             raise IngestionError(f"{path}: {exc}") from exc
 
 
-@dataclass
 class LetterStream:
     """Text as its maximal runs of alphabet letters.
 
@@ -93,9 +97,12 @@ class LetterStream:
     of several sources; a run never spans two, so no n-gram crosses them.
     """
 
-    runs: list[str]
-    undetermined_count: int
-    alphabet: AlphabetConfig
+    __slots__ = ("runs", "undetermined_count", "alphabet")
+
+    def __init__(self, runs: list[str], undetermined_count: int, alphabet: AlphabetConfig) -> None:
+        self.runs = runs
+        self.undetermined_count = undetermined_count
+        self.alphabet = alphabet
 
     @property
     def letter_count(self) -> int:
@@ -115,8 +122,7 @@ def tokenize(text: str, alphabet: AlphabetConfig) -> LetterStream:
     return LetterStream(runs, undetermined, alphabet)
 
 
-@dataclass
-class NGraphTable:
+class NGraphTable(NamedTuple):
     """Frequency counts of letter n-grams (n = 1, 2 or 3) over a corpus."""
 
     n: int

@@ -10,7 +10,6 @@ load, and no digraph pairs it, so no switch is counted "across" it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -22,8 +21,7 @@ class IncomparableReportsError(ValueError):
     """Reports over different character totals cannot share one table."""
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     layout_name: str
     hand_switching: int
     left_load: int
@@ -32,6 +30,11 @@ class EvalReport:
     total_chars: int
 
     def validate(self) -> None:
+        for name, count in zip(self._fields[1:], self[1:]):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
         if self.left_load + self.right_load + self.undetermined != self.total_chars:
             raise ValueError("loads plus undetermined must equal total characters")
         if self.hand_switching > max(0, self.left_load + self.right_load - 1):
@@ -105,37 +108,29 @@ def compare(reports: Sequence[EvalReport]) -> list[ComparisonRow]:
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(asdict(report), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        json.dumps(report._asdict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
 
 
+_REPORT_COLUMNS = ("layout_name", "hand_switching", "left_load", "right_load", "undetermined", "total_chars")
+
+
 def read_report_json(path: str | Path) -> EvalReport:
-    """Load a report written by `write_report_json`; a report whose loads
-    do not add up to its total, or that switches hands more often than its
-    typed pairs allow, is rejected naming the file."""
+    """Load a report written by `write_report_json`; a count that is not a
+    non-negative integer, loads that do not add up to the total, or more
+    hand switches than typed pairs allow are rejected naming the file."""
     path = Path(path)
     data = read_json(path, ValueError)
     try:
-        report = EvalReport(
-            layout_name=str(data["layout_name"]),
-            hand_switching=int(data["hand_switching"]),
-            left_load=int(data["left_load"]),
-            right_load=int(data["right_load"]),
-            undetermined=int(data["undetermined"]),
-            total_chars=int(data["total_chars"]),
-        )
+        report = EvalReport(str(data["layout_name"]), *(data[column] for column in _REPORT_COLUMNS[1:]))
         report.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid evaluation report: {exc}") from exc
     return report
 
 
-_REPORT_COLUMNS = ("layout_name", "hand_switching", "left_load", "right_load", "undetermined", "total_chars")
-
-
 def write_report_tsv(report: EvalReport, path: str | Path) -> None:
-    d = asdict(report)
-    lines = ["\t".join(_REPORT_COLUMNS), "\t".join(str(d[c]) for c in _REPORT_COLUMNS)]
+    lines = ["\t".join(_REPORT_COLUMNS), "\t".join(map(str, report))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -71,23 +70,30 @@ class TraceRecord(NamedTuple):
     hand: str
 
 
-@dataclass
 class HandPartition:
     """Letters split between hands, in assignment (frequency-rank) order,
     with the per-letter decision trace kept for audit."""
 
-    left: list[str] = field(default_factory=list)
-    right: list[str] = field(default_factory=list)
-    trace: list[TraceRecord] = field(default_factory=list)
-    tie_policy: str = "left-biased"
+    __slots__ = ("left", "right", "trace", "tie_policy")
+
+    def __init__(
+        self,
+        left: list[str] | None = None,
+        right: list[str] | None = None,
+        trace: list[TraceRecord] | None = None,
+        tie_policy: str = "left-biased",
+    ) -> None:
+        self.left = [] if left is None else left
+        self.right = [] if right is None else right
+        self.trace = [] if trace is None else trace
+        self.tie_policy = tie_policy
 
     @property
     def letters(self) -> set[str]:
         return set(self.left) | set(self.right)
 
 
-@dataclass
-class AuditResult:
+class AuditResult(NamedTuple):
     ok: bool
     message: str = ""
     rank: int | None = None
@@ -220,20 +226,18 @@ class KeyPosition(NamedTuple):
     cost: float
 
 
-@dataclass
 class KeyboardGeometry:
     """Physical key positions with per-position press costs.
 
     Treated as immutable after construction.
     """
 
-    positions: list[KeyPosition]
-    _by_id: dict[str, KeyPosition] = field(init=False, repr=False, compare=False)
+    __slots__ = ("positions", "_by_id")
 
-    def __post_init__(self) -> None:
+    def __init__(self, positions: list[KeyPosition]) -> None:
         by_id: dict[str, KeyPosition] = {}
         per_hand_base = {h: 0 for h in HANDS}
-        for pos in self.positions:
+        for pos in positions:
             if pos.position_id in by_id:
                 raise ValueError(f"duplicate position id {pos.position_id!r}")
             by_id[pos.position_id] = pos
@@ -254,6 +258,7 @@ class KeyboardGeometry:
         for hand, n in per_hand_base.items():
             if n == 0:
                 raise ValueError(f"geometry has no base-layer position for the {hand} hand")
+        self.positions = positions
         self._by_id = by_id
 
     def positions_for(self, hand: str) -> list[KeyPosition]:
@@ -307,18 +312,15 @@ def default_geometry() -> KeyboardGeometry:
     return KeyboardGeometry(positions)
 
 
-@dataclass
 class Layout:
     """Injective letter -> position mapping over a geometry."""
 
-    name: str
-    geometry: KeyboardGeometry
-    mapping: dict[str, str]
+    __slots__ = ("name", "geometry", "mapping")
 
-    def __post_init__(self) -> None:
-        known = self.geometry.by_id()
+    def __init__(self, name: str, geometry: KeyboardGeometry, mapping: dict[str, str]) -> None:
+        known = geometry.by_id()
         seen: dict[str, str] = {}
-        for letter, pid in self.mapping.items():
+        for letter, pid in mapping.items():
             if pid not in known:
                 raise ValueError(f"mapping[{letter!r}]: unknown position {pid!r}")
             if pid in seen:
@@ -326,6 +328,9 @@ class Layout:
                     f"mapping[{letter!r}]: position {pid!r} already taken by {seen[pid]!r}"
                 )
             seen[pid] = letter
+        self.name = name
+        self.geometry = geometry
+        self.mapping = mapping
 
     def hands_by_letter(self) -> dict[str, str]:
         """letter -> hand for every mapped letter; what evaluation scores need."""

@@ -23,7 +23,6 @@ the independent exponential oracle used to cross-check it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -42,14 +41,21 @@ class MiningInvariantError(RuntimeError):
     """Internal inconsistency, e.g. a frequent itemset with an uncounted subset."""
 
 
-@dataclass
 class TransactionDB:
     """Item transactions as counted rows: `rows` maps each distinct itemset
     (deduplicated, in universe order) to the number of transactions holding
     exactly it. `len(db)` is the total transaction count."""
 
-    universe: tuple[str, ...]
-    rows: dict[tuple[str, ...], int]
+    __slots__ = ("universe", "rows")
+
+    def __init__(self, universe: tuple[str, ...], rows: dict[tuple[str, ...], int]) -> None:
+        self.universe = universe
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe, self.rows) == (other.universe, other.rows)
 
     def __len__(self) -> int:
         return sum(self.rows.values())
@@ -60,8 +66,12 @@ class TransactionDB:
         return sum(n for row, n in self.rows.items() if needed.issubset(row))
 
 
-@dataclass(frozen=True)
-class MiningParams:
+class _MiningParams(NamedTuple):
+    min_support_count: int
+    min_confidence: float | Decimal
+
+
+class MiningParams(_MiningParams):
     """Thresholds for the miner. Support is an absolute transaction count.
 
     Confidence is decided on the exact ratio of its decimal text: a float's
@@ -69,15 +79,19 @@ class MiningParams:
     confidence above 1.0 is permitted but unsatisfiable: it yields no rules.
     """
 
-    min_support_count: int
-    min_confidence: float | Decimal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.min_support_count < 1:
+    def __new__(cls, min_support_count: int, min_confidence: float | Decimal) -> MiningParams:
+        if min_support_count < 1:
             raise ValueError("min_support_count must be >= 1")
         # NaN is unequal to itself; ordering a Decimal NaN would raise instead of failing
-        if self.min_confidence != self.min_confidence or self.min_confidence < 0:
+        if min_confidence != min_confidence or min_confidence < 0:
             raise ValueError("min_confidence must be >= 0")
+        return super().__new__(cls, min_support_count, min_confidence)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> MiningParams:
+        return cls(*iterable)  # so `_replace` validates too
 
 
 class CountedItemset(NamedTuple):
@@ -85,8 +99,7 @@ class CountedItemset(NamedTuple):
     support_count: int
 
 
-@dataclass
-class FrequentLevel:
+class FrequentLevel(NamedTuple):
     """One Apriori level: the frequent k-itemsets with their counts, and
     `candidates`, the number of k-itemsets counted to find them."""
 
@@ -321,21 +334,31 @@ def frequent_map(levels: Iterable[FrequentLevel]) -> dict[tuple[str, ...], int]:
     return merged
 
 
-@dataclass(frozen=True)
-class AssociationRule:
-    """antecedent => consequent with support count(A∪B)/|D| and
-    confidence count(A∪B)/count(A)."""
-
+class _AssociationRule(NamedTuple):
     antecedent: tuple[str, ...]
     consequent: tuple[str, ...]
     support: float
     confidence: float
 
-    def __post_init__(self) -> None:
-        if not self.antecedent or not self.consequent:
+
+class AssociationRule(_AssociationRule):
+    """antecedent => consequent with support count(A∪B)/|D| and
+    confidence count(A∪B)/count(A)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, antecedent: tuple[str, ...], consequent: tuple[str, ...], support: float, confidence: float
+    ) -> AssociationRule:
+        if not antecedent or not consequent:
             raise ValueError("rule sides must be non-empty")
-        if set(self.antecedent) & set(self.consequent):
+        if set(antecedent) & set(consequent):
             raise ValueError("rule sides must be disjoint")
+        return super().__new__(cls, antecedent, consequent, support, confidence)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> AssociationRule:
+        return cls(*iterable)  # so `_replace` validates too
 
 
 def generate_rules(

@@ -222,6 +222,21 @@ class TestMine:
                      "--output-dir", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", ["1e309", "inf"])
+    def test_infinite_confidence_recorded_as_its_text(self, tmp_path, data_dir, threshold):
+        out = tmp_path / "out"
+        assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
+                     "--min-support", "2", "--min-confidence", threshold,
+                     "--output-dir", str(out)]) == 0
+        assert (out / "rules.tsv").read_text(encoding="utf-8").splitlines()[1:] == []
+
+        def refuse(constant):
+            raise AssertionError(f"not RFC 8259 JSON: {constant}")
+
+        text = (out / "run_manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text, parse_constant=refuse)
+        assert manifest["parameters"]["min_confidence"] == threshold
+
     def test_negative_confidence_rejected(self, tmp_path, data_dir):
         assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
                      "--min-support", "2", "--min-confidence", "-0.5",
@@ -522,6 +537,17 @@ class TestEvaluate:
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes()
 
+    def test_bad_later_layout_writes_nothing(self, tmp_path, capsys):
+        # every layout is loaded before the first report is written
+        alpha, manifest, designed = make_eval_fixture(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x"}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out), str(designed), str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
+
     def test_malformed_layout_reports_field(self, tmp_path, capsys):
         alpha, manifest, _ = make_eval_fixture(tmp_path)
         bad = tmp_path / "bad.json"
@@ -570,6 +596,30 @@ class TestCompareOnly:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {b}: ") and err.count("\n") == 1
         assert not (out / "comparison.tsv").exists()
+
+    @pytest.mark.parametrize("changed, message", [
+        ({"hand_switching": -5}, "hand_switching must be non-negative"),
+        ({"left_load": -3, "right_load": 11}, "left_load must be non-negative"),  # still sums to 8
+        ({"hand_switching": 1.9}, "hand_switching must be an integer"),
+        ({"hand_switching": 2.0}, "hand_switching must be an integer"),
+        ({"undetermined": True}, "undetermined must be an integer"),
+        ({"total_chars": "8"}, "total_chars must be an integer"),
+    ], ids=["negative-switching", "negative-load", "fraction", "float", "bool", "string"])
+    def test_count_must_be_a_non_negative_integer(self, tmp_path, capsys, changed, message):
+        from keymine.evaluation import write_report_json
+        from keymine.evaluation import EvalReport
+
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_report_json(EvalReport("fine", 2, 4, 4, 0, 8), a)
+        b.write_text(json.dumps({"layout_name": "bad", "hand_switching": 2, "left_load": 1,
+                                 "right_load": 7, "undetermined": 0, "total_chars": 8, **changed}),
+                     encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare-only", "--output-dir", str(out), str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {b}: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def bangla_corpus_texts():
@@ -897,6 +947,42 @@ class TestConfigAndManifest:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
+
+    def test_no_command_imports_dataclasses(self, tmp_path, data_dir):
+        # `dataclasses` pulls in `inspect`, `ast` and `dis`: a fifth of every
+        # command's start-up. A fresh interpreter without site (-S), so that
+        # no .pth file's imports are counted, runs --version and every command
+        alpha = data_dir / "alphabets" / "english.json"
+        corpus = ["--alphabet", str(alpha), "--manifest", str(data_dir / "sample" / "manifest.txt")]
+        layout = data_dir / "sample" / "layouts" / "partial.json"
+        threshold = ["--min-support", "2", "--min-confidence", "0.5"]
+        commands = [
+            ["stats", *corpus],
+            ["design", *corpus],
+            ["evaluate", *corpus, str(layout)],
+            ["mine", *corpus, *threshold],
+            ["mine", "--transactions", str(data_dir / "market9.tsv"), *threshold],
+            ["compare-only", str(tmp_path / "evaluate" / "report_01_partial.json")],
+        ]
+        for argv in commands:
+            argv += ["--output-dir", str(tmp_path / argv[0])]
+        script = (
+            "import sys\n"
+            "from keymine.cli import main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"assert all(main(argv) == 0 for argv in {commands!r})\n"
+            "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
+        )
+        src = Path(keymine.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("keymine ")
+        assert (tmp_path / "compare-only" / "comparison.tsv").exists()
 
     def test_missing_required_flag_reported(self, tmp_path, capsys):
         assert main(["stats", "--output-dir", str(tmp_path / "out")]) == 1

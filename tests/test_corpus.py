@@ -66,6 +66,13 @@ class TestAlphabetConfig:
         with pytest.raises(ValueError, match="constituent"):
             AlphabetConfig(name="x", letters=("ড়",))
 
+    def test_equal_on_name_and_letters(self):
+        same = AlphabetConfig(name="abc", letters=tuple("abc"))
+        assert same == ABC and hash(same) == hash(ABC) and len({same, ABC}) == 1
+        assert ABC != AlphabetConfig(name="other", letters=("a", "b", "c"))
+        assert ABC != AlphabetConfig(name="abc", letters=("c", "b", "a"))
+        assert ABC != ("abc", ("a", "b", "c"))
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "alpha.json"
         path.write_text(json.dumps({"name": "tiny", "letters": ["a", "b"]}), encoding="utf-8")

@@ -10,6 +10,7 @@ import pytest
 
 from keymine.corpus import AlphabetConfig, tokenize
 from keymine.evaluation import (
+    _REPORT_COLUMNS,
     EvalReport,
     IncomparableReportsError,
     compare,
@@ -209,6 +210,14 @@ class TestEvalReport:
             report.validate()
 
 
+    @pytest.mark.parametrize("counts", [
+        (-5, 4, 4, 0, 8), (0, -3, 11, 0, 8), (0, 4, 5, -1, 8), (0, 0, 0, 0, -1),
+    ], ids=["switching", "left", "undetermined", "total"])
+    def test_validate_rejects_negative_counts(self, counts):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            EvalReport("x", *counts).validate()
+
+
 class TestCompare:
     # benchmark rows as published for three layouts; the first row's fields
     # do not sum to the shared total, which compare must tolerate
@@ -255,6 +264,22 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         write_report_json(self.REPORT, path)
         assert read_report_json(path) == self.REPORT
+
+    def test_json_keys_in_column_order(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report_json(self.REPORT, path)
+        text = path.read_text(encoding="utf-8")
+        assert list(json.loads(text)) == list(_REPORT_COLUMNS)
+        assert text == (
+            '{\n  "layout_name": "fixture",\n  "hand_switching": 3,\n  "left_load": 2,\n'
+            '  "right_load": 2,\n  "undetermined": 1,\n  "total_chars": 5\n}\n')
+
+    @pytest.mark.parametrize("value", [2.0, 1.9, True, "2", None], ids=repr)
+    def test_non_integer_count_rejected_naming_the_file(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**self.REPORT._asdict(), "left_load": value}), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*left_load must be an integer"):
+            read_report_json(path)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "report.json"

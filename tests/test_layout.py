@@ -11,6 +11,7 @@ import pytest
 from keymine.cli import main
 from keymine.corpus import AlphabetConfig, NGraphTable, count_ngraphs, tokenize
 from keymine.layout import (
+    AuditResult,
     GeometryCapacityError,
     GeometryFormatError,
     HandPartition,
@@ -190,6 +191,12 @@ class TestAuditPartition:
         part, mono, di = self.fixture_partition()
         result = audit_partition(part, mono, di)
         assert result.ok and bool(result)
+
+    def test_failed_result_is_falsy(self):
+        # a record with four fields is a non-empty tuple; its truth must be `ok`
+        assert bool(AuditResult(False, "x")) is False
+        assert bool(AuditResult(True)) is True
+        assert not AuditResult(False, "x", 5, "e")
 
     def test_flipped_hand_fails_at_that_letter(self):
         part, mono, di = self.fixture_partition()

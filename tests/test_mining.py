@@ -56,6 +56,15 @@ class TestTransactionDB:
         assert len(digraphs.rows) == 4
         assert foreign(baskets) == foreign(digraphs) == []
 
+    def test_equal_on_universe_and_rows(self):
+        db = TransactionDB(("a", "b"), {("a", "b"): 2, ("a",): 1})
+        assert db == TransactionDB(("a", "b"), {("a",): 1, ("a", "b"): 2})
+        assert db != TransactionDB(("b", "a"), {("a", "b"): 2, ("a",): 1})
+        assert db != TransactionDB(("a", "b"), {("a", "b"): 2, ("a",): 2})
+        assert db != (("a", "b"), {("a", "b"): 2, ("a",): 1})
+        with pytest.raises(TypeError):
+            hash(db)  # mutable rows: unhashable, as it always was
+
     def test_support_count_subset_semantics(self, market9):
         assert market9.support_count(("I1", "I2")) == 4
         assert market9.support_count(("I3", "I4")) == 0
@@ -75,6 +84,18 @@ class TestMiningParams:
         for nan in (float("nan"), Decimal("NaN")):
             with pytest.raises(ValueError):
                 MiningParams(min_support_count=1, min_confidence=nan)
+
+    def test_messages_and_replace_are_checked_too(self):
+        with pytest.raises(ValueError, match="^min_support_count must be >= 1$"):
+            MiningParams(0, 0.5)
+        with pytest.raises(ValueError, match="^min_confidence must be >= 0$"):
+            MiningParams(1, float("nan"))
+        params = MiningParams(2, 0.5)
+        assert params._replace(min_confidence=0.7) == MiningParams(2, 0.7)
+        with pytest.raises(ValueError, match="^min_support_count must be >= 1$"):
+            params._replace(min_support_count=0)
+        with pytest.raises(ValueError, match="^min_confidence must be >= 0$"):
+            params._replace(min_confidence=Decimal("NaN"))
 
     def test_confidence_above_one_allowed_but_unsatisfiable(self, market9):
         params = MiningParams(min_support_count=2, min_confidence=1.01)
@@ -629,6 +650,17 @@ class TestGenerateRules:
     def test_rule_type_rejects_empty_side(self):
         with pytest.raises(ValueError):
             AssociationRule((), ("I1",), 0.5, 0.5)
+
+    def test_rule_type_messages_and_replace(self):
+        with pytest.raises(ValueError, match="^rule sides must be non-empty$"):
+            AssociationRule(("I1",), (), 0.5, 0.5)
+        with pytest.raises(ValueError, match="^rule sides must be disjoint$"):
+            AssociationRule(("I1", "I2"), ("I2",), 0.5, 0.5)
+        rule = AssociationRule(("I1",), ("I2",), 0.5, 0.5)
+        with pytest.raises(ValueError, match="^rule sides must be disjoint$"):
+            rule._replace(consequent=("I1",))
+        with pytest.raises(ValueError, match="^rule sides must be non-empty$"):
+            rule._replace(antecedent=())
 
 
 class TestDigraphAdapter:
