@@ -35,7 +35,6 @@ from .mining import (
     FrequentLevel,
     MiningParams,
     TransactionDB,
-    brute_force_frequent,
     digraphs_as_transactions,
     generate_candidates,
     generate_rules,
@@ -58,7 +57,6 @@ __all__ = [
     "TransactionDB",
     "assign_hands",
     "audit_partition",
-    "brute_force_frequent",
     "compare",
     "count_ngraphs",
     "default_geometry",

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 
 class IngestionError(ValueError):
-    """Corpus bytes or config files that cannot be decoded or parsed."""
+    """An input file that cannot be decoded, parsed or accepted; the message
+    starts with the file's path."""
 
 
 class AlphabetConfig:
@@ -174,25 +175,24 @@ def monograph_ranking(table: NGraphTable) -> list[RankedLetter]:
     ]
 
 
-def read_text(path: str | Path, error: type[ValueError] = IngestionError) -> str:
-    """Read a UTF-8 input file; a decoding failure raises `error` naming the
-    file and the byte offset."""
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 input file; a decoding failure names the file and the
+    byte offset."""
     path = Path(path)
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
+        raise IngestionError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
 
-def read_json(path: str | Path, error: type[ValueError] = IngestionError):
-    """Read a UTF-8 JSON input file; a decoding or parse failure raises
-    `error` naming the file."""
-    text = read_text(path, error)
+def read_json(path: str | Path):
+    """Read a UTF-8 JSON input file; a decoding or parse failure names the file."""
+    text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{Path(path)}: invalid JSON: {exc}") from exc
+        raise IngestionError(f"{Path(path)}: invalid JSON: {exc}") from exc
 
 
 def tokenize_file(path: str | Path, alphabet: AlphabetConfig) -> LetterStream:

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NGraphTable, read_json
+from .corpus import IngestionError, NGraphTable, read_json
 from .layout import Layout
 
 
@@ -30,6 +30,8 @@ class EvalReport(NamedTuple):
     total_chars: int
 
     def validate(self) -> None:
+        if not isinstance(self.layout_name, str):
+            raise ValueError(f"layout_name must be a string, got {self.layout_name!r}")
         for name, count in zip(self._fields[1:], self[1:]):
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
@@ -116,16 +118,17 @@ _REPORT_COLUMNS = ("layout_name", "hand_switching", "left_load", "right_load", "
 
 
 def read_report_json(path: str | Path) -> EvalReport:
-    """Load a report written by `write_report_json`; a count that is not a
-    non-negative integer, loads that do not add up to the total, or more
-    hand switches than typed pairs allow are rejected naming the file."""
+    """Load a report written by `write_report_json`; a name that is not a
+    string, a count that is not a non-negative integer, loads that do not add
+    up to the total, or more hand switches than typed pairs allow are
+    rejected naming the file."""
     path = Path(path)
-    data = read_json(path, ValueError)
+    data = read_json(path)
     try:
-        report = EvalReport(str(data["layout_name"]), *(data[column] for column in _REPORT_COLUMNS[1:]))
+        report = EvalReport(*(data[column] for column in _REPORT_COLUMNS))
         report.validate()
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a valid evaluation report: {exc}") from exc
+        raise IngestionError(f"{path}: not a valid evaluation report: {exc}") from exc
     return report
 
 

@@ -25,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NGraphTable, monograph_ranking, read_json
+from .corpus import IngestionError, NGraphTable, monograph_ranking, read_json
 
 HANDS = ("left", "right")
 ROWS = ("home", "top", "bottom")
@@ -50,14 +50,6 @@ class GeometryCapacityError(ValueError):
             f"{hand} hand has {overflow} more letter(s) than positions: "
             + " ".join(self.letters)
         )
-
-
-class GeometryFormatError(ValueError):
-    """Malformed geometry JSON."""
-
-
-class LayoutFormatError(ValueError):
-    """Malformed layout JSON."""
 
 
 class TraceRecord(NamedTuple):
@@ -87,10 +79,6 @@ class HandPartition:
         self.right = [] if right is None else right
         self.trace = [] if trace is None else trace
         self.tie_policy = tie_policy
-
-    @property
-    def letters(self) -> set[str]:
-        return set(self.left) | set(self.right)
 
 
 class AuditResult(NamedTuple):
@@ -360,25 +348,25 @@ _GEOMETRY_FIELDS = ("id", "hand", "finger", "row", "layer", "cost")
 def load_geometry(path: str | Path) -> KeyboardGeometry:
     """Load a geometry file: a JSON array of position records."""
     path = Path(path)
-    data = read_json(path, GeometryFormatError)
+    data = read_json(path)
     if not isinstance(data, list):
-        raise GeometryFormatError(f"{path}: expected a JSON array of positions")
+        raise IngestionError(f"{path}: expected a JSON array of positions")
     positions = []
     for i, rec in enumerate(data):
         if not isinstance(rec, dict):
-            raise GeometryFormatError(f"{path}: positions[{i}]: expected an object")
+            raise IngestionError(f"{path}: positions[{i}]: expected an object")
         missing = [k for k in _GEOMETRY_FIELDS if k not in rec]
         if missing:
-            raise GeometryFormatError(f"{path}: positions[{i}]: missing {', '.join(missing)}")
+            raise IngestionError(f"{path}: positions[{i}]: missing {', '.join(missing)}")
+        if not isinstance(rec["id"], str):
+            raise IngestionError(f"{path}: positions[{i}]: field 'id' must be a string")
         positions.append(
-            KeyPosition(
-                str(rec["id"]), rec["hand"], rec["finger"], rec["row"], rec["layer"], rec["cost"]
-            )
+            KeyPosition(rec["id"], rec["hand"], rec["finger"], rec["row"], rec["layer"], rec["cost"])
         )
     try:
         return KeyboardGeometry(positions)
     except ValueError as exc:
-        raise GeometryFormatError(f"{path}: {exc}") from exc
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 def save_geometry(geometry: KeyboardGeometry, path: str | Path) -> None:
@@ -406,23 +394,25 @@ def save_layout(layout: Layout, path: str | Path, geometry_ref: str) -> None:
 def load_layout(path: str | Path) -> Layout:
     """Load a layout file, resolving its geometry_ref relative to the file."""
     path = Path(path)
-    data = read_json(path, LayoutFormatError)
+    data = read_json(path)
     if not isinstance(data, dict):
-        raise LayoutFormatError(f"{path}: expected a JSON object")
+        raise IngestionError(f"{path}: expected a JSON object")
     for key in ("name", "geometry_ref", "mapping"):
         if key not in data:
-            raise LayoutFormatError(f"{path}: missing field '{key}'")
+            raise IngestionError(f"{path}: missing field '{key}'")
+    if not isinstance(data["name"], str):
+        raise IngestionError(f"{path}: field 'name' must be a string")
     if not isinstance(data["mapping"], dict):
-        raise LayoutFormatError(f"{path}: field 'mapping' must be an object")
+        raise IngestionError(f"{path}: field 'mapping' must be an object")
     for letter, pid in data["mapping"].items():
         if not isinstance(pid, str):
-            raise LayoutFormatError(f"{path}: mapping[{letter!r}] must be a position id string")
+            raise IngestionError(f"{path}: mapping[{letter!r}] must be a position id string")
     ref = Path(str(data["geometry_ref"]))
     geometry = load_geometry(ref if ref.is_absolute() else path.parent / ref)
     try:
-        return Layout(name=str(data["name"]), geometry=geometry, mapping=dict(data["mapping"]))
+        return Layout(name=data["name"], geometry=geometry, mapping=dict(data["mapping"]))
     except ValueError as exc:
-        raise LayoutFormatError(f"{path}: {exc}") from exc
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 def write_trace_tsv(partition: HandPartition, path: str | Path) -> None:

@@ -16,8 +16,7 @@ count is read out as the candidates are walked: level 2's, every pair of
 frequent items, come lazily from the join and are never listed, and a level
 keeps only its frequent itemsets and the number of candidates it counted. A
 level longer than every row is never built: it is a scan over no rows,
-recorded only when its join yields a candidate. `brute_force_frequent` is
-the independent exponential oracle used to cross-check it.
+recorded only when its join yields a candidate.
 """
 
 from __future__ import annotations
@@ -27,14 +26,10 @@ from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import NGraphTable, read_text
+from .corpus import IngestionError, NGraphTable, read_text
 
 if TYPE_CHECKING:
     from decimal import Decimal
-
-
-class UniverseTooLargeError(ValueError):
-    """Brute-force enumeration refused: the universe is too big."""
 
 
 class MiningInvariantError(RuntimeError):
@@ -59,11 +54,6 @@ class TransactionDB:
 
     def __len__(self) -> int:
         return sum(self.rows.values())
-
-    def support_count(self, items: Iterable[str]) -> int:
-        """Number of transactions containing every given item."""
-        needed = frozenset(items)
-        return sum(n for row, n in self.rows.items() if needed.issubset(row))
 
 
 class _MiningParams(NamedTuple):
@@ -299,33 +289,6 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     return levels
 
 
-def brute_force_frequent(db: TransactionDB, params: MiningParams) -> list[FrequentLevel]:
-    """Oracle miner: enumerate every non-empty subset of the universe.
-
-    Exponential by design, so it refuses universes above 20 items. Support
-    counting goes through plain per-row subset tests, a code path
-    independent of `_LevelRows.count`.
-    """
-    if len(db.universe) > 20:
-        raise UniverseTooLargeError(
-            f"brute force over {len(db.universe)} items would enumerate "
-            f"2^{len(db.universe)} subsets; limit is 20"
-        )
-    levels: list[FrequentLevel] = []
-    for k in range(1, len(db.universe) + 1):
-        counted = [
-            CountedItemset(items, db.support_count(items))
-            for items in combinations(db.universe, k)
-        ]
-        frequent = tuple(ci for ci in counted if ci.support_count >= params.min_support_count)
-        if not frequent:
-            break
-        levels.append(
-            FrequentLevel(k=k, universe=db.universe, itemsets=frequent, candidates=len(counted))
-        )
-    return levels
-
-
 def frequent_map(levels: Iterable[FrequentLevel]) -> dict[tuple[str, ...], int]:
     """All frequent itemsets across levels with their support counts."""
     merged: dict[tuple[str, ...], int] = {}
@@ -432,10 +395,6 @@ def digraphs_as_transactions(table: NGraphTable) -> TransactionDB:
     return TransactionDB(universe=tuple(sorted(own, key=index)), rows=rows)
 
 
-class TransactionFormatError(ValueError):
-    """Malformed transaction TSV."""
-
-
 def read_transactions_tsv(path: str | Path) -> TransactionDB:
     """Load a transaction DB from TSV: tid, space-separated item list.
 
@@ -446,12 +405,12 @@ def read_transactions_tsv(path: str | Path) -> TransactionDB:
     path = Path(path)
     held: dict[str, str] = {}
     rows: Counter[tuple[str, ...]] = Counter()
-    for lineno, line in enumerate(read_text(path, TransactionFormatError).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#") or line == "tid\titems":
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise TransactionFormatError(f"{path}:{lineno}: expected 2 tab-separated columns")
+            raise IngestionError(f"{path}:{lineno}: expected 2 tab-separated columns")
         rows[tuple(sorted({held.setdefault(item, item) for item in parts[1].split()}))] += 1
     return TransactionDB(universe=tuple(sorted(held)), rows=rows)
 

@@ -18,22 +18,21 @@ from keymine.layout import (
 )
 from keymine.mining import (
     MiningParams,
-    brute_force_frequent,
     digraphs_as_transactions,
     frequent_map,
     mine_frequent,
 )
-from keymine.synth import (
-    GROUP_ONE,
-    GROUP_TWO,
-    random_db,
-    random_text,
-    two_group_alphabet,
-    two_group_text,
-    zipf_weights,
-)
+from keymine.synth import random_text, zipf_weights
 
 from conftest import ACCEPTANCE_RESULTS, corpus_tables, market9_db, score
+from oracles import (
+    GROUP_ONE,
+    GROUP_TWO,
+    brute_force_frequent,
+    random_db,
+    two_group_alphabet,
+    two_group_text,
+)
 
 
 def record(name: str, ok: bool, detail: str = "") -> None:
@@ -232,7 +231,7 @@ def test_designed_layout_maximizes_alternation(tmp_path):
 
     part = assign_hands(mono, digraphs)
     designed = place_keys(part, geometry, name="designed")
-    letters = sorted(part.letters)
+    letters = sorted(part.left + part.right)
     rivals = [place_keys(HandPartition(left=list(letters)), geometry,
                          name="one-hand")]
     group_split = frozenset((frozenset(GROUP_ONE), frozenset(GROUP_TWO)))

@@ -15,20 +15,30 @@ import pytest
 
 import keymine
 from keymine.cli import main
-from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
+from keymine.corpus import (
+    AlphabetConfig,
+    LetterStream,
+    count_ngraphs,
+    read_manifest,
+    tokenize,
+    tokenize_file,
+)
 from keymine.evaluation import read_report_json
 from keymine.layout import (
     KeyPosition,
     KeyboardGeometry,
     Layout,
+    assign_hands,
+    default_geometry,
     load_layout,
     save_geometry,
     save_layout,
 )
-from keymine.mining import MiningParams, brute_force_frequent
-from keymine.synth import random_db, random_text, zipf_weights
+from keymine.mining import MiningParams
+from keymine.synth import random_text, zipf_weights
 
-from conftest import DATA, score, write_transactions_tsv
+from conftest import DATA, join_streams, score, write_transactions_tsv
+from oracles import brute_force_frequent, random_db
 
 
 def write_corpus(tmp_path, texts, letters="abcd", name="tiny"):
@@ -426,6 +436,21 @@ class TestDesign:
         layout = load_layout(out / "layout.json")
         assert set(layout.mapping.values()) == {"L1", "L2", "R1", "R2"}
 
+    @pytest.mark.parametrize("position_id", [None, 7], ids=["null", "number"])
+    def test_position_id_must_be_a_string(self, tmp_path, data_dir, capsys, position_id):
+        geo_path = tmp_path / "geometry.json"
+        save_geometry(default_geometry(), geo_path)
+        records = json.loads(geo_path.read_text(encoding="utf-8"))
+        records[0]["id"] = position_id
+        geo_path.write_text(json.dumps(records), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["design", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--geometry", str(geo_path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {geo_path}: positions[0]: field 'id' must be a string\n")
+        assert not out.exists()
+
 
 def make_eval_fixture(tmp_path):
     text = random_text("abcdef", 1500, 5, space_prob=0.1, junk="12", junk_prob=0.05)
@@ -556,6 +581,18 @@ class TestEvaluate:
                      "--output-dir", str(tmp_path / "out"), str(bad)]) == 1
         assert "geometry_ref" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [None, 7], ids=["null", "number"])
+    def test_layout_name_must_be_a_string(self, tmp_path, capsys, name):
+        alpha, manifest, designed = make_eval_fixture(tmp_path)
+        bad = designed.parent / "unnamed.json"
+        bad.write_text(json.dumps({**json.loads(designed.read_text(encoding="utf-8")),
+                                   "name": name}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out), str(designed), str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: field 'name' must be a string\n"
+        assert not out.exists()
+
 
 class TestCompareOnly:
     def test_ranks_written_reports(self, tmp_path):
@@ -619,6 +656,22 @@ class TestCompareOnly:
         assert main(["compare-only", "--output-dir", str(out), str(a), str(b)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {b}: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [None, 7], ids=["null", "number"])
+    def test_layout_name_must_be_a_string(self, tmp_path, capsys, name):
+        from keymine.evaluation import write_report_json
+        from keymine.evaluation import EvalReport
+
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_report_json(EvalReport("fine", 2, 4, 4, 0, 8), a)
+        write_report_json(EvalReport(name, 2, 4, 4, 0, 8), b)
+        out = tmp_path / "out"
+        assert main(["compare-only", "--output-dir", str(out), str(a), str(b)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {b}: not a valid evaluation report: "
+            f"layout_name must be a string, got {name!r}\n")
         assert not out.exists()
 
 
@@ -869,6 +922,70 @@ class TestMetamorphic:
             assert table(out / name) == table(golden), name
         assert summary == self.golden_summary(data_dir)
 
+    # corpus -> (alphabet, design flags): Bangla overflows the default geometry
+    CORPORA = {
+        "sample": ("english.json", []),
+        "bangla": ("bangla.json", ["--geometry", str(DATA / "bangla" / "layouts" / "geometry.json")]),
+    }
+
+    @staticmethod
+    def tripled(tmp_path, corpus):
+        """The corpus's manifest, and a manifest listing its files three times."""
+        manifest = DATA / corpus / "manifest.txt"
+        tripled = tmp_path / "tripled.txt"
+        tripled.write_text("".join(f"{path}\n" for path in read_manifest(manifest) * 3),
+                           encoding="utf-8")
+        return manifest, tripled
+
+    @pytest.mark.parametrize("tie_policy", ["left-biased", "balanced"])
+    @pytest.mark.parametrize("corpus", ["sample", "bangla"])
+    def test_corpus_listed_three_times_keeps_the_trace(self, tmp_path, corpus, tie_policy):
+        # every count triples, and each affinity is a ratio of two counts
+        alphabet, flags = self.CORPORA[corpus]
+        outs = []
+        for manifest in self.tripled(tmp_path, corpus):
+            outs.append(tmp_path / manifest.stem)
+            assert main(["design", "--alphabet", str(DATA / "alphabets" / alphabet),
+                         "--manifest", str(manifest), "--tie-policy", tie_policy,
+                         "--output-dir", str(outs[-1]), *flags]) == 0
+        for name in ("trace.tsv", "layout.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("tie_policy", ["left-biased", "balanced"])
+    @pytest.mark.parametrize("corpus", ["sample", "bangla"])
+    def test_reversed_runs_keep_the_trace(self, corpus, tie_policy):
+        # the pair counts add both directions of a digraph; reversed on the
+        # runs, not the text, which NFC would compose differently
+        alphabet = AlphabetConfig.from_json(DATA / "alphabets" / self.CORPORA[corpus][0])
+        stream = join_streams(*(tokenize_file(path, alphabet)
+                                for path in read_manifest(DATA / corpus / "manifest.txt")))
+        mirror = LetterStream([run[::-1] for run in stream.runs], stream.undetermined_count,
+                              alphabet)
+        assert count_ngraphs(mirror, 2).counts != count_ngraphs(stream, 2).counts
+        traces = [assign_hands(count_ngraphs(s, 1), count_ngraphs(s, 2), tie_policy).trace
+                  for s in (stream, mirror)]
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("corpus, support", [("sample", 475), ("bangla", 30)])
+    def test_corpus_listed_three_times_mines_counts_times_three(self, tmp_path, capsys,
+                                                                corpus, support):
+        runs = []
+        for manifest, count in zip(self.tripled(tmp_path, corpus), (support, 3 * support)):
+            out = tmp_path / manifest.stem
+            assert main(["mine", "--alphabet", str(DATA / "alphabets" / self.CORPORA[corpus][0]),
+                         "--manifest", str(manifest), "--min-support", str(count),
+                         "--min-confidence", "0.1", "--output-dir", str(out)]) == 0
+            log = capsys.readouterr().out.splitlines()[:-1]  # the last line names `out`
+            itemsets = [line.split("\t") for line in
+                        (out / "frequent_itemsets.tsv").read_text(encoding="utf-8").splitlines()]
+            runs.append((log, itemsets, (out / "rules.tsv").read_bytes()))
+        (log, itemsets, rules), (log3, itemsets3, rules3) = runs
+        assert log3 == log and log[-1].startswith("scans performed: ")
+        assert len(itemsets) > 10 and rules.count(b"\n") > 1
+        assert itemsets3 == [itemsets[0], *([items, str(3 * int(count)), support]
+                                            for items, count, support in itemsets[1:])]
+        assert rules3 == rules
+
 
 class TestConfigAndManifest:
     def test_config_file_supplies_defaults(self, tmp_path, data_dir):
@@ -951,7 +1068,9 @@ class TestConfigAndManifest:
     def test_no_command_imports_dataclasses(self, tmp_path, data_dir):
         # `dataclasses` pulls in `inspect`, `ast` and `dis`: a fifth of every
         # command's start-up. A fresh interpreter without site (-S), so that
-        # no .pth file's imports are counted, runs --version and every command
+        # no .pth file's imports are counted, runs --version and every command.
+        # The package stands alone: with tests/ importable, no command loads
+        # the test oracles, conftest, or a keymine module from elsewhere
         alpha = data_dir / "alphabets" / "english.json"
         corpus = ["--alphabet", str(alpha), "--manifest", str(data_dir / "sample" / "manifest.txt")]
         layout = data_dir / "sample" / "layouts" / "partial.json"
@@ -976,10 +1095,17 @@ class TestConfigAndManifest:
             f"assert all(main(argv) == 0 for argv in {commands!r})\n"
             "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
             "assert not loaded, loaded\n"
+            "import os\n"
+            f"package = {str(Path(keymine.__file__).resolve().parent)!r}\n"
+            "stray = sorted(name for name, module in sys.modules.items()\n"
+            "               if name in ('oracles', 'conftest') or name.split('.')[0] == 'keymine'\n"
+            "               and os.path.dirname(os.path.realpath(module.__file__)) != package)\n"
+            "assert not stray, stray\n"
         )
         src = Path(keymine.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
         result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                                text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                                text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("keymine ")
         assert (tmp_path / "compare-only" / "comparison.tsv").exists()

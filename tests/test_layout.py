@@ -9,16 +9,14 @@ from collections import Counter
 import pytest
 
 from keymine.cli import main
-from keymine.corpus import AlphabetConfig, NGraphTable, count_ngraphs, tokenize
+from keymine.corpus import AlphabetConfig, IngestionError, NGraphTable, count_ngraphs, tokenize
 from keymine.layout import (
     AuditResult,
     GeometryCapacityError,
-    GeometryFormatError,
     HandPartition,
     KeyboardGeometry,
     KeyPosition,
     Layout,
-    LayoutFormatError,
     MissingTraceError,
     assign_hands,
     audit_partition,
@@ -34,6 +32,7 @@ from keymine.mining import digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
 from conftest import corpus_tables
+from oracles import support_count
 
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
 
@@ -254,12 +253,12 @@ class TestTraceOracle:
         assert any(a == b for a, b in di.counts), "fixture needs a doubled letter"
         hands = {"left": [], "right": []}
         for rec in assign_hands(mono, di).trace:
-            own = db.support_count((rec.letter,))
+            own = support_count(db, (rec.letter,))
             sums = {}
             for hand, assigned in hands.items():
                 support = confidence = 0.0
                 for other in assigned:
-                    joint = db.support_count((rec.letter, other))
+                    joint = support_count(db, (rec.letter, other))
                     support += joint / len(db)
                     if own:
                         confidence += joint / own
@@ -421,7 +420,7 @@ class TestGeometry:
         ]
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(records), encoding="utf-8")
-        with pytest.raises(GeometryFormatError, match=f"^{re.escape(str(path))}: P: finger must be one of"):
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: P: finger must be one of"):
             load_geometry(path)
 
     def test_hand_without_base_position_rejected(self):
@@ -447,7 +446,7 @@ class TestGeometry:
     def test_malformed_geometry_reports_position_index(self, tmp_path):
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps([{"id": "P", "hand": "left"}]), encoding="utf-8")
-        with pytest.raises(GeometryFormatError, match=r"positions\[0\]"):
+        with pytest.raises(IngestionError, match=r"positions\[0\]"):
             load_geometry(path)
 
 
@@ -481,12 +480,12 @@ class TestLayoutFiles:
 
     def test_missing_field_names_path(self, tmp_path):
         path = self.write_layout(tmp_path, {"name": "x"})
-        with pytest.raises(LayoutFormatError, match=f"^{re.escape(str(path))}: missing field 'mapping'"):
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: missing field 'mapping'"):
             load_layout(path)
 
     def test_unknown_position_rejected(self, tmp_path):
         path = self.write_layout(tmp_path, {"name": "x", "mapping": {"a": "nope"}})
-        with pytest.raises(LayoutFormatError, match="nope"):
+        with pytest.raises(IngestionError, match="nope"):
             load_layout(path)
 
     def test_non_injective_mapping_rejected(self):
