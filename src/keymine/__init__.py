@@ -1,7 +1,8 @@
 """Corpus-driven keyboard layout design and evaluation toolkit.
 
 Pipeline: tokenize a text corpus into runs of alphabet letters, count
-letter n-grams once over the whole corpus, view digraphs as counted item
+letter n-grams once over the whole corpus at a command's highest order and
+derive the lower-order tables from it, view digraphs as counted item
 transactions to mine frequent itemsets and strong association rules,
 assign letters to hands for maximum hand alternation from the pair counts
 of the digraph table, place them on keys by frequency, and score arbitrary

@@ -25,6 +25,7 @@ from .corpus import (
     AlphabetConfig,
     LetterStream,
     count_ngraphs,
+    derive_lower,
     read_json,
     read_manifest,
     tokenize_file,
@@ -152,7 +153,9 @@ def _number_text(text: str) -> str:
 
 def cmd_stats(args) -> int:
     inputs, parameters, stream = _load_corpus(args)
-    tables = {n: count_ngraphs(stream, n) for n in (1, 2, 3)}
+    tables = {3: count_ngraphs(stream, 3)}
+    tables[2] = derive_lower(tables[3], stream)
+    tables[1] = derive_lower(tables[2], stream)
     total_letters = tables[1].total
     if total_letters == 0:
         raise CliError("corpus contains no alphabet letters")
@@ -239,10 +242,10 @@ def cmd_mine(args) -> int:
 
 def cmd_design(args) -> int:
     inputs, parameters, stream = _load_corpus(args)
-    monographs = count_ngraphs(stream, 1)
+    digraphs = count_ngraphs(stream, 2)
+    monographs = derive_lower(digraphs, stream)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
-    digraphs = count_ngraphs(stream, 2)
     geometry = load_geometry(args.geometry) if args.geometry else default_geometry()
     partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
     layout = place_keys(partition, geometry, name=args.name)
@@ -276,9 +279,10 @@ def cmd_design(args) -> int:
 
 def cmd_evaluate(args) -> int:
     inputs, parameters, stream = _load_corpus(args)
-    layouts = [load_layout(path) for path in args.layouts]
-    monographs = count_ngraphs(stream, 1)
+    geometries: dict = {}  # one load per geometry file, shared by the layouts naming it
+    layouts = [load_layout(path, geometries) for path in args.layouts]
     digraphs = count_ngraphs(stream, 2)
+    monographs = derive_lower(digraphs, stream)
     total_chars = monographs.total + stream.undetermined_count
     out = _out_dir(args)
     reports = []

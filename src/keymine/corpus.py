@@ -5,6 +5,9 @@ runs of alphabet letters. The runs feed monograph, digraph and trigraph
 frequency tables; any other code point is counted as "undetermined" and
 ends a run, so no n-gram window spans it (typing a digit or an unknown
 glyph interrupts the letter-to-letter flow).
+
+A command scans the runs once, for its highest order; each lower table is
+derived from the one above it and the run ends (`derive_lower`).
 """
 
 from __future__ import annotations
@@ -151,6 +154,26 @@ def count_ngraphs(stream: LetterStream, n: int) -> NGraphTable:
     for run in stream.runs:
         counts.update(zip(*(run[i:] for i in range(n))))
     return NGraphTable(n=n, counts=counts, alphabet=stream.alphabet)
+
+
+def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
+    """The (n-1)-gram table of the stream whose n-gram table this is.
+
+    Every (n-1)-gram window of a run but its last starts exactly one n-gram
+    window, so each n-gram's count goes to its first n-1 letters, and each
+    run of at least n-1 letters adds 1 to its last (n-1)-gram. Equal to
+    `count_ngraphs(stream, n - 1)`, without scanning the runs' letters.
+    """
+    m = table.n - 1
+    if m < 1:
+        raise ValueError(f"no lower table below n={table.n}")
+    counts: Counter[tuple[str, ...]] = Counter()
+    for key, count in table.counts.items():
+        counts[key[:m]] += count
+    ends = Counter(run[-m:] for run in stream.runs if len(run) >= m)
+    for end, count in ends.items():
+        counts[tuple(end)] += count
+    return NGraphTable(n=m, counts=counts, alphabet=table.alphabet)
 
 
 class RankedLetter(NamedTuple):

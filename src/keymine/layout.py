@@ -391,8 +391,12 @@ def save_layout(layout: Layout, path: str | Path, geometry_ref: str) -> None:
     Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
 
 
-def load_layout(path: str | Path) -> Layout:
-    """Load a layout file, resolving its geometry_ref relative to the file."""
+def load_layout(path: str | Path, geometries: dict[Path, KeyboardGeometry] | None = None) -> Layout:
+    """Load a layout file, resolving its geometry_ref relative to the file.
+
+    `geometries`, when given, maps each geometry path already loaded to its
+    geometry; a path found there is not read again, and a new one is added.
+    """
     path = Path(path)
     data = read_json(path)
     if not isinstance(data, dict):
@@ -407,8 +411,14 @@ def load_layout(path: str | Path) -> Layout:
     for letter, pid in data["mapping"].items():
         if not isinstance(pid, str):
             raise IngestionError(f"{path}: mapping[{letter!r}] must be a position id string")
-    ref = Path(str(data["geometry_ref"]))
-    geometry = load_geometry(ref if ref.is_absolute() else path.parent / ref)
+    if not isinstance(data["geometry_ref"], str) or not data["geometry_ref"]:
+        raise IngestionError(f"{path}: field 'geometry_ref' must be a non-empty string")
+    ref = path.parent / data["geometry_ref"]  # an absolute ref replaces the parent
+    if geometries is None:
+        geometries = {}
+    if ref not in geometries:
+        geometries[ref] = load_geometry(ref)
+    geometry = geometries[ref]
     try:
         return Layout(name=data["name"], geometry=geometry, mapping=dict(data["mapping"]))
     except ValueError as exc:

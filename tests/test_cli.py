@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import keymine
+from keymine import cli
+from keymine import layout as layout_module
 from keymine.cli import main
 from keymine.corpus import (
     AlphabetConfig,
@@ -30,6 +32,7 @@ from keymine.layout import (
     Layout,
     assign_hands,
     default_geometry,
+    load_geometry,
     load_layout,
     save_geometry,
     save_layout,
@@ -592,6 +595,139 @@ class TestEvaluate:
                      "--output-dir", str(out), str(designed), str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: field 'name' must be a string\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("ref", [None, 7], ids=["null", "number"])
+    def test_geometry_ref_must_be_a_string(self, tmp_path, capsys, ref):
+        alpha, manifest, designed = make_eval_fixture(tmp_path)
+        bad = designed.parent / "unplaced.json"
+        bad.write_text(json.dumps({**json.loads(designed.read_text(encoding="utf-8")),
+                                   "geometry_ref": ref}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out), str(designed), str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: field 'geometry_ref' must be a non-empty string\n")
+        assert not out.exists()
+
+
+class TestOneLoadPerInput:
+    """Each corpus command counts n-grams once and derives the lower tables;
+    `evaluate` reads each geometry file once, however many layouts name it."""
+
+    @pytest.fixture
+    def count_calls(self, monkeypatch):
+        calls = []
+
+        def spy(stream, n):
+            calls.append(n)
+            return count_ngraphs(stream, n)
+
+        monkeypatch.setattr(cli, "count_ngraphs", spy)
+        return calls
+
+    @pytest.fixture
+    def geometry_loads(self, monkeypatch):
+        loads = []
+
+        def spy(path):
+            loads.append(Path(path))
+            return load_geometry(path)
+
+        monkeypatch.setattr(layout_module, "load_geometry", spy)
+        return loads
+
+    @staticmethod
+    def random_layouts(directory, geometry_ref, count, seed):
+        """`count` layouts in `directory`, each mapping a seeded random
+        subset of the English letters onto the default geometry."""
+        rng = random.Random(seed)
+        ids = [p.position_id for p in default_geometry().positions]
+        paths = []
+        for i in range(count):
+            letters = rng.sample(string.ascii_lowercase, rng.randint(10, 26))
+            mapping = dict(zip(letters, rng.sample(ids, len(letters))))
+            path = directory / f"layout{i:02d}.json"
+            path.write_text(json.dumps({"name": f"random{i:02d}", "geometry_ref": geometry_ref,
+                                        "mapping": mapping}), encoding="utf-8")
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("command, extra, orders", [
+        ("stats", [], [3]),
+        ("design", [], [2]),
+        ("evaluate", ["partial.json"], [2]),
+    ])
+    def test_one_count_per_command(self, tmp_path, data_dir, count_calls, command, extra, orders):
+        layouts = [str(data_dir / "sample" / "layouts" / name) for name in extra]
+        assert main([command, "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--output-dir", str(tmp_path / "out"), *layouts]) == 0
+        assert count_calls == orders
+
+    def test_one_geometry_load_for_24_layouts(self, tmp_path, data_dir, geometry_loads):
+        save_geometry(default_geometry(), tmp_path / "geometry.json")
+        layouts = self.random_layouts(tmp_path, "geometry.json", 24, seed=11)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--output-dir", str(out), *map(str, layouts)]) == 0
+        assert geometry_loads == [tmp_path / "geometry.json"]
+        assert len(list(out.glob("report_*.json"))) == 24
+
+    def test_one_load_per_distinct_geometry(self, tmp_path, data_dir, geometry_loads):
+        # the first and third layouts share a geometry; the second names its own
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            save_geometry(default_geometry(), tmp_path / name / "geometry.json")
+        first, third = self.random_layouts(tmp_path / "a", "geometry.json", 2, seed=12)
+        (second,) = self.random_layouts(tmp_path / "b", "geometry.json", 1, seed=13)
+        assert main(["evaluate", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--output-dir", str(tmp_path / "out"),
+                     str(first), str(second), str(third)]) == 0
+        assert geometry_loads == [tmp_path / "a" / "geometry.json",
+                                  tmp_path / "b" / "geometry.json"]
+
+
+class TestLayoutFileSweep:
+    """Each field of a layout file, and one of its mapping values, replaced
+    by a value of the wrong kind: `evaluate` either scores the layout or
+    refuses it with one error line that names the file, writing nothing."""
+
+    VALUES = {"null": None, "number": 7, "bool": True, "nan": float("nan"),
+              "list": ["geometry.json"], "empty": ""}
+
+    def test_every_field_and_wrong_kind(self, tmp_path, capsys):
+        text = random_text("abcdef", 400, 3, space_prob=0.1, junk="12", junk_prob=0.05)
+        alpha, manifest = write_corpus(tmp_path, [text], "abcdef")
+        good = tmp_path / "layout.json"
+        write_fixture_layout(good, list("abc"), list("def"), "split")
+        original = json.loads(good.read_text(encoding="utf-8"))
+        letter = random.Random(17).choice(sorted(original["mapping"]))
+        accepted = set()
+        for field in ("name", "geometry_ref", "mapping", f"mapping[{letter}]"):
+            for kind, value in self.VALUES.items():
+                data = json.loads(json.dumps(original))
+                if field.startswith("mapping["):
+                    data["mapping"][letter] = value
+                else:
+                    data[field] = value
+                bad = tmp_path / f"{field}-{kind}.json"
+                bad.write_text(json.dumps(data), encoding="utf-8")
+                out = tmp_path / f"out-{field}-{kind}"
+                code = main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                             "--output-dir", str(out), str(bad)])
+                err = capsys.readouterr().err
+                case = (field, kind)
+                if code == 0:
+                    accepted.add(case)
+                    assert err == "" and (out / "comparison.tsv").exists(), case
+                else:
+                    assert code == 1, case
+                    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, (case, err)
+                    assert "Traceback" not in err and not out.exists(), case
+        # only an empty name is a valid layout
+        assert accepted == {("name", "empty")}
 
 
 class TestCompareOnly:

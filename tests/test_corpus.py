@@ -12,10 +12,12 @@ from keymine.corpus import (
     IngestionError,
     NGraphTable,
     count_ngraphs,
+    derive_lower,
     monograph_ranking,
     read_manifest,
     read_text,
     tokenize,
+    tokenize_file,
     write_ngraph_tsv,
 )
 from keymine.synth import random_text, zipf_weights
@@ -209,6 +211,54 @@ class TestCountNgraphs:
         text = random_text("abc", 500, 9)
         stream = tokenize(text, ABC)
         assert count_ngraphs(stream, 2).total == stream.letter_count - 1
+
+
+def assert_derives_each_lower_order(stream):
+    """`count_ngraphs` is the oracle: deriving from order n must give the
+    table it counts at order n - 1, for n = 2 and 3."""
+    for n in (2, 3):
+        assert derive_lower(count_ngraphs(stream, n), stream) == count_ngraphs(stream, n - 1)
+
+
+class TestDeriveLower:
+    @pytest.mark.parametrize("alphabet, manifest", [
+        ("english.json", "sample/manifest.txt"),
+        ("bangla.json", "bangla/manifest.txt"),
+    ], ids=["sample", "bangla"])
+    def test_checked_in_corpora(self, data_dir, alphabet, manifest):
+        alpha = AlphabetConfig.from_json(data_dir / "alphabets" / alphabet)
+        stream = join_streams(*(tokenize_file(path, alpha)
+                                for path in read_manifest(data_dir / manifest)))
+        assert_derives_each_lower_order(stream)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_junk_heavy_corpora(self, seed):
+        letters = string.ascii_lowercase
+        alpha = AlphabetConfig(name="az", letters=tuple(letters))
+        text = random_text(letters, 3000, seed, weights=zipf_weights(26),
+                           space_prob=0.1, junk="0.,;", junk_prob=0.45)
+        stream = tokenize(text, alpha)
+        # runs shorter than a window exist at both orders
+        assert {1, 2} <= set(map(len, stream.runs))
+        assert_derives_each_lower_order(stream)
+
+    def test_empty_stream(self):
+        stream = tokenize("", AB)
+        assert_derives_each_lower_order(stream)
+        assert derive_lower(count_ngraphs(stream, 2), stream).counts == {}
+
+    def test_single_letter_runs(self):
+        # no digraph at all, yet every letter is a run's end
+        stream = tokenize("a1b2a3c 4a", ABC)
+        assert stream.runs == ["a", "b", "a", "c", "a"]
+        assert_derives_each_lower_order(stream)
+        assert derive_lower(count_ngraphs(stream, 2), stream).counts == {
+            ("a",): 3, ("b",): 1, ("c",): 1}
+
+    def test_nothing_below_monographs(self):
+        stream = tokenize("ab", AB)
+        with pytest.raises(ValueError):
+            derive_lower(count_ngraphs(stream, 1), stream)
 
 
 class TestMonographRanking:
