@@ -417,7 +417,10 @@ def load_layout(path: str | Path, geometries: dict[Path, KeyboardGeometry] | Non
     if geometries is None:
         geometries = {}
     if ref not in geometries:
-        geometries[ref] = load_geometry(ref)
+        try:
+            geometries[ref] = load_geometry(ref)
+        except OSError as exc:  # a missing file or a directory: name the layout that points there
+            raise IngestionError(f"{path}: field 'geometry_ref': {exc}") from exc
     geometry = geometries[ref]
     try:
         return Layout(name=data["name"], geometry=geometry, mapping=dict(data["mapping"]))

@@ -10,19 +10,22 @@ some candidate holds and, from k = 3 on, split into the pieces that the
 level's candidates link together; the rows are kept for the next level,
 which cuts them further, so rows that become equal merge and rows too short
 for the level drop out. At k = 2 the scan adds each row's multiplicity for
-every pair it holds into one flat triangular array of counts; at every other
-k it counts the size-k subsets of the rows in one `Counter`. Each candidate's
-count is read out as the candidates are walked: level 2's, every pair of
-frequent items, come lazily from the join and are never listed, and a level
-keeps only its frequent itemsets and the number of candidates it counted. A
-level longer than every row is never built: it is a scan over no rows,
-recorded only when its join yields a candidate.
+every pair it holds into one flat triangular array of counts, laid out in
+the order `combinations` yields the pairs; level 2's candidates, every pair
+of frequent items, come lazily from the join and are never listed, and
+their counts are read out by zipping the pairs with the array, in C. Level 1
+counts bare items and every later level the size-k subsets of the rows, each
+in one `Counter`, and each candidate's count is read out as the candidates
+are walked. A level keeps only its frequent itemsets and the number of
+candidates it counted. A level longer than every row is never built: it is a
+scan over no rows, recorded only when its join yields a candidate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, repeat
+from functools import partial
+from itertools import chain, combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -89,6 +92,10 @@ class CountedItemset(NamedTuple):
     support_count: int
 
 
+# builds a CountedItemset from an (items, count) pair without a Python-level call
+_counted = partial(tuple.__new__, CountedItemset)
+
+
 class FrequentLevel(NamedTuple):
     """One Apriori level: the frequent k-itemsets with their counts, and
     `candidates`, the number of k-itemsets counted to find them."""
@@ -138,10 +145,15 @@ class _LevelRows:
     multiplicities, and rows below k items drop out.
 
     Level 2 counts every pair of the wanted items in one flat triangular
-    array of 8-byte counts, indexed by the items' rank among the wanted items
-    in universe order (Bodon's counting scheme); every other level counts the
-    size-k subsets of the rows in one `Counter`. Either way each candidate's
-    count is read out as the candidates are walked.
+    array of 8-byte counts (Bodon's counting scheme), laid out a-major: with
+    the wanted items ranked in universe order, the pair (a, b), a before b,
+    sits at base[a] + rank[b], where base[a] = r(2m - r - 1)/2 - r - 1 for
+    a of rank r among m items. The array then holds the pairs in the order
+    `combinations(items, 2)` yields them, which is the order of Apriori's
+    level-2 candidates, so the counts are read out by zipping the two, with
+    no Python-level step per candidate. Level 1 counts bare items and every
+    later level the size-k subsets of the rows, each in one `Counter`, and
+    each candidate's count is read out as the candidates are walked.
 
     Each cut starts from the previous level's rows, which is right as long as
     every level's candidates hold only items of the previous level's
@@ -157,10 +169,13 @@ class _LevelRows:
         self.longest = max(map(len, self.rows), default=0)
 
     def count(self, candidates: Iterable[tuple[str, ...]], k: int) -> Iterator[CountedItemset]:
-        """Count canonical, distinct size-k candidates, yielding each with its
-        count in the order given. `candidates` is walked more than once: for
+        """Count canonical, distinct size-k candidates: an iterator of each
+        with its count, in the order given. `candidates` is walked more than once: for
         the items to cut the rows to (and, from k = 3 on, for the join graph)
-        and again as the counts are read out."""
+        and again as the counts are read out. At k = 2 the candidates must be
+        every pair of the items they hold, in universe order, as Apriori's
+        are: the counts are then read out in the pair array's own order and
+        `candidates` is not walked again."""
         wanted = set(chain.from_iterable(candidates))
         if not self.held <= wanted:
             cut: dict[tuple[str, ...], int] = {}
@@ -180,25 +195,28 @@ class _LevelRows:
         if k == 2:
             from array import array  # only level 2 uses one; kept off the other commands' imports
 
-            # the pair (a, b), a before b in universe order, sits at start[b] + rank[a]
-            rank = {item: r for r, item in enumerate(filter(wanted.__contains__, self.universe))}
-            start = {item: r * (r - 1) // 2 for item, r in rank.items()}
-            pairs = array("q", bytes(8 * (len(rank) * (len(rank) - 1) // 2)))
+            # a-major: the pair (a, b), a before b in universe order, sits at
+            # base[a] + rank[b], the place `combinations(items, 2)` yields it in
+            items = tuple(filter(wanted.__contains__, self.universe))
+            m = len(items)
+            rank = {item: r for r, item in enumerate(items)}
+            base = {item: r * (2 * m - r - 1) // 2 - r - 1 for item, r in rank.items()}
+            pairs = array("q", bytes(8 * (m * (m - 1) // 2)))
             for row, n in self.rows.items():
                 for a, b in combinations(row, 2):
-                    pairs[start[b] + rank[a]] += n
-            for c in candidates:
-                yield CountedItemset(c, pairs[start[c[1]] + rank[c[0]]])
-            return
+                    pairs[base[a] + rank[b]] += n
+            return map(_counted, zip(combinations(items, 2), pairs))
+        subsets = iter if k == 1 else partial(combinations, r=k)  # level 1 counts bare items
         unit_rows = [row for row, n in self.rows.items() if n == 1]
-        counts = Counter(chain.from_iterable(map(combinations, unit_rows, repeat(k))))
+        counts = Counter(chain.from_iterable(map(subsets, unit_rows)))
         for row, n in self.rows.items():
             if n > 1:
-                for sub in combinations(row, k):
+                for sub in subsets(row):
                     counts[sub] += n
         # pop frees each counted key as its result is read out (lower peak RSS)
-        for c in candidates:
-            yield CountedItemset(c, counts.pop(c, 0))
+        if k == 1:
+            return (CountedItemset(c, counts.pop(c[0], 0)) for c in candidates)
+        return (CountedItemset(c, counts.pop(c, 0)) for c in candidates)
 
 
 class _Join:
@@ -395,23 +413,33 @@ def digraphs_as_transactions(table: NGraphTable) -> TransactionDB:
     return TransactionDB(universe=tuple(sorted(own, key=index)), rows=rows)
 
 
-def read_transactions_tsv(path: str | Path) -> TransactionDB:
-    """Load a transaction DB from TSV: tid, space-separated item list.
-
-    The universe is the sorted set of items, so a row is its distinct items
-    in string order; each line is counted as it is read, and rows and
-    universe hold one string object per item.
-    """
-    path = Path(path)
-    held: dict[str, str] = {}
-    rows: Counter[tuple[str, ...]] = Counter()
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+def _itemsets(path: Path, lines: list[str], held: dict[str, str]) -> Iterator[tuple[str, ...]]:
+    """Each transaction line's distinct items in string order. `held` maps
+    each item to the first equal string read, which stands for it in every
+    row."""
+    for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.startswith("#") or line == "tid\titems":
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise IngestionError(f"{path}:{lineno}: expected 2 tab-separated columns")
-        rows[tuple(sorted({held.setdefault(item, item) for item in parts[1].split()}))] += 1
+        items = parts[1].split()
+        yield tuple(sorted(set(map(held.setdefault, items, items))))
+
+
+def read_transactions_tsv(path: str | Path) -> TransactionDB:
+    """Load a transaction DB from TSV: tid, space-separated item list.
+
+    The universe is the sorted set of items, so a row is its distinct items
+    in string order; the lines' rows are counted in one `Counter`, and rows
+    and universe hold one string object per item. A leading byte order mark
+    is dropped.
+    """
+    path = Path(path)
+    held: dict[str, str] = {}
+    # only the lines are passed on, so the whole text is freed once it is split
+    lines = read_text(path).removeprefix("\ufeff").splitlines()
+    rows = Counter(_itemsets(path, lines, held))
     return TransactionDB(universe=tuple(sorted(held)), rows=rows)
 
 

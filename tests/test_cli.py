@@ -730,6 +730,75 @@ class TestLayoutFileSweep:
         assert accepted == {("name", "empty")}
 
 
+    @pytest.mark.parametrize("ref", ["nosuch.json", "."])
+    def test_geometry_ref_that_names_no_file(self, tmp_path, data_dir, capsys, ref):
+        partial = data_dir / "sample" / "layouts" / "partial.json"
+        data = json.loads(partial.read_text(encoding="utf-8"))
+        data["geometry_ref"] = ref
+        bad = tmp_path / "layout.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                     "--output-dir", str(out), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: field 'geometry_ref': ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
+
+class TestTransactionFileSweep:
+    """Seeded single-line edits of market9.tsv: `mine` either writes both
+    TSVs or refuses the file with one error line that names it, writing
+    nothing. Edits that only add lines a reader skips, change line endings
+    or add a byte order mark leave the output unchanged."""
+
+    # name -> (edit of the chosen line, or of the whole text for "bom", and the outcome)
+    EDITS = {
+        "no tab": (lambda line: line.replace("\t", " "), "refused"),
+        "third column": (lambda line: line + "\tx", "refused"),
+        "empty items": (lambda line: line.split("\t")[0] + "\t", "changed"),
+        "blank line": (lambda line: line + "\n \t ", "same"),
+        "comment": (lambda line: line + "\n# a comment", "same"),
+        "repeated header": (lambda line: line + "\ntid\titems", "same"),
+        "crlf": (lambda line: line + "\r", "same"),
+        "bom": (lambda text: "\ufeff" + text, "same"),
+        "invalid utf-8": (lambda line: line + "\udcff", "refused"),
+    }
+
+    @staticmethod
+    def mine(path, out):
+        return main(["mine", "--transactions", str(path), "--min-support", "2",
+                     "--min-confidence", "0.7", "--output-dir", str(out)])
+
+    def test_every_edit(self, tmp_path, data_dir, capsys):
+        text = (data_dir / "market9.tsv").read_text(encoding="utf-8")
+        expected = (data_dir / "golden" / "frequent_itemsets.tsv").read_bytes()
+        lines = text.splitlines()
+        for seed in range(3):
+            at = random.Random(seed).randrange(len(lines))
+            for name, (edit, outcome) in self.EDITS.items():
+                if name == "bom":
+                    edited = edit(text)
+                else:
+                    edited = "\n".join([*lines[:at], edit(lines[at]), *lines[at + 1:]]) + "\n"
+                case = (seed, name)
+                bad = tmp_path / f"{seed}-{name}.tsv"
+                # "\udcff" stands for a lone byte 0xff, which no UTF-8 text holds
+                bad.write_bytes(edited.encode("utf-8", "surrogateescape"))
+                out = tmp_path / f"out-{seed}-{name}"
+                code = self.mine(bad, out)
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, case
+                if outcome == "refused":
+                    assert code == 1 and err.startswith(f"error: {bad}:"), (case, err)
+                    assert err.count("\n") == 1 and not out.exists(), case
+                else:
+                    assert code == 0 and err == "", (case, err)
+                    assert (out / "rules.tsv").exists(), case
+                    same = (out / "frequent_itemsets.tsv").read_bytes() == expected
+                    assert same == (outcome == "same"), case
+
+
 class TestCompareOnly:
     def test_ranks_written_reports(self, tmp_path):
         from keymine.evaluation import write_report_json

@@ -719,6 +719,12 @@ class TestTransactionTsv:
         path.write_text("tid\titems\nT1\tb a\n", encoding="utf-8")
         assert read_transactions_tsv(path).universe == ("a", "b")
 
+    def test_byte_order_mark_is_dropped(self, market9, data_dir, tmp_path):
+        # read as text, "\ufefftid\titems" is no header but a row holding "items"
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + (data_dir / "market9.tsv").read_bytes())
+        assert read_transactions_tsv(path) == market9
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "db.tsv"
         path.write_text("T1\ta\tb\n", encoding="utf-8")
