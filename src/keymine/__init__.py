@@ -17,7 +17,6 @@ from .corpus import (
     LetterStream,
     NGraphTable,
     count_ngraphs,
-    monograph_ranking,
     tokenize,
 )
 from .evaluation import EvalReport, compare, evaluate
@@ -66,7 +65,6 @@ __all__ = [
     "generate_candidates",
     "generate_rules",
     "mine_frequent",
-    "monograph_ranking",
     "place_keys",
     "tokenize",
 ]

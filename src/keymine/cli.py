@@ -5,9 +5,10 @@ machine-readable run manifest (content hashes of inputs, parameters, tool
 version) into the output directory, and exits 0 only if all requested
 outputs were written and all embedded audits passed.
 
-A `--config` JSON value is parsed as its `--key=value` flag placed right
-after the command name: it is checked as the flag is, and an explicit flag,
-coming later, wins. Input-file errors name the file.
+A `--config` JSON value, a string or a number, is parsed as its
+`--key=value` flag placed right after the command name: it is checked as
+the flag is, and an explicit flag, coming later, wins. Input-file errors
+name the file.
 """
 
 from __future__ import annotations
@@ -389,7 +390,8 @@ _CONFIG_KEYS = (
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """The config file's values for the keys this command takes, as
-    `--key=value` flags; a null value is left out."""
+    `--key=value` flags; a null value is left out, and a value that is
+    neither a string nor a number (a bool is not one) is refused."""
     path = Path(args.config)
     data = read_json(path)
     if not isinstance(data, dict):
@@ -397,11 +399,14 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return [
-        f"--{key.replace('_', '-')}={value}"
-        for key, value in data.items()
-        if key in vars(args) and value is not None
-    ]
+    flags = []
+    for key, value in data.items():
+        if key not in vars(args) or value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise CliError(f"{path}: key {key!r} must be a string or a number")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 _COMMANDS = {

@@ -84,11 +84,13 @@ class AlphabetConfig:
         data = read_json(path)
         if not isinstance(data, dict) or "name" not in data or "letters" not in data:
             raise IngestionError(f"{path}: expected an object with 'name' and 'letters'")
+        if not isinstance(data["name"], str):
+            raise IngestionError(f"{path}: field 'name' must be a string")
         letters = data["letters"]
         if not isinstance(letters, list) or not all(isinstance(x, str) for x in letters):
             raise IngestionError(f"{path}: 'letters' must be a list of single-code-point strings")
         try:
-            return cls(name=str(data["name"]), letters=tuple(letters))
+            return cls(name=data["name"], letters=tuple(letters))
         except ValueError as exc:
             raise IngestionError(f"{path}: {exc}") from exc
 
@@ -176,28 +178,6 @@ def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
     return NGraphTable(n=m, counts=counts, alphabet=table.alphabet)
 
 
-class RankedLetter(NamedTuple):
-    letter: str
-    count: int
-    percentage: float
-
-
-def monograph_ranking(table: NGraphTable) -> list[RankedLetter]:
-    """Letters by descending frequency; ties broken by alphabet order.
-
-    Percentage is 100 * count / total over all counted letters.
-    """
-    if table.n != 1:
-        raise ValueError(f"ranking requires a monograph table, got n={table.n}")
-    total = table.total
-    if total == 0:
-        return []
-    return [
-        RankedLetter(key[0], count, 100.0 * count / total)
-        for key, count in table.sorted_items()
-    ]
-
-
 def read_text(path: str | Path) -> str:
     """Read a UTF-8 input file; a decoding failure names the file and the
     byte offset."""
@@ -225,13 +205,16 @@ def tokenize_file(path: str | Path, alphabet: AlphabetConfig) -> LetterStream:
 def read_manifest(path: str | Path) -> list[Path]:
     """Read a corpus manifest: one file path per line, '#' comments allowed.
 
+    Lines end at LF only; surrounding whitespace, a CR included, is
+    stripped from each entry.
+
     Relative paths are resolved against the manifest's directory. Sources
     listed here are tokenized independently; n-grams never cross files.
     """
     path = Path(path)
     base = path.parent
     paths: list[Path] = []
-    for line in read_text(path).splitlines():
+    for line in read_text(path).split("\n"):
         entry = line.split("#", 1)[0].strip()
         if not entry:
             continue

@@ -9,9 +9,10 @@ its stronger association, so that the digraphs it participates in tend to
 alternate hands. The decision rule is deliberately asymmetric: only a
 letter whose left support AND left confidence both dominate goes right;
 every other case (clear right association, mixed signals, exact ties)
-goes left. `assign_hands` is the one place this rule runs; the audit
-recomputes the assignment with it and compares the two decision traces
-record by record.
+goes left. `assign_hands` is the one place this rule runs. Its decision
+trace is the partition: each hand's letters are read off the trace, in
+rank order. The audit recomputes the assignment with the same rule and
+compares the two traces record by record.
 
 Each hand's letters are then placed on physical key positions in
 frequency order, cheapest position first.
@@ -25,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import IngestionError, NGraphTable, monograph_ranking, read_json
+from .corpus import IngestionError, NGraphTable, read_json
 
 HANDS = ("left", "right")
 ROWS = ("home", "top", "bottom")
@@ -33,10 +34,6 @@ LAYERS = ("base", "shift")
 FINGERS = (1, 2, 3, 4, "thumb")
 
 TIE_POLICIES = ("left-biased", "balanced")
-
-
-class MissingTraceError(ValueError):
-    """A partition without a decision trace cannot be audited."""
 
 
 class GeometryCapacityError(ValueError):
@@ -62,23 +59,20 @@ class TraceRecord(NamedTuple):
     hand: str
 
 
-class HandPartition:
-    """Letters split between hands, in assignment (frequency-rank) order,
-    with the per-letter decision trace kept for audit."""
+class HandPartition(NamedTuple):
+    """A hand assignment as its decision trace, one record per letter in
+    assignment (frequency-rank) order, and the tie policy that made it."""
 
-    __slots__ = ("left", "right", "trace", "tie_policy")
+    trace: list[TraceRecord]
+    tie_policy: str = "left-biased"
 
-    def __init__(
-        self,
-        left: list[str] | None = None,
-        right: list[str] | None = None,
-        trace: list[TraceRecord] | None = None,
-        tie_policy: str = "left-biased",
-    ) -> None:
-        self.left = [] if left is None else left
-        self.right = [] if right is None else right
-        self.trace = [] if trace is None else trace
-        self.tie_policy = tie_policy
+    @property
+    def left(self) -> list[str]:
+        return [rec.letter for rec in self.trace if rec.hand == "left"]
+
+    @property
+    def right(self) -> list[str]:
+        return [rec.letter for rec in self.trace if rec.hand == "right"]
 
 
 class AuditResult(NamedTuple):
@@ -119,7 +113,9 @@ def assign_hands(
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
-    ranking = monograph_ranking(monographs)
+    if monographs.n != 1:
+        raise ValueError(f"ranking requires a monograph table, got n={monographs.n}")
+    ranking = [key[0] for key, count in monographs.sorted_items() if count]
     if not ranking:
         raise ValueError("cannot assign hands: no letter has a nonzero count")
     d = digraphs.counts
@@ -129,13 +125,14 @@ def assign_hands(
         holding[a] += n
         if b != a:
             holding[b] += n
-    partition = HandPartition(tie_policy=tie_policy)
+    left: list[str] = []
+    right: list[str] = []
+    trace: list[TraceRecord] = []
     alternate = itertools.cycle(HANDS)
-    for rank, row in enumerate(ranking, start=1):
-        letter = row.letter
+    for rank, letter in enumerate(ranking, start=1):
         own = holding[letter]
         sums = []
-        for assigned in (partition.left, partition.right):
+        for assigned in (left, right):
             support = confidence = 0.0
             if total:
                 for other in assigned:
@@ -153,9 +150,9 @@ def assign_hands(
             hand = next(alternate)
         else:
             hand = "left"
-        (partition.left if hand == "left" else partition.right).append(letter)
-        partition.trace.append(TraceRecord(rank, letter, ls, rs, lc, rc, hand))
-    return partition
+        (left if hand == "left" else right).append(letter)
+        trace.append(TraceRecord(rank, letter, ls, rs, lc, rc, hand))
+    return HandPartition(trace, tie_policy)
 
 
 def audit_partition(
@@ -166,17 +163,15 @@ def audit_partition(
     Runs `assign_hands` again on the same tables and tie policy, then
     compares the partition's trace with the recomputed one record by record:
     rank and letter, the four affinities, then the hand. Passes only if
-    every record matches and the hand lists agree with the trace. The
-    recomputation shares the rule and the pair sums with the assignment, so
-    it catches a partition or trace changed after the fact, not a fault in
-    the rule itself.
+    the traces have as many records and every record matches; an empty
+    trace fails the count. The hand lists are read off the trace, so they
+    cannot disagree with it. The recomputation shares the rule and the pair
+    sums with the assignment, so it catches a trace changed after the fact,
+    not a fault in the rule itself.
     """
-    if not partition.trace:
-        raise MissingTraceError("partition carries no trace; audit is impossible")
-    ranking = monograph_ranking(monographs)
-    if len(ranking) != len(partition.trace):
-        return AuditResult(False, f"trace has {len(partition.trace)} records for {len(ranking)} ranked letters")
     expected = assign_hands(monographs, digraphs, partition.tie_policy)
+    if len(partition.trace) != len(expected.trace):
+        return AuditResult(False, f"trace has {len(partition.trace)} records for {len(expected.trace)} ranked letters")
     for rec, want in zip(partition.trace, expected.trace):
         if rec.rank != want.rank or rec.letter != want.letter:
             return AuditResult(
@@ -200,8 +195,6 @@ def audit_partition(
                 want.rank,
                 rec.letter,
             )
-    if expected.left != partition.left or expected.right != partition.right:
-        return AuditResult(False, "hand lists do not match the replayed trace")
     return AuditResult(True, "all decisions replay identically")
 
 

@@ -432,13 +432,14 @@ def read_transactions_tsv(path: str | Path) -> TransactionDB:
 
     The universe is the sorted set of items, so a row is its distinct items
     in string order; the lines' rows are counted in one `Counter`, and rows
-    and universe hold one string object per item. A leading byte order mark
-    is dropped.
+    and universe hold one string object per item. Lines end at LF, and one
+    CR before it is dropped; no other code point ends a line. A leading
+    byte order mark is dropped.
     """
     path = Path(path)
     held: dict[str, str] = {}
     # only the lines are passed on, so the whole text is freed once it is split
-    lines = read_text(path).removeprefix("\ufeff").splitlines()
+    lines = read_text(path).removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
     rows = Counter(_itemsets(path, lines, held))
     return TransactionDB(universe=tuple(sorted(held)), rows=rows)
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the nine-transaction demo database, repo paths, a spy
-on Apriori's counting, a helper that counts a text's letter tables, and
-one that scores a layout the way `keymine evaluate` does."""
+on Apriori's counting, a helper that counts a text's letter tables, one
+that builds a hand partition from hand lists, and one that scores a layout
+the way `keymine evaluate` does."""
 
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from keymine import mining
 from keymine.corpus import LetterStream, count_ngraphs, tokenize
 from keymine.evaluation import EvalReport, evaluate
-from keymine.layout import Layout
+from keymine.layout import HandPartition, Layout, TraceRecord
 from keymine.mining import CountedItemset, TransactionDB
 
 REPO = Path(__file__).resolve().parent.parent
@@ -71,6 +72,14 @@ def corpus_tables(text, alphabet):
     """The monograph and digraph tables of one text."""
     stream = tokenize(text, alphabet)
     return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
+
+
+def hand_partition(left=(), right=()) -> HandPartition:
+    """A partition with these letters on each hand, in the order given: trace
+    records with the given hands and zero statistics, left letters first."""
+    hands = [(letter, "left") for letter in left] + [(letter, "right") for letter in right]
+    return HandPartition([TraceRecord(rank, letter, 0.0, 0.0, 0.0, 0.0, hand)
+                          for rank, (letter, hand) in enumerate(hands, start=1)])
 
 
 def score(layout: Layout, *streams: LetterStream) -> EvalReport:

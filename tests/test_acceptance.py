@@ -7,10 +7,9 @@ import string
 import time
 
 from keymine.cli import main
-from keymine.corpus import AlphabetConfig, count_ngraphs, monograph_ranking, tokenize
+from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
 from keymine.evaluation import write_report_json
 from keymine.layout import (
-    HandPartition,
     assign_hands,
     audit_partition,
     default_geometry,
@@ -24,7 +23,7 @@ from keymine.mining import (
 )
 from keymine.synth import random_text, zipf_weights
 
-from conftest import ACCEPTANCE_RESULTS, corpus_tables, market9_db, score
+from conftest import ACCEPTANCE_RESULTS, corpus_tables, hand_partition, market9_db, score
 from oracles import (
     GROUP_ONE,
     GROUP_TWO,
@@ -124,7 +123,7 @@ def test_seeding_rule():
         text = random_text(letters, 1500, seed, weights=zipf_weights(size),
                            space_prob=0.08, junk="05", junk_prob=0.03)
         mono, di = corpus_tables(text, alpha)
-        ranking = [r.letter for r in monograph_ranking(mono)]
+        ranking = [key[0] for key, _ in mono.sorted_items()]
         part = assign_hands(mono, di)
         if not (ranking[0] in part.right and ranking[3] in part.right
                 and ranking[1] in part.left and ranking[2] in part.left):
@@ -232,7 +231,7 @@ def test_designed_layout_maximizes_alternation(tmp_path):
     part = assign_hands(mono, digraphs)
     designed = place_keys(part, geometry, name="designed")
     letters = sorted(part.left + part.right)
-    rivals = [place_keys(HandPartition(left=list(letters)), geometry,
+    rivals = [place_keys(hand_partition(left=letters), geometry,
                          name="one-hand")]
     group_split = frozenset((frozenset(GROUP_ONE), frozenset(GROUP_TWO)))
     for seed in range(1000, 1010):
@@ -240,7 +239,7 @@ def test_designed_layout_maximizes_alternation(tmp_path):
         left = sorted(rng.sample(letters, 5))
         right = [l for l in letters if l not in left]
         assert frozenset((frozenset(left), frozenset(right))) != group_split
-        rivals.append(place_keys(HandPartition(left=left, right=right),
+        rivals.append(place_keys(hand_partition(left, right),
                                  geometry, name=f"random-{seed}"))
 
     reports = [score(designed, stream)] + [score(r, stream) for r in rivals]

@@ -746,11 +746,110 @@ class TestLayoutFileSweep:
         assert "Traceback" not in err and not out.exists()
 
 
+class TestAlphabetFileSweep:
+    """The name, the letter list and one seeded letter of an alphabet file,
+    each replaced by a value of the wrong kind: `stats` either counts the
+    corpus or refuses the file with one error line that names it, writing
+    nothing."""
+
+    VALUES = {"null": None, "number": 7, "bool": True, "nan": float("nan"),
+              "list": ["a"], "empty": ""}
+
+    def test_every_field_and_wrong_kind(self, tmp_path, capsys):
+        text = random_text("abcdef", 400, 5, space_prob=0.1, junk="12", junk_prob=0.05)
+        good, manifest = write_corpus(tmp_path, [text], "abcdef")
+        original = json.loads(good.read_text(encoding="utf-8"))
+        at = random.Random(23).randrange(len(original["letters"]))
+        accepted = set()
+        for field in ("name", "letters", f"letters[{at}]"):
+            for kind, value in self.VALUES.items():
+                data = json.loads(json.dumps(original))
+                if field.startswith("letters["):
+                    data["letters"][at] = value
+                else:
+                    data[field] = value
+                bad = tmp_path / f"{field}-{kind}.json"
+                bad.write_text(json.dumps(data), encoding="utf-8")
+                out = tmp_path / f"out-{field}-{kind}"
+                code = main(["stats", "--alphabet", str(bad), "--manifest", str(manifest),
+                             "--output-dir", str(out)])
+                err = capsys.readouterr().err
+                case = (field, kind)
+                if code == 0:
+                    accepted.add(case)
+                    assert err == "" and (out / "monographs.tsv").exists(), case
+                else:
+                    assert code == 1, case
+                    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, (case, err)
+                    assert "Traceback" not in err and not out.exists(), case
+        # an empty name is a name, and one letter is an alphabet
+        assert accepted == {("name", "empty"), ("letters", "list")}
+
+
+class TestConfigFileSweep:
+    """Each key `design` takes, set in a config file to a value of each
+    JSON kind: `design` writes its layout, or refuses a value that is
+    neither a string nor a number with one error line that names the config,
+    or refuses a string or number as its flag would (argparse's exit 2),
+    writing nothing in either case. The path keys are also given as flags,
+    which win, so only a value's kind can fail them."""
+
+    VALUES = {"null": None, "number": 7, "bool": True, "nan": float("nan"),
+              "list": ["balanced"], "empty": ""}
+    KEYS = ("alphabet", "manifest", "geometry", "output_dir", "tie_policy", "name")
+
+    def test_every_key_and_kind(self, tmp_path, capsys):
+        text = random_text("abcdef", 400, 7, space_prob=0.1, junk="12", junk_prob=0.05)
+        alpha, manifest = write_corpus(tmp_path, [text], "abcdef")
+        geometry = tmp_path / "geometry.json"
+        save_geometry(default_geometry(), geometry)
+        codes = {}
+        for key in self.KEYS:
+            for kind, value in self.VALUES.items():
+                config = tmp_path / f"{key}-{kind}.json"
+                config.write_text(json.dumps({key: value}), encoding="utf-8")
+                out = tmp_path / f"out-{key}-{kind}"
+                argv = ["design", "--alphabet", str(alpha), "--manifest", str(manifest),
+                        "--geometry", str(geometry), "--output-dir", str(out)]
+                case = (key, kind)
+                try:
+                    codes[case] = main([*argv[:1], "--config", str(config), *argv[1:]])
+                except SystemExit as exc:
+                    codes[case] = exc.code
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, case
+                if codes[case] == 0:
+                    assert err == "" and (out / "layout.json").exists(), case
+                    continue
+                assert not out.exists(), case
+                if codes[case] == 1:
+                    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1, (case, err)
+                else:
+                    assert codes[case] == 2, case
+                    with pytest.raises(SystemExit):  # the flag itself refuses the value
+                        main([*argv[:1], f"--{key.replace('_', '-')}={value}", *argv[1:]])
+                    capsys.readouterr()
+        refused = {case for case, code in codes.items() if code == 1}
+        assert refused == {(key, kind) for key in self.KEYS for kind in ("bool", "list")}
+        usage = {case for case, code in codes.items() if code == 2}
+        assert usage == {("tie_policy", kind) for kind in ("number", "nan", "empty")}
+
+    @pytest.mark.parametrize("value", [True, False, {"a": 1}])
+    def test_wrong_kind_names_file_and_key(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"name": value}), encoding="utf-8")
+        assert main(["design", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: key 'name' must be a string or a number\n"
+
+
 class TestTransactionFileSweep:
     """Seeded single-line edits of market9.tsv: `mine` either writes both
     TSVs or refuses the file with one error line that names it, writing
-    nothing. Edits that only add lines a reader skips, change line endings
-    or add a byte order mark leave the output unchanged."""
+    nothing. Edits that only add lines a reader skips, change line endings,
+    add a byte order mark or separate two items with other Unicode
+    whitespace (which `str.splitlines` would take for a line break) leave
+    the output unchanged."""
 
     # name -> (edit of the chosen line, or of the whole text for "bom", and the outcome)
     EDITS = {
@@ -762,6 +861,9 @@ class TestTransactionFileSweep:
         "repeated header": (lambda line: line + "\ntid\titems", "same"),
         "crlf": (lambda line: line + "\r", "same"),
         "bom": (lambda text: "\ufeff" + text, "same"),
+        "u+2028 between items": (lambda line: line.replace(" ", "\u2028", 1), "same"),
+        "u+0085 between items": (lambda line: line.replace(" ", "\x85", 1), "same"),
+        "form feed between items": (lambda line: line.replace(" ", "\x0c", 1), "same"),
         "invalid utf-8": (lambda line: line + "\udcff", "refused"),
     }
 
@@ -1335,8 +1437,11 @@ class TestConfigAndManifest:
         argv = self.sample_argv(data_dir, command, tmp_path / "out")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
-        with pytest.raises(SystemExit):
-            main(argv + ["--config", str(config)])
+        if isinstance(value, (bool, list)):  # neither a string nor a number: the config's fault
+            assert main(argv + ["--config", str(config)]) == 1
+        else:
+            with pytest.raises(SystemExit):
+                main(argv + ["--config", str(config)])
         with pytest.raises(SystemExit):
             main(argv + [f"--{key.replace('_', '-')}={value}"])
         assert not (tmp_path / "out").exists()

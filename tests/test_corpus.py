@@ -13,13 +13,13 @@ from keymine.corpus import (
     NGraphTable,
     count_ngraphs,
     derive_lower,
-    monograph_ranking,
     read_manifest,
     read_text,
     tokenize,
     tokenize_file,
     write_ngraph_tsv,
 )
+from keymine.layout import assign_hands
 from keymine.synth import random_text, zipf_weights
 
 from conftest import join_streams
@@ -261,39 +261,52 @@ class TestDeriveLower:
             derive_lower(count_ngraphs(stream, 1), stream)
 
 
+def printed_rows(table, tmp_path):
+    """The rows `write_ngraph_tsv` writes for a table, as (ngram, count, percentage) text."""
+    path = tmp_path / "table.tsv"
+    write_ngraph_tsv(table, path)
+    return [tuple(line.split("\t")) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
 class TestMonographRanking:
-    def test_singleton(self):
+    """The ranking `assign_hands` reads is `sorted_items()` of the monograph
+    table; the percentages are the column `write_ngraph_tsv` prints."""
+
+    def test_singleton(self, tmp_path):
         table = count_ngraphs(tokenize("a", AB), 1)
-        assert monograph_ranking(table) == [("a", 1, 100.0)]
+        assert table.sorted_items() == [(("a",), 1)]
+        assert printed_rows(table, tmp_path) == [("a", "1", "100.000000")]
 
     def test_descending_with_alphabet_tiebreak(self):
         alpha = AlphabetConfig(name="x", letters=("z", "m", "a"))
         table = count_ngraphs(tokenize("zzmaam", alpha), 1)
         # m and a tie at 2; alphabet order puts z, then m before a
-        assert [(r.letter, r.count) for r in monograph_ranking(table)] == [
-            ("z", 2), ("m", 2), ("a", 2)]
+        assert table.sorted_items() == [(("z",), 2), (("m",), 2), (("a",), 2)]
 
-    def test_empty_table(self):
-        assert monograph_ranking(count_ngraphs(tokenize("", AB), 1)) == []
+    def test_empty_table(self, tmp_path):
+        table = count_ngraphs(tokenize("", AB), 1)
+        assert table.sorted_items() == []
+        assert printed_rows(table, tmp_path) == []
 
     def test_requires_monograph_table(self):
-        with pytest.raises(ValueError):
-            monograph_ranking(count_ngraphs(tokenize("ab", AB), 2))
+        stream = tokenize("ab", AB)
+        with pytest.raises(ValueError, match="monograph table"):
+            assign_hands(count_ngraphs(stream, 2), count_ngraphs(stream, 2))
 
-    def test_top_count_percentage_inversion(self):
+    def test_top_count_percentage_inversion(self, tmp_path):
         # a count of 74300 out of 821914 letters works out to 9.039875%
         counts = Counter({("a",): 74300, ("b",): 821914 - 74300})
         table = NGraphTable(n=1, counts=counts, alphabet=AB)
-        row = next(r for r in monograph_ranking(table) if r.count == 74300)
-        assert row.percentage == pytest.approx(9.039875, abs=1e-4)
+        assert ("a", "74300", "9.039875") in printed_rows(table, tmp_path)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_percentages_sum_to_100(self, seed):
+    def test_percentages_sum_to_100(self, seed, tmp_path):
         letters = string.ascii_lowercase
         alpha = AlphabetConfig(name="en", letters=tuple(letters))
         text = random_text(letters, 3000, seed, weights=zipf_weights(26))
-        ranking = monograph_ranking(count_ngraphs(tokenize(text, alpha), 1))
-        assert sum(r.percentage for r in ranking) == pytest.approx(100.0, abs=1e-6)
+        rows = printed_rows(count_ngraphs(tokenize(text, alpha), 1), tmp_path)
+        # each printed percentage is rounded to 6 places, off by at most 5e-7
+        assert sum(float(pct) for _, _, pct in rows) == pytest.approx(100.0, abs=5e-7 * len(rows))
 
     def test_determinism(self):
         text = random_text("abc", 1000, 3)
@@ -322,6 +335,13 @@ class TestMergeAndManifest:
         manifest.write_text("# comment line\n\nsub/one.txt\n", encoding="utf-8")
         files = read_manifest(manifest)
         assert files == [tmp_path / "sub" / "one.txt"]
+
+    def test_manifest_lines_end_at_lf_only(self, tmp_path):
+        name = "one\u2028two.txt"  # str.splitlines would cut this entry in two
+        (tmp_path / name).write_text("ab", encoding="utf-8")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"# comment\r\n{name}\r\n", encoding="utf-8")
+        assert read_manifest(manifest) == [tmp_path / name]
 
     def test_ngraph_tsv_format(self, tmp_path):
         table = count_ngraphs(tokenize("abab", AB), 2)

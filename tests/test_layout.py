@@ -13,11 +13,9 @@ from keymine.corpus import AlphabetConfig, IngestionError, NGraphTable, count_ng
 from keymine.layout import (
     AuditResult,
     GeometryCapacityError,
-    HandPartition,
     KeyboardGeometry,
     KeyPosition,
     Layout,
-    MissingTraceError,
     assign_hands,
     audit_partition,
     default_geometry,
@@ -31,7 +29,7 @@ from keymine.layout import (
 from keymine.mining import digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
-from conftest import corpus_tables
+from conftest import corpus_tables, hand_partition
 from oracles import support_count
 
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
@@ -199,10 +197,8 @@ class TestAuditPartition:
 
     def test_flipped_hand_fails_at_that_letter(self):
         part, mono, di = self.fixture_partition()
-        part.right.remove("e")
-        part.left.append("e")
-        rec = part.trace[4]
-        part.trace[4] = rec._replace(hand="left")
+        part.trace[4] = part.trace[4]._replace(hand="left")
+        assert part.left == ["b", "c", "e"]  # the hand lists follow the trace
         result = audit_partition(part, mono, di)
         assert not result.ok
         assert result.letter == "e" and result.rank == 5
@@ -214,17 +210,17 @@ class TestAuditPartition:
         result = audit_partition(part, mono, di)
         assert not result.ok and result.letter == "e"
 
-    def test_inconsistent_membership_fails(self):
-        part, mono, di = self.fixture_partition()
-        part.right.remove("e")
-        part.left.append("e")  # trace still says right
-        assert not audit_partition(part, mono, di).ok
-
     def test_missing_trace_is_an_error(self):
         part, mono, di = self.fixture_partition()
-        bare = HandPartition(left=part.left, right=part.right)
-        with pytest.raises(MissingTraceError):
-            audit_partition(bare, mono, di)
+        result = audit_partition(part._replace(trace=[]), mono, di)
+        assert not result.ok
+        assert result.message == "trace has 0 records for 5 ranked letters"
+
+    def test_dropped_record_fails_the_count(self):
+        part, mono, di = self.fixture_partition()
+        result = audit_partition(part._replace(trace=part.trace[:-1]), mono, di)
+        assert not result.ok
+        assert result.message == "trace has 4 records for 5 ranked letters"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_corpora_replay_clean(self, seed):
@@ -309,12 +305,12 @@ class TestPlaceKeys:
         mono, _ = corpus_tables("p" * 100 + "0" + "s" * 50, alpha)
         # partition lists are in descending-frequency order
         assert mono.counts[("p",)] > mono.counts[("s",)]
-        part = HandPartition(left=[], right=["p", "s"])
+        part = hand_partition(right=["p", "s"])
         layout = place_keys(part, tiny_geometry())
         assert layout.mapping == {"p": "R1", "s": "R2"}
 
     def test_capacity_error_names_overflow(self):
-        part = HandPartition(left=[], right=["p", "q", "r"])
+        part = hand_partition(right=["p", "q", "r"])
         with pytest.raises(GeometryCapacityError) as err:
             place_keys(part, tiny_geometry())
         assert err.value.overflow == 1

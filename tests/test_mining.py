@@ -725,6 +725,17 @@ class TestTransactionTsv:
         path.write_bytes(b"\xef\xbb\xbf" + (data_dir / "market9.tsv").read_bytes())
         assert read_transactions_tsv(path) == market9
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x0c"])
+    def test_only_lf_ends_a_line(self, tmp_path, sep):
+        # the separator sits in the second of three columns on line 3, so the
+        # line is refused there; it does not split T2 into two transactions
+        path = tmp_path / "db.tsv"
+        path.write_text(f"tid\titems\nT1\ta b\nT2\ta{sep}x\tb c\nT3\ta\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="db.tsv:3: expected 2"):
+            read_transactions_tsv(path)
+        path.write_text(f"tid\titems\r\nT1\ta{sep}b\r\nT2\ta\r\n", encoding="utf-8")
+        assert read_transactions_tsv(path) == TransactionDB(("a", "b"), {("a", "b"): 1, ("a",): 1})
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "db.tsv"
         path.write_text("T1\ta\tb\n", encoding="utf-8")
