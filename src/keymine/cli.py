@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .corpus import (
@@ -61,6 +61,10 @@ from .mining import (
     write_frequent_tsv,
     write_rules_tsv,
 )
+
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 class CliError(Exception):
@@ -116,12 +120,13 @@ def _load_corpus(args) -> tuple[list[Path], dict, LetterStream]:
     return inputs, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, stream
 
 
-def _parse_support_threshold(text: str) -> tuple[str, int | tuple[int, int]]:
-    """An integer is an absolute count (>= 1); a fraction in (0, 1] comes
-    back as the exact ratio (numerator, denominator) of its decimal text,
-    so that once the database size is known the count is its exact ceiling:
-    0.07 of 100 rows is 7, where the float product 0.07 * 100 is just above
-    7. Validated before any input is read."""
+def _parse_support_threshold(text: str) -> tuple[str, int | Decimal]:
+    """An integer is an absolute count (>= 1); a fraction comes back as the
+    exact `Decimal` of its text, which must lie in (0, 1], so that once the
+    database size is known the count is its exact ceiling: 0.07 of 100 rows
+    is 7, where the float product 0.07 * 100 is just above 7, and
+    1.0000000000000001, whose float is 1.0, is refused. Validated before any
+    input is read."""
     text = text.strip()
     try:
         count = int(text)
@@ -135,11 +140,12 @@ def _parse_support_threshold(text: str) -> tuple[str, int | tuple[int, int]]:
         value = float(text)
     except ValueError:
         raise CliError(f"--min-support must be a count or a fraction, got {text!r}") from None
-    if not 0 < value <= 1:
-        raise CliError(f"--min-support fraction must be in (0, 1], got {value}")
     from decimal import Decimal  # only `mine` takes a fraction; kept off the other commands' imports
 
-    return "fraction", Decimal(text).as_integer_ratio()
+    # nan and inf first: a Decimal holds them, but no ratio does
+    if not math.isfinite(value) or not 0 < (fraction := Decimal(text)) <= 1:
+        raise CliError(f"--min-support fraction must be in (0, 1], got {text}")
+    return "fraction", fraction
 
 
 def _number_text(text: str) -> str:
@@ -205,8 +211,12 @@ def cmd_mine(args) -> int:
         db = digraphs_as_transactions(digraphs)
     if support_kind == "count":
         count = support_value
+    elif support_value.adjusted() < -len(str(len(db))):
+        # below 1/|D|, so one transaction; the ratio, whose denominator grows
+        # with the exponent (1e-999999999), is then never built
+        count = 1
     else:
-        numerator, denominator = support_value
+        numerator, denominator = support_value.as_integer_ratio()
         count = -(-numerator * len(db) // denominator)
     from decimal import Decimal  # kept off the other commands' imports
 
@@ -324,7 +334,7 @@ def cmd_compare_only(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file supplying defaults for any flag")
     common.add_argument("--output-dir", default=".", help="directory for outputs (default: .)")
@@ -372,6 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("reports", nargs="+", help="report JSON files")
 
+    for p in (parser, *sub.choices.values()):
+        p.exit_on_error = exit_on_error
     return parser
 
 
@@ -409,6 +421,19 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
+def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
+    """Parse again with the config file's flags right after the command name.
+    The command line parsed once already, so a value refused now is the
+    config's: the error names the config and the key, not a flag."""
+    at = argv.index(args.command) + 1
+    parser = _build_parser(exit_on_error=False)
+    try:
+        return parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
+    except argparse.ArgumentError as exc:
+        key = (exc.argument_name or "").lstrip("-").replace("-", "_")
+        raise CliError(f"{args.config}: key {key!r}: {exc.message}") from None
+
+
 _COMMANDS = {
     "stats": cmd_stats,
     "mine": cmd_mine,
@@ -424,8 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
+            args = _with_config(argv, args)
         return _COMMANDS[args.command](args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,9 +114,6 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
     )
 
 
-_REPORT_COLUMNS = ("layout_name", "hand_switching", "left_load", "right_load", "undetermined", "total_chars")
-
-
 def read_report_json(path: str | Path) -> EvalReport:
     """Load a report written by `write_report_json`; a name that is not a
     string, a count that is not a non-negative integer, loads that do not add
@@ -125,7 +122,7 @@ def read_report_json(path: str | Path) -> EvalReport:
     path = Path(path)
     data = read_json(path)
     try:
-        report = EvalReport(*(data[column] for column in _REPORT_COLUMNS))
+        report = EvalReport(*(data[column] for column in EvalReport._fields))
         report.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{path}: not a valid evaluation report: {exc}") from exc
@@ -133,7 +130,7 @@ def read_report_json(path: str | Path) -> EvalReport:
 
 
 def write_report_tsv(report: EvalReport, path: str | Path) -> None:
-    lines = ["\t".join(_REPORT_COLUMNS), "\t".join(map(str, report))]
+    lines = ["\t".join(report._fields), "\t".join(map(str, report))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

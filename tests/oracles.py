@@ -1,58 +1,15 @@
-"""Test oracles and seeded fixtures that no command runs.
-
-`brute_force_frequent` mines by enumerating every subset of the universe
-and counts support with `support_count`, a plain per-row subset test, so it
-shares no counting code with `keymine.mining._LevelRows`. `random_db` and
-the two-group corpus are seeded inputs for the tests that cross-check the
-miner and the hand rule.
+"""Seeded fixtures that no command runs: `random_db` and the two-group
+corpus are inputs for the tests that cross-check the miner and the hand
+rule. The oracles they are checked against live in `reference.py`.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from itertools import combinations
-from typing import Iterable
 
 from keymine.corpus import AlphabetConfig
-from keymine.mining import CountedItemset, FrequentLevel, MiningParams, TransactionDB
-
-
-class UniverseTooLargeError(ValueError):
-    """Brute-force enumeration refused: the universe is too big."""
-
-
-def support_count(db: TransactionDB, items: Iterable[str]) -> int:
-    """Number of transactions containing every given item."""
-    needed = frozenset(items)
-    return sum(n for row, n in db.rows.items() if needed.issubset(row))
-
-
-def brute_force_frequent(db: TransactionDB, params: MiningParams) -> list[FrequentLevel]:
-    """Oracle miner: enumerate every non-empty subset of the universe.
-
-    Exponential by design, so it refuses universes above 20 items. Support
-    counting goes through `support_count`, a code path independent of
-    `_LevelRows.count`.
-    """
-    if len(db.universe) > 20:
-        raise UniverseTooLargeError(
-            f"brute force over {len(db.universe)} items would enumerate "
-            f"2^{len(db.universe)} subsets; limit is 20"
-        )
-    levels: list[FrequentLevel] = []
-    for k in range(1, len(db.universe) + 1):
-        counted = [
-            CountedItemset(items, support_count(db, items))
-            for items in combinations(db.universe, k)
-        ]
-        frequent = tuple(ci for ci in counted if ci.support_count >= params.min_support_count)
-        if not frequent:
-            break
-        levels.append(
-            FrequentLevel(k=k, universe=db.universe, itemsets=frequent, candidates=len(counted))
-        )
-    return levels
+from keymine.mining import TransactionDB
 
 
 def random_db(

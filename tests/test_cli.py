@@ -37,11 +37,11 @@ from keymine.layout import (
     save_geometry,
     save_layout,
 )
-from keymine.mining import MiningParams
 from keymine.synth import random_text, zipf_weights
 
 from conftest import DATA, join_streams, score, write_transactions_tsv
-from oracles import brute_force_frequent, random_db
+from oracles import random_db
+from reference import brute_force_frequent
 
 
 def write_corpus(tmp_path, texts, letters="abcd", name="tiny"):
@@ -323,11 +323,21 @@ class TestMine:
         count, lines = self.mined_at(tmp_path / "out", db_path, "--config", str(config))
         assert count == 7 and "a b\t7\t0.070000" in lines
 
+    @pytest.mark.parametrize("raw", ["1e-400", "1e-999999999", "0.0099999"])
+    def test_fraction_below_one_row_is_a_count_of_one(self, tmp_path, raw):
+        # positive, so in (0, 1], though the first two are 0.0 as floats; the
+        # second's exact ratio, 1/10**999999999, is never built
+        count, _ = self.mined_at(tmp_path / "out", self.seven_in_a_hundred(tmp_path),
+                                 "--min-support", raw)
+        assert count == 1
+
     @pytest.mark.parametrize("raw, message", [
         ("nan", "--min-support fraction must be in (0, 1], got nan"),
         ("inf", "--min-support fraction must be in (0, 1], got inf"),
         ("1.5", "--min-support fraction must be in (0, 1], got 1.5"),
         ("0.0", "--min-support fraction must be in (0, 1], got 0.0"),
+        # its float is 1.0, but the decimal it is written as exceeds 1
+        ("1.0000000000000001", "--min-support fraction must be in (0, 1], got 1.0000000000000001"),
         ("0", "--min-support count must be >= 1, got 0"),
         ("seven", "--min-support must be a count or a fraction, got 'seven'"),
     ])
@@ -344,10 +354,8 @@ class TestMine:
         out = tmp_path / "out"
         main(["mine", "--transactions", str(db_path), "--min-support", "2",
               "--min-confidence", "0.0", "--output-dir", str(out)])
-        expected = {}
-        for level in brute_force_frequent(db, MiningParams(2, 0.0)):
-            for items, count in level.counts().items():
-                expected[" ".join(items)] = count
+        expected = {" ".join(items): count
+                    for items, count in brute_force_frequent(db.universe, db.rows, 2).items()}
         got = {}
         for line in (out / "frequent_itemsets.tsv").read_text(encoding="utf-8").splitlines()[1:]:
             itemset, count, _ = line.split("\t")
@@ -789,10 +797,10 @@ class TestAlphabetFileSweep:
 class TestConfigFileSweep:
     """Each key `design` takes, set in a config file to a value of each
     JSON kind: `design` writes its layout, or refuses a value that is
-    neither a string nor a number with one error line that names the config,
-    or refuses a string or number as its flag would (argparse's exit 2),
-    writing nothing in either case. The path keys are also given as flags,
-    which win, so only a value's kind can fail them."""
+    neither a string nor a number, or a string or number that its flag
+    refuses, with one error line that names the config, writing nothing.
+    The path keys are also given as flags, which win, so only a value's kind
+    can fail them."""
 
     VALUES = {"null": None, "number": 7, "bool": True, "nan": float("nan"),
               "list": ["balanced"], "empty": ""}
@@ -822,17 +830,11 @@ class TestConfigFileSweep:
                     assert err == "" and (out / "layout.json").exists(), case
                     continue
                 assert not out.exists(), case
-                if codes[case] == 1:
-                    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1, (case, err)
-                else:
-                    assert codes[case] == 2, case
-                    with pytest.raises(SystemExit):  # the flag itself refuses the value
-                        main([*argv[:1], f"--{key.replace('_', '-')}={value}", *argv[1:]])
-                    capsys.readouterr()
+                assert codes[case] == 1, case
+                assert err.startswith(f"error: {config}: key {key!r}") and err.count("\n") == 1, (case, err)
         refused = {case for case, code in codes.items() if code == 1}
-        assert refused == {(key, kind) for key in self.KEYS for kind in ("bool", "list")}
-        usage = {case for case, code in codes.items() if code == 2}
-        assert usage == {("tie_policy", kind) for kind in ("number", "nan", "empty")}
+        assert refused == {(key, kind) for key in self.KEYS for kind in ("bool", "list")} | {
+            ("tie_policy", kind) for kind in ("number", "nan", "empty")}
 
     @pytest.mark.parametrize("value", [True, False, {"a": 1}])
     def test_wrong_kind_names_file_and_key(self, tmp_path, capsys, value):
@@ -1372,12 +1374,37 @@ class TestConfigAndManifest:
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
 
+    def test_reruns_are_byte_identical_under_two_hash_seeds(self, tmp_path, data_dir):
+        # str hashes, and so set and dict order, follow PYTHONHASHSEED; the
+        # output files and the log (its output path aside) may not
+        commands = {
+            "mine": ["mine", "--transactions", str(data_dir / "baskets400.tsv"),
+                     "--min-support", "0.04", "--min-confidence", "0.6"],
+            "design": ["design", *TestBanglaGolden.corpus(data_dir), "--geometry",
+                       str(data_dir / "bangla" / "layouts" / "geometry.json")],
+        }
+        src = Path(keymine.__file__).resolve().parent.parent
+        runs = {}
+        for seed in ("1", "2"):
+            for name, argv in commands.items():
+                out = tmp_path / f"{name}-{seed}"
+                result = subprocess.run(
+                    [sys.executable, "-m", "keymine.cli", *argv, "--output-dir", str(out)],
+                    capture_output=True, text=True,
+                    env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+                assert result.returncode == 0, result.stderr
+                files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+                runs[name, seed] = files, result.stdout.replace(str(out), "OUT")
+        for name in commands:
+            assert len(runs[name, "1"][0]) >= 3
+            assert runs[name, "1"] == runs[name, "2"], name
+
     def test_no_command_imports_dataclasses(self, tmp_path, data_dir):
         # `dataclasses` pulls in `inspect`, `ast` and `dis`: a fifth of every
         # command's start-up. A fresh interpreter without site (-S), so that
         # no .pth file's imports are counted, runs --version and every command.
         # The package stands alone: with tests/ importable, no command loads
-        # the test oracles, conftest, or a keymine module from elsewhere
+        # the test oracles, the reference model, conftest, or a keymine module from elsewhere
         alpha = data_dir / "alphabets" / "english.json"
         corpus = ["--alphabet", str(alpha), "--manifest", str(data_dir / "sample" / "manifest.txt")]
         layout = data_dir / "sample" / "layouts" / "partial.json"
@@ -1405,7 +1432,7 @@ class TestConfigAndManifest:
             "import os\n"
             f"package = {str(Path(keymine.__file__).resolve().parent)!r}\n"
             "stray = sorted(name for name, module in sys.modules.items()\n"
-            "               if name in ('oracles', 'conftest') or name.split('.')[0] == 'keymine'\n"
+            "               if name in ('oracles', 'reference', 'conftest') or name.split('.')[0] == 'keymine'\n"
             "               and os.path.dirname(os.path.realpath(module.__file__)) != package)\n"
             "assert not stray, stray\n"
         )
@@ -1433,17 +1460,19 @@ class TestConfigAndManifest:
         ("mine", "min_confidence", True),
         ("mine", "min_confidence", [0.5]),
     ], ids=["format-xml", "tie-policy-coin-flip", "min-confidence-true", "min-confidence-list"])
-    def test_config_value_checked_as_flag(self, tmp_path, data_dir, command, key, value):
+    def test_config_value_checked_as_flag(self, tmp_path, data_dir, capsys, command, key, value):
+        # the flag exits through argparse; the same value from the config is
+        # the config's fault, one error line naming the file and the key
         argv = self.sample_argv(data_dir, command, tmp_path / "out")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
-        if isinstance(value, (bool, list)):  # neither a string nor a number: the config's fault
-            assert main(argv + ["--config", str(config)]) == 1
-        else:
-            with pytest.raises(SystemExit):
-                main(argv + ["--config", str(config)])
         with pytest.raises(SystemExit):
             main(argv + [f"--{key.replace('_', '-')}={value}"])
+        capsys.readouterr()
+        assert main(argv + ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: key {key!r}") and err.count("\n") == 1
+        assert "--" not in err.removeprefix(f"error: {config}: ")  # names no flag
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["design", "mine"])

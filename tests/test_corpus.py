@@ -2,7 +2,6 @@
 
 import json
 import string
-import unicodedata
 from collections import Counter
 
 import pytest
@@ -22,23 +21,11 @@ from keymine.corpus import (
 from keymine.layout import assign_hands
 from keymine.synth import random_text, zipf_weights
 
+import reference
 from conftest import join_streams
 
 ABC = AlphabetConfig(name="abc", letters=("a", "b", "c"))
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
-
-
-def reference_window_scan(text, alphabet, n):
-    """Independent oracle: classify the raw text itself (NFC, skip
-    whitespace, alphabet membership), then check every window explicitly."""
-    chars = [(ch, ch in alphabet)
-             for ch in unicodedata.normalize("NFC", text) if not ch.isspace()]
-    counts = Counter()
-    for i in range(len(chars) - n + 1):
-        window = chars[i : i + n]
-        if all(known for _, known in window):
-            counts[tuple(ch for ch, _ in window)] += 1
-    return counts
 
 
 class TestAlphabetConfig:
@@ -196,9 +183,11 @@ class TestCountNgraphs:
         alpha = AlphabetConfig(name="six", letters=tuple(letters))
         text = random_text(letters, 5000, seed, space_prob=0.1, junk="0189", junk_prob=0.05)
         stream = tokenize(text, alpha)
+        runs, undetermined = reference.letter_runs([text], letters)
+        assert undetermined == stream.undetermined_count
         for n in (1, 2, 3):
             table = count_ngraphs(stream, n)
-            assert table.counts == reference_window_scan(text, alpha, n)
+            assert table.counts == reference.ngrams(runs, n)
             assert table.total == sum(table.counts.values())
 
     def test_monograph_total_equals_letter_count(self):

@@ -4,13 +4,11 @@ import json
 import random
 import re
 import string
-import unicodedata
 
 import pytest
 
 from keymine.corpus import AlphabetConfig, tokenize
 from keymine.evaluation import (
-    _REPORT_COLUMNS,
     EvalReport,
     IncomparableReportsError,
     compare,
@@ -22,6 +20,7 @@ from keymine.evaluation import (
 from keymine.layout import KeyPosition, KeyboardGeometry, Layout
 from keymine.synth import random_text
 
+import reference
 from conftest import score
 
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
@@ -53,36 +52,6 @@ def swap_hands(layout):
     return Layout(name=layout.name + "-swapped",
                   geometry=KeyboardGeometry(positions=flipped),
                   mapping=dict(layout.mapping))
-
-
-def reference_report(texts, alphabet, layout, name):
-    """Independent oracle: classify each raw text itself (NFC, skip
-    whitespace, alphabet membership) and scan adjacent mapped pairs; the
-    switching chain restarts at every file."""
-    hands = {}
-    by_id = {p.position_id: p for p in layout.geometry.positions}
-    for letter, pid in layout.mapping.items():
-        hands[letter] = by_id[pid].hand
-    left = right = undetermined = switching = 0
-    for text in texts:
-        prev_hand = None
-        for ch in unicodedata.normalize("NFC", text):
-            if ch.isspace():
-                continue
-            hand = hands.get(ch) if ch in alphabet else None
-            if hand is None:
-                undetermined += 1
-                prev_hand = None
-                continue
-            if hand == "left":
-                left += 1
-            else:
-                right += 1
-            if prev_hand is not None and prev_hand != hand:
-                switching += 1
-            prev_hand = hand
-    return EvalReport(name, switching, left, right, undetermined,
-                      left + right + undetermined)
 
 
 class TestEvaluate:
@@ -145,7 +114,12 @@ class TestEvaluate:
         cut, mapped = sorted(rng.sample(range(1, 11), 2))
         layout = split_layout(letters[:cut] + ["%"], letters[cut:mapped])
         streams = [tokenize(text, alpha) for text in texts]
-        assert score(layout, *streams) == reference_report(texts, alpha, layout, "fixture")
+        runs, undetermined = reference.letter_runs(texts, alpha.letters)
+        mono, di = reference.ngrams(runs, 1), reference.ngrams(runs, 2)
+        by_id = {p.position_id: p for p in layout.geometry.positions}
+        hands = {letter: by_id[pid].hand for letter, pid in layout.mapping.items()}
+        want = reference.report("fixture", hands, mono, di, sum(mono.values()) + undetermined)
+        assert score(layout, *streams)._asdict() == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_identity(self, seed):
@@ -269,7 +243,7 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         write_report_json(self.REPORT, path)
         text = path.read_text(encoding="utf-8")
-        assert list(json.loads(text)) == list(_REPORT_COLUMNS)
+        assert list(json.loads(text)) == list(EvalReport._fields)
         assert text == (
             '{\n  "layout_name": "fixture",\n  "hand_switching": 3,\n  "left_load": 2,\n'
             '  "right_load": 2,\n  "undetermined": 1,\n  "total_chars": 5\n}\n')

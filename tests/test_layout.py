@@ -30,7 +30,7 @@ from keymine.mining import digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
 from conftest import corpus_tables, hand_partition
-from oracles import support_count
+from reference import support_count
 
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
 
@@ -249,12 +249,12 @@ class TestTraceOracle:
         assert any(a == b for a, b in di.counts), "fixture needs a doubled letter"
         hands = {"left": [], "right": []}
         for rec in assign_hands(mono, di).trace:
-            own = support_count(db, (rec.letter,))
+            own = support_count(db.rows, (rec.letter,))
             sums = {}
             for hand, assigned in hands.items():
                 support = confidence = 0.0
                 for other in assigned:
-                    joint = support_count(db, (rec.letter, other))
+                    joint = support_count(db.rows, (rec.letter, other))
                     support += joint / len(db)
                     if own:
                         confidence += joint / own

@@ -27,7 +27,8 @@ from keymine.mining import (
 from keymine.synth import random_text
 
 from conftest import MARKET9_UNIVERSE, write_transactions_tsv
-from oracles import UniverseTooLargeError, brute_force_frequent, random_db, support_count
+from oracles import random_db
+from reference import UniverseTooLargeError, brute_force_frequent, support_count
 
 PARAMS2 = MiningParams(min_support_count=2, min_confidence=0.7)
 
@@ -64,8 +65,8 @@ class TestTransactionDB:
             hash(db)  # mutable rows: unhashable, as it always was
 
     def test_support_count_subset_semantics(self, market9):
-        assert support_count(market9, ("I1", "I2")) == 4
-        assert support_count(market9, ("I3", "I4")) == 0
+        assert support_count(market9.rows, ("I1", "I2")) == 4
+        assert support_count(market9.rows, ("I3", "I4")) == 0
 
 
 class TestMiningParams:
@@ -144,7 +145,7 @@ class TestCountSupports:
         counted = [ci for scan in count_spy for ci in scan]
         assert {(item,) for item in idle} <= {ci.items for ci in counted}
         for ci in counted:
-            assert ci.support_count == support_count(db, ci.items)
+            assert ci.support_count == support_count(db.rows, ci.items)
 
 
 def level_of(k, itemset_counts, universe=MARKET9_UNIVERSE):
@@ -431,14 +432,15 @@ class TestLevelOracle:
             keys = [tuple(rank[item] for item in ci.items) for ci in scan]
             assert all(a < b for a, b in zip(keys, keys[1:]))
             for ci in scan:
-                assert ci.support_count == support_count(db, ci.items)
+                assert ci.support_count == support_count(db.rows, ci.items)
             expected = generate_candidates(level)
         assert len(counted) in (len(levels), len(levels) + 1)
         for scan in counted[len(levels):]:  # a last scan, in which nothing was frequent
             for ci in scan:
-                assert ci.support_count == support_count(db, ci.items) < params.min_support_count
+                assert ci.support_count == support_count(db.rows, ci.items) < params.min_support_count
         assert levels.scans == len(scan_candidates(levels, counted))
-        assert frequent_map(levels) == frequent_map(brute_force_frequent(db, params))
+        assert frequent_map(levels) == brute_force_frequent(
+            db.universe, db.rows, params.min_support_count)
 
     def test_planted_dbs_reach_level_4_and_split_rows(self, count_spy):
         for seed in range(8):
@@ -518,28 +520,25 @@ class TestLevelOracle:
 
 class TestBruteForce:
     def test_tiny_db(self):
-        db = TransactionDB(("a", "b"), {("a", "b"): 1})
-        levels = brute_force_frequent(db, MiningParams(1, 0.0))
-        assert levels[0].counts() == {("a",): 1, ("b",): 1}
-        assert levels[1].counts() == {("a", "b"): 1}
+        found = brute_force_frequent(("a", "b"), {("a", "b"): 1}, 1)
+        assert list(found.items()) == [(("a",), 1), (("b",), 1), (("a", "b"), 1)]
 
     def test_universe_size_guard(self):
         universe = tuple(f"X{i}" for i in range(21))
-        db = TransactionDB(universe, {})
         with pytest.raises(UniverseTooLargeError):
-            brute_force_frequent(db, MiningParams(1, 0.0))
+            brute_force_frequent(universe, {}, 1)
 
     def test_matches_miner_on_worked_example(self, market9):
         a = frequent_map(mine_frequent(market9, PARAMS2))
-        b = frequent_map(brute_force_frequent(market9, PARAMS2))
+        b = brute_force_frequent(market9.universe, market9.rows, PARAMS2.min_support_count)
         assert a == b
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_miner_on_random_dbs(self, seed):
         db = random_db(seed, universe_size=8, n_transactions=30)
         params = MiningParams(min_support_count=1 + seed % 3, min_confidence=0.0)
-        assert frequent_map(mine_frequent(db, params)) == frequent_map(
-            brute_force_frequent(db, params))
+        assert frequent_map(mine_frequent(db, params)) == brute_force_frequent(
+            db.universe, db.rows, params.min_support_count)
 
 
 class TestAprioriProperties:
@@ -699,7 +698,7 @@ class TestDigraphAdapter:
         db = digraphs_as_transactions(table)
         for x, y in itertools.combinations(letters, 2):
             expected = table.counts.get((x, y), 0) + table.counts.get((y, x), 0)
-            assert support_count(db, (x, y)) == expected
+            assert support_count(db.rows, (x, y)) == expected
 
 
 class TestTransactionTsv:
