@@ -8,7 +8,7 @@ outputs were written and all embedded audits passed.
 A `--config` JSON value, a string or a number, is parsed as its
 `--key=value` flag placed right after the command name: it is checked as
 the flag is, and an explicit flag, coming later, wins. Input-file errors
-name the file.
+name the file, and a file named by the config also the config and the key.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import __version__
 from .corpus import (
     AlphabetConfig,
     LetterStream,
+    UnreadableFileError,
     count_ngraphs,
     derive_lower,
     read_json,
@@ -434,6 +435,19 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
         raise CliError(f"{args.config}: key {key!r}: {exc.message}") from None
 
 
+_PATH_KEYS = ("alphabet", "manifest", "geometry", "transactions")
+
+
+def _config_key(given: argparse.Namespace, args: argparse.Namespace, path: Path) -> str | None:
+    """The config key that named this input path: a path key the command
+    line left unset and the config filled in."""
+    for key in _PATH_KEYS:
+        value = getattr(args, key, None)
+        if getattr(given, key, None) is None and value is not None and Path(value) == path:
+            return key
+    return None
+
+
 _COMMANDS = {
     "stats": cmd_stats,
     "mine": cmd_mine,
@@ -446,11 +460,15 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = given = parser.parse_args(argv)
     try:
         if args.config:
-            args = _with_config(argv, args)
+            args = _with_config(argv, given)
         return _COMMANDS[args.command](args)
+    except UnreadableFileError as exc:
+        key = _config_key(given, args, exc.path)
+        print(f"error: {args.config}: key {key!r}: {exc}" if key else f"error: {exc}", file=sys.stderr)
+        return 1
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,21 +8,43 @@ glyph interrupts the letter-to-letter flow).
 
 A command scans the runs once, for its highest order; each lower table is
 derived from the one above it and the run ends (`derive_lower`).
+
+Digraphs are counted without a Python-level step per letter: each letter
+has a 16-bit code (its own code point when every letter of the alphabet
+lies in the Basic Multilingual Plane, else its position 1..|A|, so an
+alphabet holds at most 65,535 letters). Runs are joined into batches of a
+few thousand letters, the batch is encoded as UTF-16, and the bytes are
+read as 32-bit integers at letter offsets 0 and 1: each integer packs one
+adjacent pair of codes, and one `Counter` counts them in C. Only the at
+most (|A|+1)^2 distinct keys are decoded back into letter pairs.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 import unicodedata
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class IngestionError(ValueError):
-    """An input file that cannot be decoded, parsed or accepted; the message
-    starts with the file's path."""
+    """An input file that cannot be read, decoded, parsed or accepted; the
+    message starts with the file's path."""
+
+
+class UnreadableFileError(IngestionError):
+    """An input file that cannot be opened or read (missing, a directory, no
+    permission): `<path>: <reason>`, with the path as given in `path`."""
+
+    def __init__(self, path: Path, exc: OSError) -> None:
+        super().__init__(f"{path}: {exc.strerror or exc}")
+        self.path = path
+
+
+_MAX_LETTERS = 0xFFFF  # letter codes are 16-bit; numbered letters take 1..|A|, and 0 separates runs
 
 
 class AlphabetConfig:
@@ -33,11 +55,16 @@ class AlphabetConfig:
     alphabets are equal when their names and letters are.
     """
 
-    __slots__ = ("name", "letters", "_index", "_runs")
+    __slots__ = ("name", "letters", "_index", "_runs", "_separator", "_codes")
 
     def __init__(self, name: str, letters: tuple[str, ...]) -> None:
         if not letters:
             raise ValueError("alphabet must contain at least one letter")
+        if len(letters) > _MAX_LETTERS:
+            raise ValueError(
+                f"alphabet has {len(letters)} letters; at most {_MAX_LETTERS} are supported "
+                "(digraphs are counted as pairs of 16-bit letter codes)"
+            )
         seen: dict[str, int] = {}
         for i, ch in enumerate(letters):
             if len(ch) != 1:
@@ -58,6 +85,14 @@ class AlphabetConfig:
         self.letters = letters
         self._index = seen
         self._runs = re.compile("[" + "".join(re.escape(ch) for ch in letters) + "]+")
+        # Runs are joined by a code point that is no letter; a letter beyond
+        # U+FFFF has no 16-bit code point, so then every letter is translated
+        # to its position 1..|A| and the separator to 0.
+        self._separator = next(chr(c) for c in range(len(letters) + 1) if chr(c) not in seen)
+        self._codes = None
+        if max(letters) > "\uffff":
+            self._codes = {ord(ch): i for i, ch in enumerate(letters, 1)}
+            self._codes[ord(self._separator)] = 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -149,13 +184,61 @@ class NGraphTable(NamedTuple):
 
 
 def count_ngraphs(stream: LetterStream, n: int) -> NGraphTable:
-    """Count windows of n consecutive letters; windows never leave a run."""
+    """Count windows of n consecutive letters; windows never leave a run.
+    Digraph keys hold the alphabet's own letter objects."""
     if n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2 or 3, got {n}")
+    if n == 2:
+        return NGraphTable(n=2, counts=_count_digraphs(stream), alphabet=stream.alphabet)
     counts: Counter[tuple[str, ...]] = Counter()
     for run in stream.runs:
         counts.update(zip(*(run[i:] for i in range(n))))
     return NGraphTable(n=n, counts=counts, alphabet=stream.alphabet)
+
+
+_BATCH = 4096  # letters joined into one encoded batch
+
+
+def _batches(runs: list[str], separator: str) -> Iterator[str]:
+    """The runs joined by `separator` into strings of at most `_BATCH`
+    letters and separators. A longer run is cut into pieces of `_BATCH`
+    letters, each starting with the last letter of the piece before, so
+    every digraph lies in exactly one piece."""
+    batch: list[str] = []
+    size = 0
+    for run in runs:
+        pieces = (run,) if len(run) <= _BATCH else (
+            run[i : i + _BATCH] for i in range(0, len(run) - 1, _BATCH - 1))
+        for piece in pieces:
+            if size + len(piece) > _BATCH:
+                yield separator.join(batch)
+                batch, size = [], 0
+            batch.append(piece)
+            size += len(piece) + 1
+    yield separator.join(batch)
+
+
+def _count_digraphs(stream: LetterStream) -> Counter[tuple[str, str]]:
+    """Digraph counts from packed pairs of 16-bit letter codes (see the
+    module docstring); a pair that holds the separator is dropped."""
+    alphabet = stream.alphabet
+    letters, codes = alphabet.letters, alphabet._codes
+    pairs: Counter[int] = Counter()
+    for batch in _batches(stream.runs, alphabet._separator):
+        if codes is not None:
+            batch = batch.translate(codes)
+        data = memoryview(batch.encode("utf-16-le", "surrogatepass"))
+        for view in (data, data[2:]):  # the pairs at even letter offsets, then at odd ones
+            pairs.update(view[: len(view) & ~3].cast("I"))
+    letter_of = dict(zip(map(ord, letters), letters) if codes is None else enumerate(letters, 1))
+    counts: Counter[tuple[str, str]] = Counter()
+    for key, count in pairs.items():
+        # native byte order back to the UTF-16-LE bytes: the first letter's code is the low half
+        key = int.from_bytes(key.to_bytes(4, sys.byteorder), "little")
+        first, second = letter_of.get(key & 0xFFFF), letter_of.get(key >> 16)
+        if first is not None and second is not None:
+            counts[first, second] = count
+    return counts
 
 
 def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
@@ -179,10 +262,13 @@ def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; a decoding failure names the file and the
-    byte offset."""
+    """Read a UTF-8 input file; a read failure names the file and the reason,
+    a decoding failure the file and the byte offset."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise UnreadableFileError(path, exc) from exc
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -26,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import IngestionError, NGraphTable, read_json
+from .corpus import IngestionError, NGraphTable, UnreadableFileError, read_json
 
 HANDS = ("left", "right")
 ROWS = ("home", "top", "bottom")
@@ -412,7 +412,7 @@ def load_layout(path: str | Path, geometries: dict[Path, KeyboardGeometry] | Non
     if ref not in geometries:
         try:
             geometries[ref] = load_geometry(ref)
-        except OSError as exc:  # a missing file or a directory: name the layout that points there
+        except UnreadableFileError as exc:  # a missing file or a directory: name the layout that points there
             raise IngestionError(f"{path}: field 'geometry_ref': {exc}") from exc
     geometry = geometries[ref]
     try:

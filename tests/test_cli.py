@@ -836,6 +836,53 @@ class TestConfigFileSweep:
         assert refused == {(key, kind) for key in self.KEYS for kind in ("bool", "list")} | {
             ("tie_policy", kind) for kind in ("number", "nan", "empty")}
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("alphabet", 7, "No such file or directory"),
+        ("alphabet", "", "Is a directory"),
+        ("manifest", "nosuch.txt", "No such file or directory"),
+        ("manifest", ".", "Is a directory"),
+        ("geometry", 7, "No such file or directory"),
+        ("geometry", ".", "Is a directory"),
+    ])
+    def test_path_that_names_no_file(self, tmp_path, monkeypatch, capsys, key, value, reason):
+        # the path keys are left off the command line here, so the config's
+        # value is the one opened: the error names the config, the key, the
+        # path and the reason, in one line
+        monkeypatch.chdir(tmp_path)
+        alpha, manifest = write_corpus(tmp_path, ["abcabd"])
+        flags = {"alphabet": str(alpha), "manifest": str(manifest)}
+        flags.pop(key, None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["design", "--config", str(config), "--output-dir", str(out)]
+        for flag, path in flags.items():
+            argv += [f"--{flag}", path]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: key {key!r}: {Path(str(value))}: {reason}\n"
+        assert not out.exists()
+
+    def test_transactions_path_names_the_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"transactions": 7, "min_support": 2}), encoding="utf-8")
+        assert main(["mine", "--config", str(config), "--min-confidence", "0.5",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: key 'transactions': 7: No such file or directory\n")
+
+    def test_flag_path_over_a_config_path(self, tmp_path, monkeypatch, capsys):
+        # the flag wins and is the path opened, so the config is not named
+        monkeypatch.chdir(tmp_path)
+        alpha, manifest = write_corpus(tmp_path, ["abcabd"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"geometry": str(tmp_path / "other.json")}), encoding="utf-8")
+        assert main(["design", "--config", str(config), "--alphabet", str(alpha),
+                     "--manifest", str(manifest), "--geometry", "nosuch.json",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: nosuch.json: No such file or directory\n"
+
     @pytest.mark.parametrize("value", [True, False, {"a": 1}])
     def test_wrong_kind_names_file_and_key(self, tmp_path, capsys, value):
         config = tmp_path / "config.json"
@@ -1494,7 +1541,7 @@ class TestConfigAndManifest:
         config.write_text(json.dumps({"alphabet": 5}), encoding="utf-8")
         assert main(["stats", "--manifest", str(manifest), "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "'5'" in err
+        assert err == f"error: {config}: key 'alphabet': 5: No such file or directory\n"
 
     def test_keys_of_other_commands_are_skipped(self, tmp_path, data_dir):
         out = tmp_path / "out"
@@ -1545,3 +1592,22 @@ class TestInputFileErrors:
         assert main(self.argv(reader, str(bad), data_dir, tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and message in err
+
+    @pytest.mark.parametrize("reader", INPUT_READERS)
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"), ("directory", "Is a directory")])
+    def test_unreadable_file_names_the_path(self, tmp_path, data_dir, capsys, reader, kind, reason):
+        bad = tmp_path / f"bad-{reader}"
+        if kind == "directory":
+            bad.mkdir()
+        out = tmp_path / "out"
+        assert main(self.argv(reader, str(bad), data_dir, out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {reason}\n" and not out.exists()
+
+    def test_unreadable_corpus_file_names_the_path(self, tmp_path, capsys):
+        alpha, manifest = write_corpus(tmp_path, ["ab"])
+        manifest.write_text("part0.txt\ngone.txt\n", encoding="utf-8")
+        assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'gone.txt'}: No such file or directory\n"

@@ -1,14 +1,19 @@
 """Tokenization, n-graph counting, ranking, and corpus file handling."""
 
 import json
+import random
 import string
+import tracemalloc
+import unicodedata
 from collections import Counter
 
 import pytest
 
 from keymine.corpus import (
+    _BATCH,
     AlphabetConfig,
     IngestionError,
+    LetterStream,
     NGraphTable,
     count_ngraphs,
     derive_lower,
@@ -79,6 +84,18 @@ class TestAlphabetConfig:
         path.write_text(json.dumps({"letters": ["a"]}), encoding="utf-8")
         with pytest.raises(IngestionError):
             AlphabetConfig.from_json(path)
+
+    def test_from_json_refuses_more_than_65535_letters(self, tmp_path):
+        # letter codes are 16-bit; 65,536 distinct letters beyond the BMP
+        path = tmp_path / "huge.json"
+        letters = nfc_letters(0x10000, 65_536)
+        path.write_text(json.dumps({"name": "huge", "letters": letters}), encoding="utf-8")
+        with pytest.raises(IngestionError) as info:
+            AlphabetConfig.from_json(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: alphabet has 65536 letters; at most 65535")
+        assert "\n" not in message
+        assert len(AlphabetConfig(name="most", letters=tuple(letters[:65_535]))) == 65_535
 
 
 class TestTokenize:
@@ -200,6 +217,134 @@ class TestCountNgraphs:
         text = random_text("abc", 500, 9)
         stream = tokenize(text, ABC)
         assert count_ngraphs(stream, 2).total == stream.letter_count - 1
+
+
+def nfc_letters(start, count):
+    """`count` code points from `start` up that an alphabet accepts: no
+    surrogate or whitespace, unchanged by NFC."""
+    found = []
+    c = start
+    while len(found) < count:
+        ch = chr(c)
+        if not 0xD800 <= c < 0xE000 and not ch.isspace() and unicodedata.normalize("NFC", ch) == ch:
+            found.append(ch)
+        c += 1
+    return found
+
+
+def assert_digraphs_match_reference(alpha, runs):
+    """`count_ngraphs(..., 2)` over these runs equals the reference model's
+    window count, and its keys hold the alphabet's own letter objects."""
+    counts = count_ngraphs(LetterStream(list(runs), 0, alpha), 2).counts
+    assert counts == reference.ngrams(runs, 2)
+    own = {id(ch) for ch in alpha.letters}
+    assert all(id(a) in own and id(b) in own for a, b in counts)
+
+
+def assert_text_digraphs_match_reference(alpha, text):
+    runs, undetermined = reference.letter_runs([text], alpha.letters)
+    stream = tokenize(text, alpha)
+    assert stream.runs == runs and stream.undetermined_count == undetermined
+    assert_digraphs_match_reference(alpha, runs)
+
+
+class TestPackedDigraphCount:
+    """Digraphs are counted as packed pairs of 16-bit letter codes in
+    batches of `_BATCH` letters; each case must equal the reference model's
+    window count."""
+
+    def test_a_to_z(self):
+        letters = string.ascii_lowercase
+        alpha = AlphabetConfig(name="az", letters=tuple(letters))
+        text = random_text(letters, 20_000, 4, weights=zipf_weights(26),
+                           space_prob=0.1, junk="0189.,", junk_prob=0.02)
+        assert_text_digraphs_match_reference(alpha, text)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bangla_with_vowel_signs_composed_by_nfc(self, data_dir, seed):
+        alpha = AlphabetConfig.from_json(data_dir / "alphabets" / "bangla.json")
+        # E sign + AA sign composes to O sign, E sign + AU length mark to AU sign
+        pool = [*alpha.letters, "\u09c7\u09be", "\u09c7\u09d7"]
+        text = random_text(pool, 20_000, seed, space_prob=0.12, junk="।,০১", junk_prob=0.01)
+        assert "\u09cb" in unicodedata.normalize("NFC", text)
+        assert_text_digraphs_match_reference(alpha, text)
+
+    def test_cjk(self):
+        letters = [chr(0x4E00 + i) for i in range(400)]
+        alpha = AlphabetConfig(name="cjk", letters=tuple(letters))
+        text = random_text(letters, 30_000, 2, junk="。、", junk_prob=0.01)
+        assert_text_digraphs_match_reference(alpha, text)
+
+    def test_letters_beyond_the_bmp(self):
+        # one letter past U+FFFF numbers every letter 1..|A|
+        letters = [*"abc", *(chr(0x20000 + i) for i in range(40)), chr(0x1F600)]
+        alpha = AlphabetConfig(name="astral", letters=tuple(letters))
+        assert alpha._codes is not None
+        text = random_text(letters, 20_000, 6, space_prob=0.05, junk="\U00020100z", junk_prob=0.02)
+        assert_text_digraphs_match_reference(alpha, text)
+
+    @pytest.mark.parametrize("first, astral", [(0, False), (1, False), (0, True)],
+                             ids=["from-U+0000", "from-U+0001", "from-U+0000-numbered"])
+    def test_code_points_up_to_the_alphabet_size(self, first, astral):
+        # codes and letters overlap; from U+0000 the run separator cannot be
+        # U+0000, and when letters are numbered it must still become code 0
+        letters = nfc_letters(first, 120) + [chr(0x20000)] * astral
+        alpha = AlphabetConfig(name="low", letters=tuple(letters))
+        assert alpha._separator not in alpha and (alpha._codes is not None) == astral
+        text = random_text(letters, 20_000, 8, space_prob=0.05, junk="\u0100\u0101", junk_prob=0.02)
+        assert_text_digraphs_match_reference(alpha, text)
+
+    def test_codes_in_the_surrogate_range(self):
+        # 56,000 letters, the last one beyond the BMP, so letters are numbered
+        # and codes 0xD800..0xDFFF (55,296 and up) are lone UTF-16 surrogates
+        letters = [*nfc_letters(0x100, 55_999), chr(0x20000)]
+        alpha = AlphabetConfig(name="wide", letters=tuple(letters))
+        assert alpha._codes is not None and len(alpha) > 0xD800
+        rng = random.Random(12)
+        tail = letters[0xD800 - 200 :]
+        runs = ["".join(rng.choices(tail, k=rng.randint(1, 60))) for _ in range(400)]
+        assert_digraphs_match_reference(alpha, runs)
+
+    def test_empty_stream(self):
+        assert count_ngraphs(tokenize("", AB), 2).counts == {}
+        assert_digraphs_match_reference(AB, [])
+
+    def test_runs_of_one_letter(self):
+        assert_digraphs_match_reference(ABC, ["a", "b", "c", "a"] * 3000)
+
+    def test_doubled_letters(self):
+        assert_digraphs_match_reference(ABC, ["aa", "bbbb", "abba", "cc", "aaaaa"] * 1000)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2, _BATCH - 1, _BATCH, 2 * _BATCH + 3])
+    def test_one_run_longer_than_a_batch(self, extra):
+        rng = random.Random(extra)
+        run = "".join(rng.choices("abc", k=_BATCH + extra))
+        assert_digraphs_match_reference(ABC, [run])
+        assert_digraphs_match_reference(ABC, ["ab", run, "ca"])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_runs_across_batch_edges(self, seed):
+        # run lengths around the batch size and its halves, so batches end on
+        # every offset and both letter parities
+        rng = random.Random(seed)
+        sizes = [_BATCH // 2 - 1, _BATCH // 2, _BATCH // 2 + 1, _BATCH - 2, _BATCH - 1, 1, 2, 3]
+        runs = ["".join(rng.choices("abc", k=rng.choice(sizes) + rng.randint(-2, 2) % 3))
+                for _ in range(40)]
+        assert_digraphs_match_reference(ABC, runs)
+
+    def test_one_long_run_in_bounded_memory(self, data_dir):
+        # the count reads the run in pieces of a batch, never copying it whole
+        alpha = AlphabetConfig.from_json(data_dir / "alphabets" / "bangla.json")
+        run = "".join(random.Random(3).choices(alpha.letters, k=1_000_000))
+        stream = LetterStream([run], 0, alpha)
+        tracemalloc.start()
+        try:
+            table = count_ngraphs(stream, 2)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.total == len(run) - 1
+        assert peak - result < 1_000_000
 
 
 def assert_derives_each_lower_order(stream):
