@@ -7,8 +7,9 @@ outputs were written and all embedded audits passed.
 
 A `--config` JSON value, a string or a number, is parsed as its
 `--key=value` flag placed right after the command name: it is checked as
-the flag is, and an explicit flag, coming later, wins. Input-file errors
-name the file, and a file named by the config also the config and the key.
+the flag is, and an explicit flag, coming later, wins. An input file or an
+output directory that fails names its path, and a path the config set also
+the config and the key.
 """
 
 from __future__ import annotations
@@ -92,7 +93,10 @@ def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: S
 
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file there or above it, or a NUL byte in the path
+        raise UnreadableFileError(out, exc) from exc
     return out
 
 
@@ -435,15 +439,15 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
         raise CliError(f"{args.config}: key {key!r}: {exc.message}") from None
 
 
-_PATH_KEYS = ("alphabet", "manifest", "geometry", "transactions")
+_PATH_KEYS = ("alphabet", "manifest", "geometry", "transactions", "output_dir")
 
 
 def _config_key(given: argparse.Namespace, args: argparse.Namespace, path: Path) -> str | None:
-    """The config key that named this input path: a path key the command
-    line left unset and the config filled in."""
+    """The config key that named this path: a path key whose value the
+    config changed, as no flag set it."""
     for key in _PATH_KEYS:
         value = getattr(args, key, None)
-        if getattr(given, key, None) is None and value is not None and Path(value) == path:
+        if value is not None and value != getattr(given, key, None) and Path(value) == path:
             return key
     return None
 

@@ -36,11 +36,12 @@ class IngestionError(ValueError):
 
 
 class UnreadableFileError(IngestionError):
-    """An input file that cannot be opened or read (missing, a directory, no
-    permission): `<path>: <reason>`, with the path as given in `path`."""
+    """A path that cannot be opened, read or made a directory (missing, a
+    directory, under a file, no permission, a NUL byte in it): `<path>:
+    <reason>`, with the path as given in `path`."""
 
-    def __init__(self, path: Path, exc: OSError) -> None:
-        super().__init__(f"{path}: {exc.strerror or exc}")
+    def __init__(self, path: Path, exc: OSError | ValueError) -> None:
+        super().__init__(f"{path}: {getattr(exc, 'strerror', None) or exc}")
         self.path = path
 
 
@@ -51,8 +52,7 @@ class AlphabetConfig:
     """Ordered set of Unicode code points considered typeable letters.
 
     The order is the canonical letter order used for deterministic
-    tie-breaking throughout the pipeline. Treated as immutable; two
-    alphabets are equal when their names and letters are.
+    tie-breaking throughout the pipeline. Treated as immutable.
     """
 
     __slots__ = ("name", "letters", "_index", "_runs", "_separator", "_codes")
@@ -93,20 +93,6 @@ class AlphabetConfig:
         if max(letters) > "\uffff":
             self._codes = {ord(ch): i for i, ch in enumerate(letters, 1)}
             self._codes[ord(self._separator)] = 0
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.letters) == (other.name, other.letters)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.letters))
-
-    def __contains__(self, ch: str) -> bool:
-        return ch in self._index
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def index_of(self, ch: str) -> int:
         """Position of a letter in the canonical order."""
@@ -267,7 +253,7 @@ def read_text(path: str | Path) -> str:
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UnreadableFileError(path, exc) from exc
     try:
         return raw.decode("utf-8")
@@ -276,11 +262,12 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path):
-    """Read a UTF-8 JSON input file; a decoding or parse failure names the file."""
+    """Read a UTF-8 JSON input file; a decoding or parse failure names the
+    file, and so does an integer too long to convert (over 4,300 digits)."""
     text = read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise IngestionError(f"{Path(path)}: invalid JSON: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -232,8 +233,8 @@ class KeyboardGeometry:
                 raise ValueError(f"{pos.position_id}: layer must be one of {LAYERS}")
             if isinstance(pos.cost, bool) or not isinstance(pos.cost, (int, float)):
                 raise ValueError(f"{pos.position_id}: cost must be a number, got {pos.cost!r}")
-            if not pos.cost > 0:
-                raise ValueError(f"{pos.position_id}: cost must be strictly positive")
+            if not 0 < pos.cost < math.inf:  # NaN fails; an int of any length is finite
+                raise ValueError(f"{pos.position_id}: cost must be finite and above 0, got {pos.cost!r}")
             if pos.layer == "base":
                 per_hand_base[pos.hand] += 1
         for hand, n in per_hand_base.items():

@@ -50,11 +50,6 @@ class TransactionDB:
         self.universe = universe
         self.rows = rows
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.universe, self.rows) == (other.universe, other.rows)
-
     def __len__(self) -> int:
         return sum(self.rows.values())
 

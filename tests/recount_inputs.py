@@ -1,0 +1,80 @@
+"""Write the seeded inputs of one CI recount job into a directory.
+
+    PYTHONPATH=src python tests/recount_inputs.py {stats,design,corpus-mine,baskets} DIR
+
+- stats: `alphabet.json` (a-z), `part1.txt` and `part2.txt` (1M chars each,
+  Zipf-weighted letters plus spaces and junk) and `manifest.txt` listing them;
+- design: the same alphabet and one 2M-char `corpus.txt` in `manifest.txt`;
+- corpus-mine: `part1.txt` and `part2.txt` over the 59 Bengali letters of
+  data/alphabets/bangla.json plus two decomposed vowel signs that NFC
+  composes, and `manifest.txt` listing them;
+- baskets: `baskets.tsv`, 20,000 baskets of 1 to 8 draws from 340
+  Zipf-weighted items.
+
+keymine then runs on them, and `python tests/reference.py check OUT_DIR`
+checks its outputs.
+"""
+
+import json
+import random
+import string
+import sys
+from pathlib import Path
+
+from keymine.synth import random_text, zipf_weights
+
+REPO = Path(__file__).resolve().parent.parent
+AZ_JUNK = "0123456789.,;'"
+
+
+def write_az_alphabet(work: Path) -> None:
+    alphabet = {"name": "az", "letters": list(string.ascii_lowercase)}
+    (work / "alphabet.json").write_text(json.dumps(alphabet))
+
+
+def stats(work: Path) -> None:
+    write_az_alphabet(work)
+    for i in (1, 2):
+        text = random_text(string.ascii_lowercase, 1_000_000, i, weights=zipf_weights(26),
+                           space_prob=0.15, junk=AZ_JUNK, junk_prob=0.03)
+        (work / f"part{i}.txt").write_text(text, encoding="utf-8")
+    (work / "manifest.txt").write_text("part1.txt\npart2.txt\n")
+
+
+def design(work: Path) -> None:
+    write_az_alphabet(work)
+    text = random_text(string.ascii_lowercase, 2_000_000, 3, weights=zipf_weights(26),
+                       space_prob=0.15, junk=AZ_JUNK, junk_prob=0.03)
+    (work / "corpus.txt").write_text(text, encoding="utf-8")
+    (work / "manifest.txt").write_text("corpus.txt\n")
+
+
+def corpus_mine(work: Path) -> None:
+    alphabet = REPO / "data" / "alphabets" / "bangla.json"
+    letters = json.loads(alphabet.read_text(encoding="utf-8"))["letters"]
+    # E sign + AA sign and E sign + AU length mark compose to O and AU signs
+    pool = [*letters, "\u09c7\u09be", "\u09c7\u09d7"]
+    for i in (1, 2):
+        text = random_text(pool, 1_000_000, 20 + i, weights=zipf_weights(len(pool)),
+                           space_prob=0.15, junk="।,০১২৩0123", junk_prob=0.02)
+        (work / f"part{i}.txt").write_text(text, encoding="utf-8")
+    (work / "manifest.txt").write_text("part1.txt\npart2.txt\n")
+
+
+def baskets(work: Path) -> None:
+    rng = random.Random(19)
+    items = [f"p{n:03d}" for n in range(340)]
+    weights = [1 / (r + 1) for r in range(len(items))]
+    lines = ["tid\titems"]
+    for t in range(20000):
+        basket = rng.choices(items, weights, k=rng.randint(1, 8))
+        lines.append(f"T{t}\t{' '.join(basket)}")
+    (work / "baskets.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+JOBS = {"stats": stats, "design": design, "corpus-mine": corpus_mine, "baskets": baskets}
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] not in JOBS:
+        sys.exit(f"usage: recount_inputs.py {{{','.join(JOBS)}}} DIR")
+    JOBS[sys.argv[1]](Path(sys.argv[2]))

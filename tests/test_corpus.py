@@ -35,7 +35,7 @@ AB = AlphabetConfig(name="ab", letters=("a", "b"))
 
 class TestAlphabetConfig:
     def test_membership_and_order(self):
-        assert "a" in ABC and "z" not in ABC
+        assert "a" in ABC.letters and "z" not in ABC.letters
         assert ABC.index_of("c") == 2
 
     def test_rejects_empty(self):
@@ -59,13 +59,6 @@ class TestAlphabetConfig:
         # contain it as a single code point, so it must be refused.
         with pytest.raises(ValueError, match="constituent"):
             AlphabetConfig(name="x", letters=("ড়",))
-
-    def test_equal_on_name_and_letters(self):
-        same = AlphabetConfig(name="abc", letters=tuple("abc"))
-        assert same == ABC and hash(same) == hash(ABC) and len({same, ABC}) == 1
-        assert ABC != AlphabetConfig(name="other", letters=("a", "b", "c"))
-        assert ABC != AlphabetConfig(name="abc", letters=("c", "b", "a"))
-        assert ABC != ("abc", ("a", "b", "c"))
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "alpha.json"
@@ -95,7 +88,7 @@ class TestAlphabetConfig:
         message = str(info.value)
         assert message.startswith(f"{path}: alphabet has 65536 letters; at most 65535")
         assert "\n" not in message
-        assert len(AlphabetConfig(name="most", letters=tuple(letters[:65_535]))) == 65_535
+        assert len(AlphabetConfig(name="most", letters=tuple(letters[:65_535])).letters) == 65_535
 
 
 class TestTokenize:
@@ -290,7 +283,7 @@ class TestPackedDigraphCount:
         # U+0000, and when letters are numbered it must still become code 0
         letters = nfc_letters(first, 120) + [chr(0x20000)] * astral
         alpha = AlphabetConfig(name="low", letters=tuple(letters))
-        assert alpha._separator not in alpha and (alpha._codes is not None) == astral
+        assert alpha._separator not in alpha.letters and (alpha._codes is not None) == astral
         text = random_text(letters, 20_000, 8, space_prob=0.05, junk="\u0100\u0101", junk_prob=0.02)
         assert_text_digraphs_match_reference(alpha, text)
 
@@ -299,7 +292,7 @@ class TestPackedDigraphCount:
         # and codes 0xD800..0xDFFF (55,296 and up) are lone UTF-16 surrogates
         letters = [*nfc_letters(0x100, 55_999), chr(0x20000)]
         alpha = AlphabetConfig(name="wide", letters=tuple(letters))
-        assert alpha._codes is not None and len(alpha) > 0xD800
+        assert alpha._codes is not None and len(alpha.letters) > 0xD800
         rng = random.Random(12)
         tail = letters[0xD800 - 200 :]
         runs = ["".join(rng.choices(tail, k=rng.randint(1, 60))) for _ in range(400)]

@@ -389,24 +389,6 @@ class TestGeometry:
                 KeyPosition("Q", "right", 1, "home", "base", 1.0),
             ])
 
-    @pytest.mark.parametrize(
-        "cost", ["cheap", None, True, [1.0]], ids=["text", "null", "bool", "list"])
-    def test_non_numeric_cost_is_an_error_line(self, tmp_path, data_dir, capsys, cost):
-        # a bool is an int to Python, but no press cost
-        records = [
-            {"id": "P", "hand": "left", "finger": 1, "row": "home", "layer": "base", "cost": cost},
-            {"id": "Q", "hand": "right", "finger": 1, "row": "home", "layer": "base", "cost": 1.0},
-        ]
-        path = tmp_path / "geometry.json"
-        path.write_text(json.dumps(records), encoding="utf-8")
-        assert main([
-            "design", "--alphabet", str(data_dir / "alphabets" / "english.json"),
-            "--manifest", str(data_dir / "sample" / "manifest.txt"),
-            "--output-dir", str(tmp_path / "out"), "--geometry", str(path),
-        ]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: P: cost must be a number, got {cost!r}\n"
-
     @pytest.mark.parametrize("finger", [True, 1.0], ids=["bool", "float"])
     def test_non_int_finger_rejected(self, tmp_path, finger):
         # True == 1 and 1.0 == 1, so a plain membership test would take either as finger 1

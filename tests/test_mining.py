@@ -55,15 +55,6 @@ class TestTransactionDB:
         assert len(digraphs.rows) == 4
         assert foreign(baskets) == foreign(digraphs) == []
 
-    def test_equal_on_universe_and_rows(self):
-        db = TransactionDB(("a", "b"), {("a", "b"): 2, ("a",): 1})
-        assert db == TransactionDB(("a", "b"), {("a",): 1, ("a", "b"): 2})
-        assert db != TransactionDB(("b", "a"), {("a", "b"): 2, ("a",): 1})
-        assert db != TransactionDB(("a", "b"), {("a", "b"): 2, ("a",): 2})
-        assert db != (("a", "b"), {("a", "b"): 2, ("a",): 1})
-        with pytest.raises(TypeError):
-            hash(db)  # mutable rows: unhashable, as it always was
-
     def test_support_count_subset_semantics(self, market9):
         assert support_count(market9.rows, ("I1", "I2")) == 4
         assert support_count(market9.rows, ("I3", "I4")) == 0
@@ -701,6 +692,10 @@ class TestDigraphAdapter:
             assert support_count(db.rows, (x, y)) == expected
 
 
+def same_db(a: TransactionDB, b: TransactionDB) -> bool:
+    return (a.universe, a.rows) == (b.universe, b.rows)
+
+
 class TestTransactionTsv:
     def test_round_trip(self, tmp_path):
         db = random_db(3, universe_size=4, n_transactions=40, max_items=2)
@@ -708,10 +703,10 @@ class TestTransactionTsv:
         path = tmp_path / "db.tsv"
         write_transactions_tsv(db, path)
         present = tuple(sorted({item for row in db.rows for item in row}))
-        assert read_transactions_tsv(path) == TransactionDB(present, dict(db.rows))
+        assert same_db(read_transactions_tsv(path), TransactionDB(present, dict(db.rows)))
 
     def test_checked_in_fixture_matches(self, market9, data_dir):
-        assert read_transactions_tsv(data_dir / "market9.tsv") == market9
+        assert same_db(read_transactions_tsv(data_dir / "market9.tsv"), market9)
 
     def test_default_universe_is_sorted_items(self, tmp_path):
         path = tmp_path / "db.tsv"
@@ -722,7 +717,7 @@ class TestTransactionTsv:
         # read as text, "\ufefftid\titems" is no header but a row holding "items"
         path = tmp_path / "bom.tsv"
         path.write_bytes(b"\xef\xbb\xbf" + (data_dir / "market9.tsv").read_bytes())
-        assert read_transactions_tsv(path) == market9
+        assert same_db(read_transactions_tsv(path), market9)
 
     @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x0c"])
     def test_only_lf_ends_a_line(self, tmp_path, sep):
@@ -733,7 +728,7 @@ class TestTransactionTsv:
         with pytest.raises(IngestionError, match="db.tsv:3: expected 2"):
             read_transactions_tsv(path)
         path.write_text(f"tid\titems\r\nT1\ta{sep}b\r\nT2\ta\r\n", encoding="utf-8")
-        assert read_transactions_tsv(path) == TransactionDB(("a", "b"), {("a", "b"): 1, ("a",): 1})
+        assert same_db(read_transactions_tsv(path), TransactionDB(("a", "b"), {("a", "b"): 1, ("a",): 1}))
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "db.tsv"
