@@ -117,6 +117,13 @@ class TestStats:
             golden = data_dir / "golden" / "sample" / "stats" / name
             assert (out / name).read_bytes() == golden.read_bytes()
 
+    def test_unreadable_file_exits_nonzero_with_path(self, tmp_path, capsys):
+        alpha, manifest = write_corpus(tmp_path, ["ab"], "ab")
+        manifest.write_text("missing.txt\n", encoding="utf-8")
+        assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "missing.txt" in capsys.readouterr().err
+
     def test_empty_corpus_exits_nonzero(self, tmp_path):
         alpha, manifest = write_corpus(tmp_path, ["123 456"], "ab")
         assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
@@ -530,6 +537,26 @@ class TestEvaluate:
                          "report_02_partial.json", "report_02_partial.tsv"]
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+    def test_bad_later_layout_writes_nothing(self, tmp_path, capsys):
+        # every layout is loaded before the first report is written
+        alpha, manifest, designed = make_eval_fixture(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x"}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(out), str(designed), str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
+
+    def test_malformed_layout_reports_field(self, tmp_path, capsys):
+        alpha, manifest, _ = make_eval_fixture(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x"}), encoding="utf-8")
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out"), str(bad)]) == 1
+        assert "geometry_ref" in capsys.readouterr().err
+
 
 class TestOneLoadPerInput:
     """Each corpus command counts n-grams once and derives the lower tables;
@@ -1167,3 +1194,12 @@ class TestConfigAndManifest:
         assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
                      "--config", str(config)]) == 0
         assert (tmp_path / "summary.tsv").is_file()
+
+
+class TestInputFileErrors:
+    def test_unreadable_corpus_file_names_the_path(self, tmp_path, capsys):
+        alpha, manifest = write_corpus(tmp_path, ["ab"])
+        manifest.write_text("part0.txt\ngone.txt\n", encoding="utf-8")
+        assert main(["stats", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'gone.txt'}: No such file or directory\n"
