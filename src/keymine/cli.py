@@ -15,12 +15,21 @@ the config and the key.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
+
+# hashlib maps OpenSSL's libcrypto into the process for one digest per input
+# file; the interpreter's own SHA-256 module gives the same bytes without it
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build without a built-in SHA-256
+        from hashlib import sha256
 
 from . import __version__
 from .corpus import (
@@ -73,8 +82,8 @@ class CliError(Exception):
     """User-facing failure; message goes to stderr, exit code 1."""
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _file_digest(path: Path) -> str:
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: Sequence[Path]) -> None:
@@ -83,7 +92,7 @@ def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: S
         "version": __version__,
         "command": command,
         "parameters": parameters,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _file_digest(p) for p in inputs},
     }
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -91,12 +100,16 @@ def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: S
     )
 
 
+class _OutputDirError(UnreadableFileError):
+    """An output directory that cannot be made; only `output_dir` names it."""
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file there or above it, or a NUL byte in the path
-        raise UnreadableFileError(out, exc) from exc
+        raise _OutputDirError(out, exc) from exc
     return out
 
 
@@ -439,15 +452,18 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
         raise CliError(f"{args.config}: key {key!r}: {exc.message}") from None
 
 
-_PATH_KEYS = ("alphabet", "manifest", "geometry", "transactions", "output_dir")
+_INPUT_KEYS = ("alphabet", "manifest", "geometry", "transactions")
 
 
-def _config_key(given: argparse.Namespace, args: argparse.Namespace, path: Path) -> str | None:
-    """The config key that named this path: a path key whose value the
+def _config_key(given: argparse.Namespace, args: argparse.Namespace,
+                exc: UnreadableFileError) -> str | None:
+    """The config key that named the path that failed: `output_dir` for the
+    output directory, else an input key naming that path, whose value the
     config changed, as no flag set it."""
-    for key in _PATH_KEYS:
+    keys = ("output_dir",) if isinstance(exc, _OutputDirError) else _INPUT_KEYS
+    for key in keys:
         value = getattr(args, key, None)
-        if value is not None and value != getattr(given, key, None) and Path(value) == path:
+        if value is not None and value != getattr(given, key, None) and Path(value) == exc.path:
             return key
     return None
 
@@ -470,7 +486,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = _with_config(argv, given)
         return _COMMANDS[args.command](args)
     except UnreadableFileError as exc:
-        key = _config_key(given, args, exc.path)
+        key = _config_key(given, args, exc)
         print(f"error: {args.config}: key {key!r}: {exc}" if key else f"error: {exc}", file=sys.stderr)
         return 1
     except (CliError, OSError, ValueError) as exc:

@@ -263,11 +263,12 @@ def read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path):
     """Read a UTF-8 JSON input file; a decoding or parse failure names the
-    file, and so does an integer too long to convert (over 4,300 digits)."""
+    file, and so do an integer too long to convert (over 4,300 digits) and
+    arrays or objects nested past the recursion limit."""
     text = read_text(path)
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IngestionError(f"{Path(path)}: invalid JSON: {exc}") from exc
 
 

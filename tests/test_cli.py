@@ -1091,7 +1091,9 @@ class TestConfigAndManifest:
 
     def test_no_command_imports_dataclasses(self, tmp_path, data_dir):
         # `dataclasses` pulls in `inspect`, `ast` and `dis`: a fifth of every
-        # command's start-up. A fresh interpreter without site (-S), so that
+        # command's start-up; `hashlib` loads `_hashlib`, which maps OpenSSL's
+        # libcrypto, where the interpreter's own SHA-256 serves the run
+        # manifest. A fresh interpreter without site (-S), so that
         # no .pth file's imports are counted, runs --version and every command.
         # The package stands alone: with tests/ importable, no command loads
         # the test oracles, the reference model, conftest, or a keymine module from elsewhere
@@ -1117,7 +1119,7 @@ class TestConfigAndManifest:
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
             f"assert all(main(argv) == 0 for argv in {commands!r})\n"
-            "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "loaded = sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules))\n"
             "assert not loaded, loaded\n"
             "import os\n"
             f"package = {str(Path(keymine.__file__).resolve().parent)!r}\n"
@@ -1133,6 +1135,27 @@ class TestConfigAndManifest:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("keymine ")
         assert (tmp_path / "compare-only" / "comparison.tsv").exists()
+
+    def test_manifest_digest_falls_back_to_hashlib(self, tmp_path, data_dir):
+        # on a build without the interpreter's own SHA-256 (both of its module
+        # names blocked here) the manifest hashes through hashlib, to the same bytes
+        corpus = ["stats", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                  "--manifest", str(data_dir / "sample" / "manifest.txt")]
+        assert main([*corpus, "--output-dir", str(tmp_path / "lean")]) == 0
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from keymine.cli import main\n"
+            f"assert main({[*corpus, '--output-dir', str(tmp_path / 'fallback')]!r}) == 0\n"
+            "assert 'hashlib' in sys.modules\n"
+        )
+        src = Path(keymine.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        lean, fallback = (tmp_path / name / "run_manifest.json" for name in ("lean", "fallback"))
+        assert fallback.read_bytes() == lean.read_bytes()
+        assert len(json.loads(lean.read_bytes())["inputs"]) >= 3
 
     def test_missing_required_flag_reported(self, tmp_path, capsys):
         assert main(["stats", "--output-dir", str(tmp_path / "out")]) == 1

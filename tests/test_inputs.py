@@ -171,6 +171,9 @@ ROWS = [
     *(r for kind in (*JSON_KINDS, "manifest", "corpus", "transactions") for r in unreadable(kind)),
     *(row(kind, "not JSON", raw(b'{"a": '), message=f"{KINDS[kind][0]}: invalid JSON: ...")
       for kind in JSON_KINDS),
+    *(row(kind, "nested too deep", raw(b"[" * 100_000), message=f"{KINDS[kind][0]}: invalid "
+          "JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string")
+      for kind in JSON_KINDS),
 
     # an empty name is a name, and one letter is an alphabet
     *sweep("alphabet", ["name", "letters", "letters/5"], accepted={"name=empty", "letters=list"}),
@@ -274,6 +277,12 @@ ROWS = [
         message="config.json: key 'output_dir': corpus.txt/out: Not a directory"),
     row("stats config", "output_dir holds NUL", put("output_dir", '"a\\u0000b"'),
         message="config.json: key 'output_dir': a\x00b: embedded null byte"),
+    # two keys name one path: the error names the key whose path failed
+    row("stats config", "output_dir the alphabet file", put("output_dir", '"alphabet.json"'),
+        message="config.json: key 'output_dir': alphabet.json: File exists"),
+    row("stats config", "alphabet and output_dir one directory",
+        edit(lambda s: json.dumps({**json.loads(s), "alphabet": ".", "output_dir": "."})),
+        message="config.json: key 'alphabet': .: Is a directory"),
     row("output dir", "a file", raw(b""), message="dir/out: File exists"),
     row("output dir", "under a file", file_above, message="dir/out: Not a directory"),
 ]
