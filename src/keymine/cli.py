@@ -8,8 +8,9 @@ outputs were written and all embedded audits passed.
 A `--config` JSON value, a string or a number, is parsed as its
 `--key=value` flag placed right after the command name: it is checked as
 the flag is, and an explicit flag, coming later, wins. An input file or an
-output directory that fails names its path, and a path the config set also
-the config and the key.
+output directory that fails names its path. If a key named that path (an
+input key or `output_dir`, never a manifest's entry) and the config set the
+key, no flag overriding it, the error also names the config and the key.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .layout import (
 from .mining import (
     MiningParams,
     digraphs_as_transactions,
+    exact_ratio,
     generate_rules,
     mine_frequent,
     read_transactions_tsv,
@@ -100,17 +102,22 @@ def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: S
     )
 
 
-class _OutputDirError(UnreadableFileError):
-    """An output directory that cannot be made; only `output_dir` names it."""
-
-
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file there or above it, or a NUL byte in the path
-        raise _OutputDirError(out, exc) from exc
+        raise UnreadableFileError(out, exc, "output_dir") from exc
     return out
+
+
+def _read(args, key: str, load):
+    """`load` of the path that `key` holds; a file it cannot read names `key`."""
+    try:
+        return load(getattr(args, key))
+    except UnreadableFileError as exc:
+        exc.key = key
+        raise
 
 
 def _require(args, *names: str) -> None:
@@ -125,8 +132,8 @@ def _load_corpus(args) -> tuple[list[Path], dict, LetterStream]:
     holding the letter runs of all the files; a run never spans two files,
     so no n-gram crosses a file."""
     _require(args, "alphabet", "manifest")
-    alphabet = AlphabetConfig.from_json(args.alphabet)
-    files = read_manifest(args.manifest)
+    alphabet = _read(args, "alphabet", AlphabetConfig.from_json)
+    files = _read(args, "manifest", read_manifest)
     if not files:
         raise CliError(f"{args.manifest}: manifest lists no corpus files")
     stream = LetterStream([], 0, alphabet)
@@ -214,7 +221,7 @@ def cmd_mine(args) -> int:
     if not min_confidence >= 0:
         raise CliError(f"--min-confidence must be >= 0, got {min_confidence}")
     if args.transactions:
-        db = read_transactions_tsv(args.transactions)
+        db = _read(args, "transactions", read_transactions_tsv)
         if not db.rows:
             raise CliError(f"{args.transactions}: no transactions to mine")
         if not db.universe:
@@ -229,13 +236,9 @@ def cmd_mine(args) -> int:
         db = digraphs_as_transactions(digraphs)
     if support_kind == "count":
         count = support_value
-    elif support_value.adjusted() < -len(str(len(db))):
-        # below 1/|D|, so one transaction; the ratio, whose denominator grows
-        # with the exponent (1e-999999999), is then never built
-        count = 1
-    else:
-        numerator, denominator = support_value.as_integer_ratio()
-        count = -(-numerator * len(db) // denominator)
+    else:  # the ceiling of the exact fraction of |D|, and at least one transaction
+        num, den = exact_ratio(support_value, len(db))
+        count = max(1, -(-num * len(db) // den))
     from decimal import Decimal  # kept off the other commands' imports
 
     params = MiningParams(min_support_count=count, min_confidence=Decimal(args.min_confidence))
@@ -275,7 +278,7 @@ def cmd_design(args) -> int:
     monographs = derive_lower(digraphs, stream)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
-    geometry = load_geometry(args.geometry) if args.geometry else default_geometry()
+    geometry = _read(args, "geometry", load_geometry) if args.geometry else default_geometry()
     partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
     layout = place_keys(partition, geometry, name=args.name)
     audit = audit_partition(partition, monographs, digraphs)
@@ -452,22 +455,6 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
         raise CliError(f"{args.config}: key {key!r}: {exc.message}") from None
 
 
-_INPUT_KEYS = ("alphabet", "manifest", "geometry", "transactions")
-
-
-def _config_key(given: argparse.Namespace, args: argparse.Namespace,
-                exc: UnreadableFileError) -> str | None:
-    """The config key that named the path that failed: `output_dir` for the
-    output directory, else an input key naming that path, whose value the
-    config changed, as no flag set it."""
-    keys = ("output_dir",) if isinstance(exc, _OutputDirError) else _INPUT_KEYS
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None and value != getattr(given, key, None) and Path(value) == exc.path:
-            return key
-    return None
-
-
 _COMMANDS = {
     "stats": cmd_stats,
     "mine": cmd_mine,
@@ -485,12 +472,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config:
             args = _with_config(argv, given)
         return _COMMANDS[args.command](args)
-    except UnreadableFileError as exc:
-        key = _config_key(given, args, exc)
-        print(f"error: {args.config}: key {key!r}: {exc}" if key else f"error: {exc}", file=sys.stderr)
-        return 1
     except (CliError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        key = getattr(exc, "key", None)
+        # a key's value differs from the command line's only where the config set it
+        blame = f"{args.config}: key {key!r}: " if key and getattr(args, key) != getattr(given, key) else ""
+        print(f"error: {blame}{exc}", file=sys.stderr)
         return 1
 
 

@@ -38,11 +38,11 @@ class IngestionError(ValueError):
 class UnreadableFileError(IngestionError):
     """A path that cannot be opened, read or made a directory (missing, a
     directory, under a file, no permission, a NUL byte in it): `<path>:
-    <reason>`, with the path as given in `path`."""
+    <reason>`, with the command's key that named the path, if any, in `key`."""
 
-    def __init__(self, path: Path, exc: OSError | ValueError) -> None:
+    def __init__(self, path: Path, exc: OSError | ValueError, key: str | None = None) -> None:
         super().__init__(f"{path}: {getattr(exc, 'strerror', None) or exc}")
-        self.path = path
+        self.key = key
 
 
 _MAX_LETTERS = 0xFFFF  # letter codes are 16-bit; numbered letters take 1..|A|, and 0 separates runs

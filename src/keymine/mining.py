@@ -337,6 +337,17 @@ class AssociationRule(_AssociationRule):
         return cls(*iterable)  # so `_replace` validates too
 
 
+def exact_ratio(threshold: Decimal, n: int) -> tuple[int, int]:
+    """The exact ratio num/den of a threshold's decimal digits, for deciding
+    on counts of at most `n`. A threshold below 10**-len(str(n)) is below
+    1/n, the least ratio of such counts, so it comes back as (0, 1): its own
+    ratio, whose denominator grows with the exponent (1e-999999999), is
+    never built."""
+    if threshold.adjusted() < -len(str(n)):
+        return 0, 1
+    return threshold.as_integer_ratio()
+
+
 def generate_rules(
     levels: Sequence[FrequentLevel], db_size: int, params: MiningParams
 ) -> list[AssociationRule]:
@@ -354,12 +365,8 @@ def generate_rules(
         return []  # no confidence exceeds 1
     from decimal import Decimal  # only `mine` makes rules; kept off the other commands' imports
 
-    threshold = Decimal(str(params.min_confidence))
-    # every count is at least 1 of at most db_size transactions, so no rule falls below
-    # 1/db_size and a threshold under 10**-len(str(db_size)) keeps them all; its ratio,
-    # whose denominator grows with the exponent (1e-999999999), is then never built
-    tiny = threshold.adjusted() < -len(str(db_size))
-    num, den = (0, 1) if tiny else threshold.as_integer_ratio()
+    # a confidence is a count of at least 1 over one of at most db_size
+    num, den = exact_ratio(Decimal(str(params.min_confidence)), db_size)
     counts = frequent_map(levels)
     rules: list[AssociationRule] = []
     for level in levels:

@@ -1,6 +1,6 @@
 """Write the seeded inputs of one CI recount job into a directory.
 
-    PYTHONPATH=src python tests/recount_inputs.py {stats,design,corpus-mine,baskets} DIR
+    PYTHONPATH=src python tests/recount_inputs.py {stats,design,corpus-mine,baskets,fuzz} DIR
 
 - stats: `alphabet.json` (a-z), `part1.txt` and `part2.txt` (1M chars each,
   Zipf-weighted letters plus spaces and junk) and `manifest.txt` listing them;
@@ -9,7 +9,13 @@
   data/alphabets/bangla.json plus two decomposed vowel signs that NFC
   composes, and `manifest.txt` listing them;
 - baskets: `baskets.tsv`, 20,000 baskets of 1 to 8 draws from 340
-  Zipf-weighted items.
+  Zipf-weighted items;
+- fuzz: two Unicode inputs, each an `alphabet.json`, `part1.txt` and
+  `part2.txt` (100,000 chars each, CRLF lines with NBSP, U+3000, U+0085
+  and form feeds among the letters and junk) and `manifest.txt`: `bmp/`,
+  27 letters all below U+10000, U+0000, U+0001 and U+FFFF among them, so
+  runs are joined by U+0002 and each letter is its own code; and `astral/`,
+  whose one letter past U+FFFF makes every letter a translated code.
 
 keymine then runs on them, and `python tests/reference.py check OUT_DIR`
 checks its outputs.
@@ -72,7 +78,31 @@ def baskets(work: Path) -> None:
     (work / "baskets.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-JOBS = {"stats": stats, "design": design, "corpus-mine": corpus_mine, "baskets": baskets}
+FUZZ_LETTERS = {
+    # under NFC "e" then the combining acute is the letter "é", and "a" then it
+    # is "á", no letter
+    "bmp": ["\x00", "\x01", "\uffff", "\u0301", "\u200d", "\u200c", "\u00e9",
+            *"abcdefghijklmnopqrst"],
+    "astral": ["\U0001d49c", "\u00df", "\u03b1", "\u03b2", *"abcdefghijkl"],
+}
+FUZZ_JUNK = "\u00a0\u3000\x85\x0c09.,\u00e1"  # odd whitespace drops out; the rest is undetermined
+
+
+def fuzz(work: Path) -> None:
+    for seed, (name, letters) in enumerate(FUZZ_LETTERS.items(), start=40):
+        out = work / name
+        out.mkdir()
+        (out / "alphabet.json").write_text(json.dumps({"name": name, "letters": letters}))
+        for i in (1, 2):
+            text = random_text(letters, 100_000, seed + 10 * i, weights=zipf_weights(len(letters)),
+                               space_prob=0.1, junk=FUZZ_JUNK, junk_prob=0.05)
+            lines = (text[at:at + 70] for at in range(0, len(text), 70))
+            (out / f"part{i}.txt").write_bytes("\r\n".join(lines).encode("utf-8"))
+        (out / "manifest.txt").write_text("part1.txt\npart2.txt\n")
+
+
+JOBS = {"stats": stats, "design": design, "corpus-mine": corpus_mine, "baskets": baskets,
+        "fuzz": fuzz}
 
 if __name__ == "__main__":
     if len(sys.argv) != 3 or sys.argv[1] not in JOBS:

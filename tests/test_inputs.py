@@ -65,6 +65,9 @@ KINDS = {
     "design config": ("config.json", ["design", "--config", "config.json"], "layout.json", None),
     "mine config": ("config.json", ["mine", "--config", "config.json"], "rules.tsv", None),
     "stats config": ("config.json", ["stats", "--config", "config.json"], "monographs.tsv", None),
+    "alphabet flag over config": ("config.json", ["stats", "--config", "config.json",
+                                                  "--alphabet", "x", "--output-dir", "out"],
+                                  "monographs.tsv", None),
     "output dir": ("dir/out", ["stats", *CORPUS[:4], "--output-dir", "dir/out"],
                    "monographs.tsv", None),
 }
@@ -110,6 +113,14 @@ def edit(change):
 def on_line(at, change):
     return edit(lambda s: "\n".join(change(line) if i == at else line
                                     for i, line in enumerate(s.splitlines())) + "\n")
+
+
+def listing(mutate, manifest):
+    """`mutate`, and the manifest rewritten to the bytes `manifest`."""
+    def both(path):
+        mutate(path)
+        Path("manifest.txt").write_bytes(manifest)
+    return both
 
 
 def missing(path):
@@ -283,6 +294,11 @@ ROWS = [
     row("stats config", "alphabet and output_dir one directory",
         edit(lambda s: json.dumps({**json.loads(s), "alphabet": ".", "output_dir": "."})),
         message="config.json: key 'alphabet': .: Is a directory"),
+    # a path read for a flag or a manifest entry names no key, though a config key names it
+    row("alphabet flag over config", "the config's manifest names it", raw(b'{"manifest": "x"}'),
+        message="x: No such file or directory"),
+    row("design config", "the manifest lists the geometry path",
+        listing(put("geometry", '"y"'), b"y\n"), message="y: No such file or directory"),
     row("output dir", "a file", raw(b""), message="dir/out: File exists"),
     row("output dir", "under a file", file_above, message="dir/out: Not a directory"),
 ]

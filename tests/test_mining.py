@@ -1,10 +1,12 @@
 """Level-wise miner, brute-force oracle, rule generation, digraph adapter."""
 
 import itertools
+import math
 import random
 import string
 from collections.abc import Sized
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -614,6 +616,18 @@ class TestGenerateRules:
         for threshold in (Decimal("0.095"), Decimal("0.0909091")):
             (strong,) = generate_rules(levels, len(db), MiningParams(1, threshold))
             assert (strong.antecedent, strong.consequent) == (("b",), ("a",))
+
+    def test_exact_ratio_below_one_in_n_is_never_built(self):
+        # 10**-len(str(n)) < 1/n: below it the ratio is (0, 1), from it on the exact digits
+        assert mining.exact_ratio(Decimal("1e-999999999"), 10) == (0, 1)
+        assert mining.exact_ratio(Decimal("0.000999"), 100) == (0, 1)
+        assert mining.exact_ratio(Decimal("0.001"), 100) == (1, 1000)
+        assert mining.exact_ratio(Decimal("0.07"), 100) == (7, 100)
+        for n in (1, 9, 10, 99, 100, 12345):
+            for text in ("1", "0.5", "0.07", "0.0099999", "1e-3", "1e-5", "1e-400"):
+                num, den = mining.exact_ratio(Decimal(text), n)
+                # the support count: the exact ceiling, and at least one transaction
+                assert max(1, -(-num * n // den)) == math.ceil(Fraction(text) * n)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_rule_meets_both_thresholds(self, seed):
