@@ -85,7 +85,12 @@ class CliError(Exception):
 
 
 def _file_digest(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
+    # read in chunks: a whole-file copy, made this late in a command, can set its peak RSS
+    digest = sha256()
+    with path.open("rb") as f:
+        while chunk := f.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: Sequence[Path]) -> None:
@@ -234,11 +239,12 @@ def cmd_mine(args) -> int:
         if digraphs.total == 0:
             raise CliError("corpus contains no digraphs to mine")
         db = digraphs_as_transactions(digraphs)
+    size = len(db)  # sums every row's multiplicity, so taken once
     if support_kind == "count":
         count = support_value
     else:  # the ceiling of the exact fraction of |D|, and at least one transaction
-        num, den = exact_ratio(support_value, len(db))
-        count = max(1, -(-num * len(db) // den))
+        num, den = exact_ratio(support_value, size)
+        count = max(1, -(-num * size // den))
     from decimal import Decimal  # kept off the other commands' imports
 
     params = MiningParams(min_support_count=count, min_confidence=Decimal(args.min_confidence))
@@ -251,9 +257,9 @@ def cmd_mine(args) -> int:
             f"{len(level.itemsets)} frequent (1 scan)"
         )
     print(f"scans performed: {levels.scans}" + ("" if levels else " (no frequent itemsets)"))
-    rules = generate_rules(levels, len(db), params)
+    rules = generate_rules(levels, size, params)
     out = _out_dir(args)
-    write_frequent_tsv(levels, len(db), out / "frequent_itemsets.tsv")
+    write_frequent_tsv(levels, size, out / "frequent_itemsets.tsv")
     write_rules_tsv(rules, out / "rules.tsv")
     _write_run_manifest(
         out,

@@ -12,20 +12,24 @@ which cuts them further, so rows that become equal merge and rows too short
 for the level drop out. At k = 2 the scan adds each row's multiplicity for
 every pair it holds into one flat triangular array of counts, laid out in
 the order `combinations` yields the pairs; level 2's candidates, every pair
-of frequent items, come lazily from the join and are never listed, and
-their counts are read out by zipping the pairs with the array, in C. Level 1
-counts bare items and every later level the size-k subsets of the rows, each
-in one `Counter`, and each candidate's count is read out as the candidates
-are walked. A level keeps only its frequent itemsets and the number of
-candidates it counted. A level longer than every row is never built: it is a
-scan over no rows, recorded only when its join yields a candidate.
+of frequent items, come lazily from the join and are never listed, and the
+array itself is the level's supports. Level 1 counts bare items and every
+later level the size-k subsets of the rows, each in one `Counter`, from
+which the candidates' supports are popped into a list, in C. Every level
+thus reads out as two aligned sequences, candidates and supports, and the
+support threshold is applied to them in C: an itemset becomes a Python
+object only when it is frequent. A level keeps only its frequent itemsets
+and the number of candidates it counted. A level longer than every row is
+never built: it is a scan over no rows, recorded only when its join yields a
+candidate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
+from operator import itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -145,10 +149,10 @@ class _LevelRows:
     sits at base[a] + rank[b], where base[a] = r(2m - r - 1)/2 - r - 1 for
     a of rank r among m items. The array then holds the pairs in the order
     `combinations(items, 2)` yields them, which is the order of Apriori's
-    level-2 candidates, so the counts are read out by zipping the two, with
-    no Python-level step per candidate. Level 1 counts bare items and every
-    later level the size-k subsets of the rows, each in one `Counter`, and
-    each candidate's count is read out as the candidates are walked.
+    level-2 candidates, so the array is the level's supports as it stands,
+    aligned with the lazy pairs. Level 1 counts bare items and every later
+    level the size-k subsets of the rows, each in one `Counter`, and the
+    candidates' counts are popped from it into a list, in C.
 
     Each cut starts from the previous level's rows, which is right as long as
     every level's candidates hold only items of the previous level's
@@ -163,13 +167,16 @@ class _LevelRows:
         self.held = set(db.universe)  # every item the rows can still hold
         self.longest = max(map(len, self.rows), default=0)
 
-    def count(self, candidates: Iterable[tuple[str, ...]], k: int) -> Iterator[CountedItemset]:
-        """Count canonical, distinct size-k candidates: an iterator of each
-        with its count, in the order given. `candidates` is walked more than once: for
-        the items to cut the rows to (and, from k = 3 on, for the join graph)
-        and again as the counts are read out. At k = 2 the candidates must be
-        every pair of the items they hold, in universe order, as Apriori's
-        are: the counts are then read out in the pair array's own order and
+    def count(
+        self, candidates: Iterable[tuple[str, ...]], k: int
+    ) -> tuple[Iterable[tuple[str, ...]], Sequence[int]]:
+        """Count canonical, distinct size-k candidates: two aligned
+        sequences, the candidates and their supports, in the order given.
+        `candidates` is walked more than once: for the items to cut the rows
+        to (and, from k = 3 on, for the join graph) and again as the counts
+        are read out. At k = 2 the candidates must be every pair of the items
+        they hold, in universe order, as Apriori's are: they come back as a
+        lazy `combinations` of those items, aligned with the pair array, and
         `candidates` is not walked again."""
         wanted = set(chain.from_iterable(candidates))
         if not self.held <= wanted:
@@ -200,7 +207,7 @@ class _LevelRows:
             for row, n in self.rows.items():
                 for a, b in combinations(row, 2):
                     pairs[base[a] + rank[b]] += n
-            return map(_counted, zip(combinations(items, 2), pairs))
+            return combinations(items, 2), pairs
         subsets = iter if k == 1 else partial(combinations, r=k)  # level 1 counts bare items
         unit_rows = [row for row, n in self.rows.items() if n == 1]
         counts = Counter(chain.from_iterable(map(subsets, unit_rows)))
@@ -208,10 +215,9 @@ class _LevelRows:
             if n > 1:
                 for sub in subsets(row):
                     counts[sub] += n
-        # pop frees each counted key as its result is read out (lower peak RSS)
-        if k == 1:
-            return (CountedItemset(c, counts.pop(c[0], 0)) for c in candidates)
-        return (CountedItemset(c, counts.pop(c, 0)) for c in candidates)
+        # pop frees each counted key as its support is read out (lower peak RSS)
+        keys = map(itemgetter(0), candidates) if k == 1 else candidates
+        return candidates, list(map(counts.pop, keys, repeat(0)))
 
 
 class _Join:
@@ -265,8 +271,9 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     Exactly one database scan per level, over rows cut further at each
     level. Level 2's candidates, every pair of frequent items, are walked
     lazily from the join and never listed; from level 3 on they are listed
-    by `generate_candidates`. Only the frequent itemsets of a level are
-    kept, with the number of candidates counted. Once no row holds more
+    by `generate_candidates`. Each level's candidates and supports are
+    thresholded in C, so only its frequent itemsets become `CountedItemset`s;
+    they are kept, with the number of candidates counted. Once no row holds more
     than k items, every (k+1)-candidate has support 0, so the search stops
     without building them; that level still counts as a scan, over no rows,
     if its join yields a candidate. Returned levels contain only non-empty
@@ -279,17 +286,15 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     candidates: Iterable[tuple[str, ...]] = [(item,) for item in db.universe]
     k = 1
     while True:
-        walked, frequent = 0, []
-        for ci in rows.count(candidates, k):
-            walked += 1
-            if ci.support_count >= params.min_support_count:
-                frequent.append(ci)
+        counted, supports = rows.count(candidates, k)
+        walked = len(supports)
+        frequent = tuple(map(_counted, compress(
+            zip(counted, supports), map(le, repeat(params.min_support_count), supports))))
+        del counted, supports  # level 2's pair array goes before the next level is counted
         levels.scans += 1
         if not frequent:
             break
-        level = FrequentLevel(
-            k=k, universe=db.universe, itemsets=tuple(frequent), candidates=walked
-        )
+        level = FrequentLevel(k=k, universe=db.universe, itemsets=frequent, candidates=walked)
         levels.append(level)
         join = _Join(level)
         if not any(join):

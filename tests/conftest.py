@@ -44,17 +44,17 @@ def market9() -> TransactionDB:
 @pytest.fixture
 def count_spy(monkeypatch) -> list[list[CountedItemset]]:
     """Every scan `mining._LevelRows.count` makes while the test runs: one
-    list per call, holding each candidate with its count as the call yields
-    it. Clear it to start a new record."""
+    list per call, holding each candidate with its count in the order the
+    call returns them. Clear it to start a new record."""
     scans: list[list[CountedItemset]] = []
     count = mining._LevelRows.count
 
     def spy(rows, candidates, k):
-        scan: list[CountedItemset] = []
+        counted, supports = count(rows, candidates, k)
+        scan = list(map(CountedItemset, counted, supports))
+        assert len(scan) == len(supports)  # the two sequences are aligned
         scans.append(scan)
-        for ci in count(rows, candidates, k):
-            scan.append(ci)
-            yield ci
+        return [ci.items for ci in scan], supports
 
     monkeypatch.setattr(mining._LevelRows, "count", spy)
     return scans

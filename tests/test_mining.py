@@ -267,18 +267,64 @@ class TestMineFrequent:
         # 780 pairs; level 3 lists its candidates as before
         universe = tuple(f"i{n:02d}" for n in range(40))
         rows = {universe[n:n + 3]: 2 for n in range(38)}
-        given = {}
+        given, returned = {}, {}
         count = mining._LevelRows.count
 
         def spy(rows, candidates, k):
             given[k] = candidates
-            return count(rows, candidates, k)
+            returned[k] = count(rows, candidates, k)
+            return returned[k]
 
         monkeypatch.setattr(mining._LevelRows, "count", spy)
         levels = mine_frequent(TransactionDB(universe, rows), MiningParams(2, 0.0))
         assert [(lv.k, lv.candidates) for lv in levels] == [(1, 40), (2, 780), (3, 38)]
         assert not isinstance(given[2], Sized)
         assert isinstance(given[3], list)
+        # level 2 reads out as the lazy pairs and the pair array of their counts
+        pairs, supports = returned[2]
+        assert not isinstance(pairs, Sized) and len(supports) == 780
+
+    # at support 3: rows weighted so that each level holds an itemset of
+    # support 3, kept, and a candidate of support 2, dropped
+    THRESHOLD_DB = TransactionDB(universe=tuple("abcdef"), rows={
+        ("a", "b", "c"): 3, ("a", "b", "d"): 2, ("a", "d"): 1, ("b", "d"): 1,
+        ("c", "d"): 2, ("e",): 2, ("f",): 3})
+    # k: the itemset of support 3, the candidate of support 2, candidates counted
+    THRESHOLDS = {
+        1: (("f",), ("e",), 6),
+        2: (("a", "c"), ("c", "d"), 10),  # every pair of a, b, c, d and f
+        3: (("a", "b", "c"), ("a", "b", "d"), 2),
+    }
+
+    @pytest.mark.parametrize("k", THRESHOLDS)
+    def test_support_at_the_threshold_is_kept_and_below_it_dropped(self, count_spy, k):
+        at, below, candidates = self.THRESHOLDS[k]
+        levels = mine_frequent(self.THRESHOLD_DB, MiningParams(3, 0.0))
+        level, scan = levels[k - 1], dict(count_spy[k - 1])
+        assert scan[at] == 3 and scan[below] == 2
+        assert at in level.counts() and below not in level.counts()
+        assert level.candidates == len(count_spy[k - 1]) == candidates
+
+    def test_only_frequent_pairs_become_itemsets(self, monkeypatch):
+        # 40 frequent items give 780 level-2 candidates, of which 3 are frequent:
+        # a CountedItemset is built for those 3 and for no other pair
+        universe = tuple(f"i{n:02d}" for n in range(40))
+        rows = {(item,): 2 for item in universe}
+        rows |= {("i00", "i01"): 2, ("i05", "i09"): 3, ("i10", "i30"): 2, ("i02", "i03"): 1}
+        built = []
+        counted = mining._counted
+
+        def spy(pair):
+            built.append(pair[0])
+            return counted(pair)
+
+        monkeypatch.setattr(mining, "_counted", spy)
+        levels = mine_frequent(TransactionDB(universe, rows), MiningParams(2, 0.0))
+        assert levels[1].candidates == 780
+        assert [items for items in built if len(items) == 2] == [
+            ("i00", "i01"), ("i05", "i09"), ("i10", "i30")]
+        assert [ci.items for ci in levels[1].itemsets] == [
+            ("i00", "i01"), ("i05", "i09"), ("i10", "i30")]
 
     # levels mined and scans made
     STOPS = {
