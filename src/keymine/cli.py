@@ -340,7 +340,7 @@ def cmd_evaluate(args) -> int:
         out,
         "evaluate",
         {**parameters, "layouts": [str(p) for p in args.layouts]},
-        [*inputs, *(Path(p) for p in args.layouts)],
+        [*inputs, *(Path(p) for p in args.layouts), *geometries],
     )
     print(f"evaluate: comparison of {len(reports)} layout(s) -> {out}")
     return 0

@@ -3,25 +3,26 @@
 Works over an in-memory transaction database of counted rows, one per
 distinct itemset. Itemsets are kept as tuples in canonical universe order,
 holding the universe's own item objects, so a database keeps one string per
-item however many rows it has. Each level joins within groups that share a
-prefix, and its candidates come out in universe order. The miner performs
-exactly one scan per level. Before a scan the rows are cut to the items that
-some candidate holds and, from k = 3 on, split into the pieces that the
-level's candidates link together; the rows are kept for the next level,
-which cuts them further, so rows that become equal merge and rows too short
-for the level drop out. At k = 2 the scan adds each row's multiplicity for
-every pair it holds into one flat triangular array of counts, laid out in
-the order `combinations` yields the pairs; level 2's candidates, every pair
-of frequent items, come lazily from the join and are never listed, and the
-array itself is the level's supports. Level 1 counts bare items and every
-later level the size-k subsets of the rows, each in one `Counter`, from
-which the candidates' supports are popped into a list, in C. Every level
-thus reads out as two aligned sequences, candidates and supports, and the
-support threshold is applied to them in C: an itemset becomes a Python
-object only when it is frequent. A level keeps only its frequent itemsets
-and the number of candidates it counted. A level longer than every row is
-never built: it is a scan over no rows, recorded only when its join yields a
-candidate.
+item however many rows it has. The miner performs exactly one scan per
+level. Before a scan the rows are cut to the items that some candidate holds
+and, from k = 3 on, split into the pieces that the level's candidates link
+together; the rows are kept for the next level, which cuts them further, so
+rows that become equal merge and rows too short for the level drop out.
+Level 2 is counted from the frequent items themselves: the scan adds each
+row's multiplicity for every pair it holds into one flat triangular array of
+counts, laid out in the order `combinations` yields the pairs of those
+items. Level 2's candidates, every pair of frequent items, come lazily from
+that `combinations` and are never listed, and the array itself is the
+level's supports. From k = 2 on, each level is sorted once and joined within
+groups that share a prefix, and the next level's candidates come out in
+universe order. Level 1 counts bare items and every level from 3 on the
+size-k subsets of the rows, each in one `Counter`, from which the
+candidates' supports are popped into a list, in C. Every level thus reads
+out as two aligned sequences, candidates and supports, and the support
+threshold is applied to them in C: an itemset becomes a Python object only
+when it is frequent. A level keeps only its frequent itemsets and the number
+of candidates it counted. A level longer than every row is never built: it
+is a scan over no rows, recorded only when its join yields a candidate.
 """
 
 from __future__ import annotations
@@ -143,16 +144,17 @@ class _LevelRows:
     counting over the pieces is exact. Equal rows merge, adding their
     multiplicities, and rows below k items drop out.
 
-    Level 2 counts every pair of the wanted items in one flat triangular
-    array of 8-byte counts (Bodon's counting scheme), laid out a-major: with
-    the wanted items ranked in universe order, the pair (a, b), a before b,
-    sits at base[a] + rank[b], where base[a] = r(2m - r - 1)/2 - r - 1 for
-    a of rank r among m items. The array then holds the pairs in the order
-    `combinations(items, 2)` yields them, which is the order of Apriori's
-    level-2 candidates, so the array is the level's supports as it stands,
-    aligned with the lazy pairs. Level 1 counts bare items and every later
-    level the size-k subsets of the rows, each in one `Counter`, and the
-    candidates' counts are popped from it into a list, in C.
+    Level 2 is given the frequent items, not their pairs, and counts every
+    pair of them in one flat triangular array of 8-byte counts (Bodon's
+    counting scheme), laid out a-major: with the items ranked in universe
+    order, the pair (a, b), a before b, sits at base[a] + rank[b], where
+    base[a] = r(2m - r - 1)/2 - r - 1 for a of rank r among m items. The
+    array then holds the pairs in the order `combinations(items, 2)` yields
+    them, which is the order of Apriori's level-2 candidates, so the array is
+    the level's supports as it stands, aligned with the lazy pairs. Level 1
+    counts bare items and every later level the size-k subsets of the rows,
+    each in one `Counter`, and the candidates' counts are popped from it into
+    a list, in C.
 
     Each cut starts from the previous level's rows, which is right as long as
     every level's candidates hold only items of the previous level's
@@ -162,22 +164,21 @@ class _LevelRows:
     longest row."""
 
     def __init__(self, db: TransactionDB) -> None:
-        self.universe = db.universe
         self.rows = db.rows
         self.held = set(db.universe)  # every item the rows can still hold
         self.longest = max(map(len, self.rows), default=0)
 
     def count(
-        self, candidates: Iterable[tuple[str, ...]], k: int
+        self, candidates: Sequence[tuple[str, ...]], k: int
     ) -> tuple[Iterable[tuple[str, ...]], Sequence[int]]:
         """Count canonical, distinct size-k candidates: two aligned
         sequences, the candidates and their supports, in the order given.
         `candidates` is walked more than once: for the items to cut the rows
         to (and, from k = 3 on, for the join graph) and again as the counts
-        are read out. At k = 2 the candidates must be every pair of the items
-        they hold, in universe order, as Apriori's are: they come back as a
-        lazy `combinations` of those items, aligned with the pair array, and
-        `candidates` is not walked again."""
+        are read out. At k = 2 `candidates` is not the pairs but the items
+        they pair, as 1-itemsets in universe order: every pair of them is
+        counted, and the pairs come back as a lazy `combinations` of the
+        items, aligned with the pair array."""
         wanted = set(chain.from_iterable(candidates))
         if not self.held <= wanted:
             cut: dict[tuple[str, ...], int] = {}
@@ -199,11 +200,12 @@ class _LevelRows:
 
             # a-major: the pair (a, b), a before b in universe order, sits at
             # base[a] + rank[b], the place `combinations(items, 2)` yields it in
-            items = tuple(filter(wanted.__contains__, self.universe))
+            items = tuple(chain.from_iterable(candidates))
             m = len(items)
             rank = {item: r for r, item in enumerate(items)}
             base = {item: r * (2 * m - r - 1) // 2 - r - 1 for item, r in rank.items()}
-            pairs = array("q", bytes(8 * (m * (m - 1) // 2)))
+            # not from a zeroed `bytes`: its freed pages can stay resident (peak RSS)
+            pairs = array("q", [0]) * (m * (m - 1) // 2)
             for row, n in self.rows.items():
                 for a, b in combinations(row, 2):
                     pairs[base[a] + rank[b]] += n
@@ -220,27 +222,18 @@ class _LevelRows:
         return candidates, list(map(counts.pop, keys, repeat(0)))
 
 
-class _Join:
-    """The candidates `generate_candidates` lists, yielded lazily each time
-    the join is walked, so that level 2's pairs need never be listed."""
-
-    def __init__(self, prev: FrequentLevel) -> None:
-        rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
-        self.frequent = {ci.items for ci in prev.itemsets}
-        self.groups: dict[tuple[str, ...], list[str]] = {}
-        for items in sorted(self.frequent, key=lambda c: tuple(map(rank, c))):
-            self.groups.setdefault(items[:-1], []).append(items[-1])
-
-    def _kept(self, cand: tuple[str, ...]) -> bool:
-        return all(cand[:j] + cand[j + 1 :] in self.frequent for j in range(len(cand) - 2))
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        # groups chain in C, so the k = 2 join (one empty prefix) stays a bare `combinations`
-        return chain.from_iterable(
-            filter(self._kept, map(prefix.__add__, combinations(lasts, 2))) if prefix
-            else combinations(lasts, 2)
-            for prefix, lasts in self.groups.items()
-        )
+def _joined(prev: FrequentLevel) -> Iterator[tuple[str, ...]]:
+    """The candidates `generate_candidates` lists, yielded lazily, so that a
+    probe for the first one builds no others."""
+    rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
+    frequent = {ci.items for ci in prev.itemsets}
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
+        groups.setdefault(items[:-1], []).append(items[-1])
+    for prefix, lasts in groups.items():
+        for cand in map(prefix.__add__, combinations(lasts, 2)):
+            if all(cand[:j] + cand[j + 1 :] in frequent for j in range(len(cand) - 2)):
+                yield cand
 
 
 def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
@@ -251,9 +244,10 @@ def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     first going first, so the join costs time linear in its output and the
     candidates come out in universe order. Both parents of a candidate are
     frequent, so pruning checks only the subsets that drop a prefix item,
-    and nothing at k = 2.
+    and nothing at k = 2. `mine_frequent` counts level 2 from the frequent
+    items, not from this join, and joins each later level once, here.
     """
-    return list(_Join(prev))
+    return list(_joined(prev))
 
 
 class Levels(list):
@@ -269,21 +263,21 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     """Level-wise search: L1, L2, ... until a level is empty or nothing joins.
 
     Exactly one database scan per level, over rows cut further at each
-    level. Level 2's candidates, every pair of frequent items, are walked
-    lazily from the join and never listed; from level 3 on they are listed
-    by `generate_candidates`. Each level's candidates and supports are
-    thresholded in C, so only its frequent itemsets become `CountedItemset`s;
-    they are kept, with the number of candidates counted. Once no row holds more
-    than k items, every (k+1)-candidate has support 0, so the search stops
-    without building them; that level still counts as a scan, over no rows,
-    if its join yields a candidate. Returned levels contain only non-empty
-    frequent sets.
+    level. Level 2 is counted from the frequent items, and its candidates,
+    every pair of them, are never listed; from level 3 on they are listed
+    by `generate_candidates`, which sorts and joins each level once. Each
+    level's candidates and supports are thresholded in C, so only its
+    frequent itemsets become `CountedItemset`s; they are kept, with the
+    number of candidates counted. Once no row holds more than k items, every
+    (k+1)-candidate has support 0, so the search stops without building
+    them; that level still counts as a scan, over no rows, if its join
+    yields a candidate. Returned levels contain only non-empty frequent sets.
     """
     if not db.universe:
         raise ValueError("cannot mine a database with an empty universe")
     levels = Levels()
     rows = _LevelRows(db)
-    candidates: Iterable[tuple[str, ...]] = [(item,) for item in db.universe]
+    candidates = [(item,) for item in db.universe]
     k = 1
     while True:
         counted, supports = rows.count(candidates, k)
@@ -296,13 +290,13 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
             break
         level = FrequentLevel(k=k, universe=db.universe, itemsets=frequent, candidates=walked)
         levels.append(level)
-        join = _Join(level)
-        if not any(join):
+        if rows.longest <= k:  # the next level: a scan over no rows, if its join yields a candidate
+            levels.scans += any(_joined(level))
             break
-        if rows.longest <= k:
-            levels.scans += 1  # the next level: a scan over no rows
+        # level 2 is counted from the frequent items, as every pair of them
+        candidates = [ci.items for ci in frequent] if k == 1 else generate_candidates(level)
+        if len(candidates) <= (k == 1):  # nothing joins: level 2 needs two items to pair
             break
-        candidates = join if k == 1 else generate_candidates(level)
         k += 1
     return levels
 

@@ -28,7 +28,7 @@ from keymine.mining import (
 )
 from keymine.synth import random_text
 
-from conftest import MARKET9_UNIVERSE, write_transactions_tsv
+from conftest import DATA, MARKET9_UNIVERSE, write_transactions_tsv
 from oracles import random_db
 from reference import UniverseTooLargeError, brute_force_frequent, support_count
 
@@ -262,9 +262,33 @@ class TestMineFrequent:
         # no candidate longer than the last mined level is built
         assert counted == [1, 2] and all(size <= 2 for size in built)
 
+    # levels mined: baskets400 joins every level to k = 5, while the digraph
+    # rows stop at rows.longest and level 3 is only probed
+    JOINED_DBS = {
+        "baskets400": (lambda: read_transactions_tsv(DATA / "baskets400.tsv"), 16, [1, 2, 3, 4, 5]),
+        "digraph rows": (lambda: digraphs_as_transactions(count_ngraphs(tokenize(
+            "abcabcacb" * 5, AlphabetConfig(name="abc", letters=("a", "b", "c"))), 2)), 1, [1, 2]),
+    }
+
+    @pytest.mark.parametrize("name", JOINED_DBS)
+    def test_each_level_is_joined_once(self, monkeypatch, name):
+        # level 2 is counted from the frequent items, so the join runs once
+        # per level from k = 2 on: len(levels) - 1 times
+        load, support, ks = self.JOINED_DBS[name]
+        joined, calls = mining._joined, []
+
+        def spy(prev):
+            calls.append(prev.k)
+            return joined(prev)
+
+        monkeypatch.setattr(mining, "_joined", spy)
+        levels = mine_frequent(load(), MiningParams(support, 0.0))
+        assert [lv.k for lv in levels] == ks
+        assert calls == ks[1:]
+
     def test_pair_candidates_are_walked_not_listed(self, monkeypatch):
-        # level 2 counts every pair of 40 frequent items without listing the
-        # 780 pairs; level 3 lists its candidates as before
+        # level 2 is handed the 40 frequent items and counts every pair of them
+        # without listing the 780 pairs; level 3 lists its candidates
         universe = tuple(f"i{n:02d}" for n in range(40))
         rows = {universe[n:n + 3]: 2 for n in range(38)}
         given, returned = {}, {}
@@ -278,7 +302,7 @@ class TestMineFrequent:
         monkeypatch.setattr(mining._LevelRows, "count", spy)
         levels = mine_frequent(TransactionDB(universe, rows), MiningParams(2, 0.0))
         assert [(lv.k, lv.candidates) for lv in levels] == [(1, 40), (2, 780), (3, 38)]
-        assert not isinstance(given[2], Sized)
+        assert given[2] == [(item,) for item in universe]  # the frequent 1-itemsets
         assert isinstance(given[3], list)
         # level 2 reads out as the lazy pairs and the pair array of their counts
         pairs, supports = returned[2]

@@ -142,6 +142,21 @@ def test_a_changed_input_fails_naming_it(tmp_path, capsys):
     assert any(line.startswith(f"{db}: changed since the run") for line in reference.check(out))
 
 
+def test_an_edited_geometry_fails_naming_it(tmp_path):
+    # evaluate reads the geometry each layout names, so its manifest hashes
+    # that file too: an edit after the run is named as a changed input
+    layouts = tmp_path / "layouts"
+    shutil.copytree(DATA / "sample" / "layouts", layouts)
+    out = tmp_path / "out"
+    assert main(["evaluate", *ENGLISH, str(layouts / "partial.json"), "--output-dir", str(out)]) == 0
+    assert reference.check(out) == []
+    geometry = layouts / "geometry.json"
+    keys = json.loads(geometry.read_text(encoding="utf-8"))
+    keys[3]["hand"] = "right"  # base-home-04, the key of "a"
+    geometry.write_text(json.dumps(keys), encoding="utf-8")
+    assert any(line.startswith(f"{geometry}: changed since the run") for line in reference.check(out))
+
+
 def test_script_runs_standalone(golden_runs, tmp_path):
     # the command line CI runs, from a directory where keymine is not importable
     script = Path(reference.__file__)
