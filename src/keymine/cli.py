@@ -16,7 +16,6 @@ key, no flag overriding it, the error also names the config and the key.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -42,6 +41,8 @@ from .corpus import (
     read_json,
     read_manifest,
     tokenize_file,
+    write_json,
+    write_lines,
     write_ngraph_tsv,
 )
 from .evaluation import (
@@ -101,10 +102,7 @@ def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: S
         "parameters": parameters,
         "inputs": {str(p): _file_digest(p) for p in inputs},
     }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / "run_manifest.json", manifest, sort_keys=True)
 
 
 def _out_dir(args) -> Path:
@@ -207,12 +205,9 @@ def cmd_stats(args) -> int:
         "sources": len(inputs) - 2,  # the corpus files, after alphabet and manifest
     }
     if args.format == "json":
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(out / "summary.json", summary, sort_keys=True)
     else:
-        lines = [f"{k}\t{v}" for k, v in summary.items()]
-        (out / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(out / "summary.tsv", [f"{k}\t{v}" for k, v in summary.items()])
     _write_run_manifest(out, "stats", {**parameters, "format": args.format}, inputs)
     print(f"stats: {total_letters} letters, {summary['distinct_letters']} distinct, "
           f"{summary['undetermined']} undetermined -> {out}")
@@ -284,7 +279,11 @@ def cmd_design(args) -> int:
     monographs = derive_lower(digraphs, stream)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
-    geometry = _read(args, "geometry", load_geometry) if args.geometry else default_geometry()
+    if args.geometry:
+        geometry = _read(args, "geometry", load_geometry)
+        inputs.append(Path(args.geometry))
+    else:
+        geometry = default_geometry()
     partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
     layout = place_keys(partition, geometry, name=args.name)
     audit = audit_partition(partition, monographs, digraphs)
@@ -295,8 +294,6 @@ def cmd_design(args) -> int:
         save_geometry(geometry, out / "geometry.json")
     save_layout(layout, out / "layout.json", geometry_ref="geometry.json")
     write_trace_tsv(partition, out / "trace.tsv")
-    if args.geometry:
-        inputs.append(Path(args.geometry))
     _write_run_manifest(
         out,
         "design",

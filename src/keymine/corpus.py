@@ -1,4 +1,5 @@
-"""Corpus ingestion: tokenization and letter n-gram statistics.
+"""Corpus ingestion: tokenization and letter n-gram statistics, and the
+reading and writing of every keymine file.
 
 Raw text is NFC-normalized, stripped of whitespace, and cut into maximal
 runs of alphabet letters. The runs feed monograph, digraph and trigraph
@@ -17,6 +18,9 @@ few thousand letters, the batch is encoded as UTF-16, and the bytes are
 read as 32-bit integers at letter offsets 0 and 1: each integer packs one
 adjacent pair of codes, and one `Counter` counts them in C. Only the at
 most (|A|+1)^2 distinct keys are decoded back into letter pairs.
+
+This module also owns the file encoding: every input is read through
+`read_text` and every output written through `write_lines` or `write_json`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 import unicodedata
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class IngestionError(ValueError):
@@ -248,15 +252,16 @@ def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; a read failure names the file and the reason,
-    a decoding failure the file and the byte offset."""
+    """Read a UTF-8 input file, dropping one leading byte order mark; a read
+    failure names the file and the reason, a decoding failure the file and
+    the byte offset."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UnreadableFileError(path, exc) from exc
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
@@ -270,6 +275,18 @@ def read_json(path: str | Path):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise IngestionError(f"{Path(path)}: invalid JSON: {exc}") from exc
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines` as UTF-8 text, each ended by LF on every platform."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json(path: str | Path, data, sort_keys: bool = False) -> None:
+    """Write `data` as UTF-8 JSON indented by 2, non-ASCII kept as is, and a
+    final LF; a NaN or infinity is refused with `ValueError`."""
+    write_lines(path, [json.dumps(data, ensure_ascii=False, indent=2, sort_keys=sort_keys,
+                                  allow_nan=False)])
 
 
 def tokenize_file(path: str | Path, alphabet: AlphabetConfig) -> LetterStream:
@@ -300,8 +317,6 @@ def read_manifest(path: str | Path) -> list[Path]:
 def write_ngraph_tsv(table: NGraphTable, path: str | Path) -> None:
     """Write a table as TSV: n-gram (code points joined by '+'), count, percentage."""
     total = table.total
-    lines = ["ngram\tcount\tpercentage"]
-    for key, count in table.sorted_items():
-        pct = 100.0 * count / total if total else 0.0
-        lines.append(f"{'+'.join(key)}\t{count}\t{pct:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["ngram\tcount\tpercentage", *(
+        f"{'+'.join(key)}\t{count}\t{100.0 * count / total if total else 0.0:.6f}"
+        for key, count in table.sorted_items())])

@@ -9,11 +9,10 @@ load, and no digraph pairs it, so no switch is counted "across" it.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import IngestionError, NGraphTable, read_json
+from .corpus import IngestionError, NGraphTable, read_json, write_json, write_lines
 from .layout import Layout
 
 
@@ -109,9 +108,7 @@ def compare(reports: Sequence[EvalReport]) -> list[ComparisonRow]:
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report._asdict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, report._asdict())
 
 
 def read_report_json(path: str | Path) -> EvalReport:
@@ -130,18 +127,11 @@ def read_report_json(path: str | Path) -> EvalReport:
 
 
 def write_report_tsv(report: EvalReport, path: str | Path) -> None:
-    lines = ["\t".join(report._fields), "\t".join(map(str, report))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["\t".join(report._fields), "\t".join(map(str, report))])
 
 
 def write_comparison_tsv(rows: Sequence[ComparisonRow], path: str | Path) -> None:
-    lines = [
-        "layout_name\thand_switching\tleft_load\tright_load\tundetermined"
-        "\tswitching_ratio\tload_imbalance"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.layout_name}\t{row.hand_switching}\t{row.left_load}\t{row.right_load}"
-            f"\t{row.undetermined}\t{row.switching_ratio:.6f}\t{row.load_imbalance:.6f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["\t".join(ComparisonRow._fields), *(
+        f"{row.layout_name}\t{row.hand_switching}\t{row.left_load}\t{row.right_load}"
+        f"\t{row.undetermined}\t{row.switching_ratio:.6f}\t{row.load_imbalance:.6f}"
+        for row in rows)])

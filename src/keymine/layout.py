@@ -21,13 +21,12 @@ frequency order, cheapest position first.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import IngestionError, NGraphTable, UnreadableFileError, read_json
+from .corpus import IngestionError, NGraphTable, UnreadableFileError, read_json, write_json, write_lines
 
 HANDS = ("left", "right")
 ROWS = ("home", "top", "bottom")
@@ -354,9 +353,7 @@ def load_geometry(path: str | Path) -> KeyboardGeometry:
             raise IngestionError(f"{path}: positions[{i}]: missing {', '.join(missing)}")
         if not isinstance(rec["id"], str):
             raise IngestionError(f"{path}: positions[{i}]: field 'id' must be a string")
-        positions.append(
-            KeyPosition(rec["id"], rec["hand"], rec["finger"], rec["row"], rec["layer"], rec["cost"])
-        )
+        positions.append(KeyPosition(*map(rec.__getitem__, _GEOMETRY_FIELDS)))
     try:
         return KeyboardGeometry(positions)
     except ValueError as exc:
@@ -364,25 +361,13 @@ def load_geometry(path: str | Path) -> KeyboardGeometry:
 
 
 def save_geometry(geometry: KeyboardGeometry, path: str | Path) -> None:
-    data = [
-        {
-            "id": p.position_id,
-            "hand": p.hand,
-            "finger": p.finger,
-            "row": p.row,
-            "layer": p.layer,
-            "cost": p.cost,
-        }
-        for p in geometry.positions
-    ]
-    Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    write_json(path, [dict(zip(_GEOMETRY_FIELDS, p)) for p in geometry.positions])
 
 
 def save_layout(layout: Layout, path: str | Path, geometry_ref: str) -> None:
     """Write a layout file; `geometry_ref` names the geometry JSON it expects
     to find next to itself (or an absolute path)."""
-    data = {"name": layout.name, "geometry_ref": geometry_ref, "mapping": layout.mapping}
-    Path(path).write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    write_json(path, {"name": layout.name, "geometry_ref": geometry_ref, "mapping": layout.mapping})
 
 
 def load_layout(path: str | Path, geometries: dict[Path, KeyboardGeometry] | None = None) -> Layout:
@@ -424,10 +409,5 @@ def load_layout(path: str | Path, geometries: dict[Path, KeyboardGeometry] | Non
 
 def write_trace_tsv(partition: HandPartition, path: str | Path) -> None:
     """Export the decision trace: rank, letter, LS, RS, LC, RC, hand."""
-    lines = ["rank\tletter\tleft_support\tright_support\tleft_confidence\tright_confidence\thand"]
-    for rec in partition.trace:
-        lines.append(
-            f"{rec.rank}\t{rec.letter}\t{rec.left_support!r}\t{rec.right_support!r}"
-            f"\t{rec.left_confidence!r}\t{rec.right_confidence!r}\t{rec.hand}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["\t".join(TraceRecord._fields),
+                       *("\t".join(map(str, rec)) for rec in partition.trace)])

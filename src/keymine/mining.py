@@ -34,7 +34,7 @@ from operator import itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import IngestionError, NGraphTable, read_text
+from .corpus import IngestionError, NGraphTable, read_text, write_lines
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -434,30 +434,23 @@ def read_transactions_tsv(path: str | Path) -> TransactionDB:
     The universe is the sorted set of items, so a row is its distinct items
     in string order; the lines' rows are counted in one `Counter`, and rows
     and universe hold one string object per item. Lines end at LF, and one
-    CR before it is dropped; no other code point ends a line. A leading
-    byte order mark is dropped.
+    CR before it is dropped; no other code point ends a line.
     """
     path = Path(path)
     held: dict[str, str] = {}
     # only the lines are passed on, so the whole text is freed once it is split
-    lines = read_text(path).removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
+    lines = read_text(path).replace("\r\n", "\n").split("\n")
     rows = Counter(_itemsets(path, lines, held))
     return TransactionDB(universe=tuple(sorted(held)), rows=rows)
 
 
 def write_frequent_tsv(levels: Sequence[FrequentLevel], db_size: int, path: str | Path) -> None:
-    lines = ["itemset\tcount\tsupport"]
-    for level in levels:
-        for ci in level.itemsets:
-            lines.append(f"{' '.join(ci.items)}\t{ci.support_count}\t{ci.support_count / db_size:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["itemset\tcount\tsupport", *(
+        f"{' '.join(ci.items)}\t{ci.support_count}\t{ci.support_count / db_size:.6f}"
+        for level in levels for ci in level.itemsets)])
 
 
 def write_rules_tsv(rules: Sequence[AssociationRule], path: str | Path) -> None:
-    lines = ["antecedent\tconsequent\tsupport\tconfidence"]
-    for rule in rules:
-        lines.append(
-            f"{' '.join(rule.antecedent)}\t{' '.join(rule.consequent)}"
-            f"\t{rule.support:.6f}\t{rule.confidence:.6f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["\t".join(AssociationRule._fields), *(
+        f"{' '.join(rule.antecedent)}\t{' '.join(rule.consequent)}"
+        f"\t{rule.support:.6f}\t{rule.confidence:.6f}" for rule in rules)])

@@ -16,6 +16,8 @@
   27 letters all below U+10000, U+0000, U+0001 and U+FFFF among them, so
   runs are joined by U+0002 and each letter is its own code; and `astral/`,
   whose one letter past U+FFFF makes every letter a translated code.
+  `bmp/`'s `alphabet.json`, `manifest.txt` and `part2.txt` start with a
+  UTF-8 byte order mark, which every input drops.
 
 keymine then runs on them, and `python tests/reference.py check OUT_DIR`
 checks its outputs.
@@ -92,13 +94,16 @@ def fuzz(work: Path) -> None:
     for seed, (name, letters) in enumerate(FUZZ_LETTERS.items(), start=40):
         out = work / name
         out.mkdir()
-        (out / "alphabet.json").write_text(json.dumps({"name": name, "letters": letters}))
+        bom = "\ufeff" if name == "bmp" else ""
+        (out / "alphabet.json").write_text(bom + json.dumps({"name": name, "letters": letters}),
+                                           encoding="utf-8")
         for i in (1, 2):
             text = random_text(letters, 100_000, seed + 10 * i, weights=zipf_weights(len(letters)),
                                space_prob=0.1, junk=FUZZ_JUNK, junk_prob=0.05)
             lines = (text[at:at + 70] for at in range(0, len(text), 70))
-            (out / f"part{i}.txt").write_bytes("\r\n".join(lines).encode("utf-8"))
-        (out / "manifest.txt").write_text("part1.txt\npart2.txt\n")
+            head = bom if i == 2 else ""
+            (out / f"part{i}.txt").write_bytes((head + "\r\n".join(lines)).encode("utf-8"))
+        (out / "manifest.txt").write_text(bom + "part1.txt\npart2.txt\n", encoding="utf-8")
 
 
 JOBS = {"stats": stats, "design": design, "corpus-mine": corpus_mine, "baskets": baskets,

@@ -40,7 +40,9 @@ SEED_HANDS = {1: "right", 2: "left", 3: "left", 4: "right"}  # ranks 1-4
 
 
 def read(path) -> str:
-    return Path(path).read_bytes().decode("utf-8")  # no newline translation
+    """A UTF-8 file's text, one leading byte order mark dropped; no newline
+    translation."""
+    return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
 
 
 # ---- corpus --------------------------------------------------------------
@@ -176,7 +178,7 @@ def support_threshold(text: str, transactions: int) -> int:
 def basket_rows(path) -> Counter:
     """A transaction TSV's rows: each line's distinct items, in string order."""
     rows: Counter = Counter()
-    for line in read(path).removeprefix("\ufeff").replace("\r\n", "\n").split("\n"):
+    for line in read(path).replace("\r\n", "\n").split("\n"):
         if line.strip() and not line.startswith("#") and line != "tid\titems":
             _, items = line.split("\t")
             rows[tuple(sorted(set(items.split())))] += 1

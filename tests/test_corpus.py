@@ -21,6 +21,8 @@ from keymine.corpus import (
     read_text,
     tokenize,
     tokenize_file,
+    write_json,
+    write_lines,
     write_ngraph_tsv,
 )
 from keymine.layout import assign_hands
@@ -159,6 +161,28 @@ class TestReadText:
         path.write_bytes(b"ab\xff\xfecd")
         with pytest.raises(IngestionError, match="byte offset 2"):
             read_text(path)
+
+    def test_drops_one_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes("\ufeff\ufeffa\ufeff".encode("utf-8"))
+        assert read_text(path) == "\ufeffa\ufeff"
+
+
+class TestWriters:
+    def test_lines_end_in_lf(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        write_lines(path, ["a\tb", "\u0995\r", ""])
+        assert path.read_bytes() == "a\tb\n\u0995\r\n\n".encode("utf-8")
+
+    def test_json_keeps_non_ascii_and_ends_in_lf(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"b": ["\u0995"], "a": 1.5}, sort_keys=True)
+        assert path.read_bytes() == '{\n  "a": 1.5,\n  "b": [\n    "\u0995"\n  ]\n}\n'.encode("utf-8")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "out.json", {"a": value})
 
 
 class TestCountNgraphs:
