@@ -1,9 +1,11 @@
 """Command-line front end: stats, mine, design, evaluate, compare-only.
 
 Every command validates its inputs up front, writes its outputs plus a
-machine-readable run manifest (content hashes of inputs, parameters, tool
-version) into the output directory, and exits 0 only if all requested
-outputs were written and all embedded audits passed.
+machine-readable run manifest (parameters, tool version, and the sha256 of
+every input, as `corpus.read_text` recorded it while the command read the
+file) into the output directory, and exits 0 only if all requested outputs
+were written and all embedded audits passed. `main` empties that record
+once the `--config` file is read, so the config is not listed.
 
 A `--config` JSON value, a string or a number, is parsed as its
 `--key=value` flag placed right after the command name: it is checked as
@@ -21,16 +23,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-# hashlib maps OpenSSL's libcrypto into the process for one digest per input
-# file; the interpreter's own SHA-256 module gives the same bytes without it
-try:
-    from _sha2 import sha256  # 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10 and 3.11
-    except ImportError:  # a build without a built-in SHA-256
-        from hashlib import sha256
-
 from . import __version__
 from .corpus import (
     AlphabetConfig,
@@ -38,6 +30,7 @@ from .corpus import (
     UnreadableFileError,
     count_ngraphs,
     derive_lower,
+    digests,
     read_json,
     read_manifest,
     tokenize_file,
@@ -85,22 +78,13 @@ class CliError(Exception):
     """User-facing failure; message goes to stderr, exit code 1."""
 
 
-def _file_digest(path: Path) -> str:
-    # read in chunks: a whole-file copy, made this late in a command, can set its peak RSS
-    digest = sha256()
-    with path.open("rb") as f:
-        while chunk := f.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_run_manifest(out_dir: Path, command: str, parameters: dict, inputs: Sequence[Path]) -> None:
+def _write_run_manifest(out_dir: Path, command: str, parameters: dict) -> None:
     manifest = {
         "tool": "keymine",
         "version": __version__,
         "command": command,
         "parameters": parameters,
-        "inputs": {str(p): _file_digest(p) for p in inputs},
+        "inputs": digests,  # every file the command read, with the sha256 of the bytes read
     }
     write_json(out_dir / "run_manifest.json", manifest, sort_keys=True)
 
@@ -130,10 +114,9 @@ def _require(args, *names: str) -> None:
 
 
 def _load_corpus(args) -> tuple[list[Path], dict, LetterStream]:
-    """A corpus command's input paths (the alphabet, the manifest, then the
-    manifest's files), its alphabet and manifest parameters, and one stream
-    holding the letter runs of all the files; a run never spans two files,
-    so no n-gram crosses a file."""
+    """A corpus command's files, as its manifest lists them, its alphabet
+    and manifest parameters, and one stream holding the letter runs of all
+    the files; a run never spans two files, so no n-gram crosses a file."""
     _require(args, "alphabet", "manifest")
     alphabet = _read(args, "alphabet", AlphabetConfig.from_json)
     files = _read(args, "manifest", read_manifest)
@@ -144,8 +127,7 @@ def _load_corpus(args) -> tuple[list[Path], dict, LetterStream]:
         source = tokenize_file(path, alphabet)
         stream.runs += source.runs
         stream.undetermined_count += source.undetermined_count
-    inputs = [Path(args.alphabet), Path(args.manifest), *files]
-    return inputs, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, stream
+    return files, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, stream
 
 
 def _parse_support_threshold(text: str) -> tuple[str, int | Decimal]:
@@ -187,7 +169,7 @@ def _number_text(text: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    inputs, parameters, stream = _load_corpus(args)
+    files, parameters, stream = _load_corpus(args)
     tables = {3: count_ngraphs(stream, 3)}
     tables[2] = derive_lower(tables[3], stream)
     tables[1] = derive_lower(tables[2], stream)
@@ -202,13 +184,13 @@ def cmd_stats(args) -> int:
         "total_letters": total_letters,
         "distinct_letters": len(tables[1].counts),
         "undetermined": stream.undetermined_count,
-        "sources": len(inputs) - 2,  # the corpus files, after alphabet and manifest
+        "sources": len(files),
     }
     if args.format == "json":
         write_json(out / "summary.json", summary, sort_keys=True)
     else:
         write_lines(out / "summary.tsv", [f"{k}\t{v}" for k, v in summary.items()])
-    _write_run_manifest(out, "stats", {**parameters, "format": args.format}, inputs)
+    _write_run_manifest(out, "stats", {**parameters, "format": args.format})
     print(f"stats: {total_letters} letters, {summary['distinct_letters']} distinct, "
           f"{summary['undetermined']} undetermined -> {out}")
     return 0
@@ -226,10 +208,9 @@ def cmd_mine(args) -> int:
             raise CliError(f"{args.transactions}: no transactions to mine")
         if not db.universe:
             raise CliError(f"{args.transactions}: no items to mine")
-        inputs = [Path(args.transactions)]
         source = {"transactions": str(args.transactions)}
     else:
-        inputs, source, stream = _load_corpus(args)
+        _, source, stream = _load_corpus(args)
         digraphs = count_ngraphs(stream, 2)
         if digraphs.total == 0:
             raise CliError("corpus contains no digraphs to mine")
@@ -265,8 +246,8 @@ def cmd_mine(args) -> int:
             "min_support_count": params.min_support_count,
             # JSON has no infinity: a non-finite threshold is kept as its flag's text
             "min_confidence": min_confidence if math.isfinite(min_confidence) else args.min_confidence,
+            "min_confidence_text": args.min_confidence,
         },
-        inputs,
     )
     print(f"mine: {sum(len(l.itemsets) for l in levels)} frequent itemsets, "
           f"{len(rules)} rules -> {out}")
@@ -274,14 +255,13 @@ def cmd_mine(args) -> int:
 
 
 def cmd_design(args) -> int:
-    inputs, parameters, stream = _load_corpus(args)
+    _, parameters, stream = _load_corpus(args)
     digraphs = count_ngraphs(stream, 2)
     monographs = derive_lower(digraphs, stream)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
     if args.geometry:
         geometry = _read(args, "geometry", load_geometry)
-        inputs.append(Path(args.geometry))
     else:
         geometry = default_geometry()
     partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
@@ -303,7 +283,6 @@ def cmd_design(args) -> int:
             "tie_policy": args.tie_policy,
             "name": args.name,
         },
-        inputs,
     )
     print(f"design: {len(partition.left)} letters left, {len(partition.right)} right -> {out}")
     print(f"audit: {'pass' if audit.ok else 'FAIL: ' + audit.message}")
@@ -313,7 +292,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    inputs, parameters, stream = _load_corpus(args)
+    _, parameters, stream = _load_corpus(args)
     geometries: dict = {}  # one load per geometry file, shared by the layouts naming it
     layouts = [load_layout(path, geometries) for path in args.layouts]
     digraphs = count_ngraphs(stream, 2)
@@ -333,12 +312,7 @@ def cmd_evaluate(args) -> int:
             f"undetermined {report.undetermined}"
         )
     write_comparison_tsv(compare(reports), out / "comparison.tsv")
-    _write_run_manifest(
-        out,
-        "evaluate",
-        {**parameters, "layouts": [str(p) for p in args.layouts]},
-        [*inputs, *(Path(p) for p in args.layouts), *geometries],
-    )
+    _write_run_manifest(out, "evaluate", {**parameters, "layouts": [str(p) for p in args.layouts]})
     print(f"evaluate: comparison of {len(reports)} layout(s) -> {out}")
     return 0
 
@@ -348,12 +322,7 @@ def cmd_compare_only(args) -> int:
     rows = compare(reports)
     out = _out_dir(args)
     write_comparison_tsv(rows, out / "comparison.tsv")
-    _write_run_manifest(
-        out,
-        "compare-only",
-        {"reports": [str(p) for p in args.reports]},
-        [Path(p) for p in args.reports],
-    )
+    _write_run_manifest(out, "compare-only", {"reports": [str(p) for p in args.reports]})
     print(f"compare-only: {len(reports)} report(s) -> {out}")
     return 0
 
@@ -474,6 +443,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.config:
             args = _with_config(argv, given)
+        digests.clear()  # from here on `read_text` records only the command's own inputs
         return _COMMANDS[args.command](args)
     except (CliError, OSError, ValueError) as exc:
         key = getattr(exc, "key", None)

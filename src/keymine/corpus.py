@@ -21,6 +21,8 @@ most (|A|+1)^2 distinct keys are decoded back into letter pairs.
 
 This module also owns the file encoding: every input is read through
 `read_text` and every output written through `write_lines` or `write_json`.
+`read_text` records the sha256 of the bytes it read in `digests`, by path,
+so a command's run manifest lists exactly the bytes the command used.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ import unicodedata
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
+
+# hashlib maps OpenSSL's libcrypto into the process for one digest per input
+# file; the interpreter's own SHA-256 module gives the same bytes without it
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build without a built-in SHA-256
+        from hashlib import sha256
 
 
 class IngestionError(ValueError):
@@ -251,15 +263,19 @@ def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
     return NGraphTable(n=m, counts=counts, alphabet=table.alphabet)
 
 
+digests: dict[str, str] = {}  # path -> sha256 of the bytes `read_text` last read there
+
+
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file, dropping one leading byte order mark; a read
-    failure names the file and the reason, a decoding failure the file and
-    the byte offset."""
+    """Read a UTF-8 input file, dropping one leading byte order mark, and
+    record the sha256 of its bytes in `digests`; a read failure names the
+    file and the reason, a decoding failure the file and the byte offset."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UnreadableFileError(path, exc) from exc
+    digests[str(path)] = sha256(raw).hexdigest()
     try:
         return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:

@@ -1,6 +1,8 @@
 """Write the seeded inputs of one CI recount job into a directory.
 
-    PYTHONPATH=src python tests/recount_inputs.py {stats,design,corpus-mine,baskets,fuzz} DIR
+    PYTHONPATH=src python tests/recount_inputs.py JOB DIR
+
+JOB is one of stats, design, corpus-mine, baskets, fuzz, longruns and ties:
 
 - stats: `alphabet.json` (a-z), `part1.txt` and `part2.txt` (1M chars each,
   Zipf-weighted letters plus spaces and junk) and `manifest.txt` listing them;
@@ -17,7 +19,19 @@
   runs are joined by U+0002 and each letter is its own code; and `astral/`,
   whose one letter past U+FFFF makes every letter a translated code.
   `bmp/`'s `alphabet.json`, `manifest.txt` and `part2.txt` start with a
-  UTF-8 byte order mark, which every input drops.
+  UTF-8 byte order mark, which every input drops;
+- longruns: the a-z alphabet, `long.txt`, 1M Zipf-weighted letters with no
+  whitespace and no junk, so the whole file is one run, far longer than
+  the 4,096 letters that keymine's digraph count takes in one batch, and
+  `run4095.txt` to `run8191.txt`, one run each of 4,095, 4,096, 4,097 and
+  8,191 letters, in `manifest.txt`;
+- ties: the a-z alphabet and one `corpus.txt` of two-letter words, each
+  ended by a junk code point, in `manifest.txt`. Four seed letters take
+  ranks 1 to 4, and every other letter appears only beside a seed: as
+  often beside the rank-2 (left) seed as beside the rank-1 (right) one,
+  and as often beside the rank-3 (left) seed as beside the rank-4 (right)
+  one. So from rank 5 on, each letter's left and right joint digraph
+  counts tie exactly.
 
 keymine then runs on them, and `python tests/reference.py check OUT_DIR`
 checks its outputs.
@@ -106,8 +120,44 @@ def fuzz(work: Path) -> None:
         (out / "manifest.txt").write_text(bom + "part1.txt\npart2.txt\n", encoding="utf-8")
 
 
+LONG_RUNS = (4095, 4096, 4097, 8191)  # one batch less one letter, one batch, one more, two pieces
+
+
+def longruns(work: Path) -> None:
+    write_az_alphabet(work)
+    text = random_text(string.ascii_lowercase, 1_000_000, 5, weights=zipf_weights(26))
+    (work / "long.txt").write_text(text, encoding="utf-8")
+    names = ["long.txt"]
+    for seed, size in enumerate(LONG_RUNS, start=6):
+        names.append(f"run{size}.txt")
+        (work / names[-1]).write_text(random_text(string.ascii_lowercase, size, seed),
+                                      encoding="utf-8")
+    (work / "manifest.txt").write_text("".join(f"{name}\n" for name in names))
+
+
+TIE_SEEDS = "aeio"  # ranks 1 to 4: a and e tie on count, as do i and o, and alphabet order ranks them
+
+
+def ties(work: Path) -> None:
+    write_az_alphabet(work)
+    rng = random.Random(23)
+    right1, left2, left3, right4 = TIE_SEEDS
+    words = []
+    for letter in sorted(set(string.ascii_lowercase) - set(TIE_SEEDS)):
+        # more beside ranks 1 and 2 than beside ranks 3 and 4, so the seeds rank as listed
+        pairs = {right1: rng.randint(3000, 6000), left3: rng.randint(500, 2500)}
+        pairs[left2], pairs[right4] = pairs[right1], pairs[left3]
+        for seed, count in pairs.items():
+            words += (letter + seed if rng.random() < 0.5 else seed + letter for _ in range(count))
+    rng.shuffle(words)
+    text = "".join(word + rng.choice(AZ_JUNK) for word in words)
+    lines = (text[at:at + 75] for at in range(0, len(text), 75))
+    (work / "corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (work / "manifest.txt").write_text("corpus.txt\n")
+
+
 JOBS = {"stats": stats, "design": design, "corpus-mine": corpus_mine, "baskets": baskets,
-        "fuzz": fuzz}
+        "fuzz": fuzz, "longruns": longruns, "ties": ties}
 
 if __name__ == "__main__":
     if len(sys.argv) != 3 or sys.argv[1] not in JOBS:

@@ -11,8 +11,8 @@ reads the command, its parameters and its input paths from the
 resolved against the current directory, as they were for the run. It
 re-derives every n-gram table and summary, every trace hand and layout hand,
 every evaluation report and the comparison, every level-1 and level-2
-frequent itemset and `min_support_count`; prints each disagreement, naming
-the file; and exits 1 on any.
+frequent itemset, `min_support_count` and every rule; prints each
+disagreement, naming the file; and exits 1 on any.
 
 The hand rule decides on integer joint counts. keymine decides on sums of
 floats, which agree except on an exact integer tie, so there either hand is
@@ -162,17 +162,45 @@ def brute_force_frequent(universe, rows: dict, least: int) -> dict:
     return found
 
 
+def exact_fraction(text: str, transactions: int) -> Fraction:
+    """The exact fraction of a decimal threshold's text, or 0 when it lies
+    below 10**-len(str(transactions)), under 1/transactions, the least ratio
+    of two counts of at most `transactions`: there the Fraction of a text
+    such as 1e-999999999 is too big to build."""
+    text = text.strip()
+    digits, _, exponent = text.lower().partition("e")
+    if exponent and len(digits) + int(exponent) <= -len(str(transactions)):
+        return Fraction(0)
+    return Fraction(text)
+
+
 def support_threshold(text: str, transactions: int) -> int:
     """`min_support_count` for a --min-support text: an integer is the count
     itself, any other number the exact fraction of the transactions, rounded
-    up."""
+    up, and at least 1."""
     text = text.strip()
     if re.fullmatch(r"[+-]?\d+", text):
         return int(text)
-    digits, _, exponent = text.lower().partition("e")
-    if exponent and len(digits) + int(exponent) <= -len(str(transactions)):
-        return 1  # below 1/transactions, and a Fraction of 1e-999999999 is too big to build
-    return math.ceil(Fraction(text) * transactions)
+    return max(1, math.ceil(exact_fraction(text, transactions) * transactions))
+
+
+def rule_lines(found: dict, confidence: str, transactions: int) -> list[str]:
+    """rules.tsv re-derived from the found itemset counts: for each set of at
+    least 2 items, in the found order, each non-empty proper antecedent A in
+    `combinations` order, kept when count * den >= num * count(A), where
+    num/den is the exact fraction of the --min-confidence text."""
+    lines = ["antecedent\tconsequent\tsupport\tconfidence"]
+    if float(confidence) > 1:
+        return lines  # no confidence exceeds 1, and 1e999999999 has no Fraction to build
+    bar = exact_fraction(confidence, transactions)
+    for items, n in found.items():
+        for size in range(1, len(items)):
+            for antecedent in combinations(items, size):
+                if n * bar.denominator >= bar.numerator * found[antecedent]:
+                    consequent = [item for item in items if item not in antecedent]
+                    lines.append(f"{' '.join(antecedent)}\t{' '.join(consequent)}"
+                                 f"\t{n / transactions:.6f}\t{n / found[antecedent]:.6f}")
+    return lines
 
 
 def basket_rows(path) -> Counter:
@@ -323,8 +351,9 @@ def check_compare_only(out: Path, parameters: dict):
 
 def check_mine(out: Path, parameters: dict):
     """`min_support_count`; levels 1-2 of frequent_itemsets.tsv, row for row;
-    every longer row's count and its place in (size, universe) order; and,
-    over at most 20 items, every row against the brute-force oracle."""
+    every longer row's count and its place in (size, universe) order; over
+    at most 20 items, every row against the brute-force oracle; and every
+    line of rules.tsv, from the found counts."""
     if "transactions" in parameters:
         rows = basket_rows(parameters["transactions"])
         universe = sorted({item for row in rows for item in row})
@@ -360,6 +389,9 @@ def check_mine(out: Path, parameters: dict):
         want = brute_force_frequent(universe, rows, least)
         if found != want:
             yield f"{path}: {len(found)} itemsets, the brute-force oracle finds {len(want)}"
+    rules = out / "rules.tsv"
+    yield from differ(rules, read(rules),
+                      rule_lines(found, parameters["min_confidence_text"], transactions))
 
 
 CHECKS = {"stats": check_stats, "design": check_design, "evaluate": check_evaluate,

@@ -227,6 +227,8 @@ class TestMine:
         assert ("I1\tI5\t0.222222\t0.333333" in rules) is kept
         manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
         assert manifest["parameters"]["min_confidence"] == float(threshold)
+        # the float is one number for both thresholds; the text tells the runs apart
+        assert manifest["parameters"]["min_confidence_text"] == threshold
 
     def test_bad_threshold_fails_before_writing(self, tmp_path, data_dir):
         out = tmp_path / "out"
@@ -1042,6 +1044,63 @@ class TestConfigAndManifest:
         assert manifest["inputs"][str(data_dir / "market9.tsv")] == digest
         assert manifest["command"] == "mine"
         assert "time" not in json.dumps(manifest).lower()
+
+    # each command form with the exact files it reads: "{data}" is the data
+    # directory, and "{tmp}" holds two layouts on one geometry, two reports
+    # and a config file naming the sample corpus
+    CORPUS = ["--alphabet", "{data}/alphabets/english.json",
+              "--manifest", "{data}/sample/manifest.txt"]
+    CORPUS_READS = ["{data}/alphabets/english.json", "{data}/sample/manifest.txt",
+                    "{data}/sample/corpus.txt"]
+    THRESHOLDS = ["--min-support", "2", "--min-confidence", "0.5"]
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["stats", *CORPUS], CORPUS_READS),
+        (["design", *CORPUS], CORPUS_READS),
+        (["design", *CORPUS, "--geometry", "{tmp}/geometry.json"],
+         [*CORPUS_READS, "{tmp}/geometry.json"]),
+        (["evaluate", *CORPUS, "{tmp}/one.json", "{tmp}/two.json"],
+         [*CORPUS_READS, "{tmp}/one.json", "{tmp}/two.json", "{tmp}/geometry.json"]),
+        (["mine", *CORPUS, *THRESHOLDS], CORPUS_READS),
+        (["mine", "--transactions", "{data}/market9.tsv", *THRESHOLDS], ["{data}/market9.tsv"]),
+        (["compare-only", "{tmp}/report_a.json", "{tmp}/report_b.json"],
+         ["{tmp}/report_a.json", "{tmp}/report_b.json"]),
+        (["design", "--config", "{tmp}/config.json"], CORPUS_READS),
+    ], ids=["stats", "design", "design-geometry", "evaluate-shared-geometry", "mine-corpus",
+            "mine-transactions", "compare-only", "config"])
+    def test_manifest_lists_the_bytes_each_command_read(self, tmp_path, data_dir, argv, reads):
+        import hashlib
+
+        layout = json.loads((data_dir / "sample" / "layouts" / "partial.json").read_bytes())
+        for name in ("one", "two"):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**layout, "name": name}),
+                                                   encoding="utf-8")
+        save_geometry(default_geometry(), tmp_path / "geometry.json")
+        for name in ("a", "b"):
+            report = {"layout_name": name, "hand_switching": 3, "left_load": 2,
+                      "right_load": 2, "undetermined": 0, "total_chars": 4}
+            (tmp_path / f"report_{name}.json").write_text(json.dumps(report), encoding="utf-8")
+        config = {"alphabet": str(data_dir / "alphabets" / "english.json"),
+                  "manifest": str(data_dir / "sample" / "manifest.txt")}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+        def fill(text):
+            return text.format(data=data_dir, tmp=tmp_path)
+
+        out = tmp_path / "out"
+        assert main([*map(fill, argv), "--output-dir", str(out)]) == 0
+        inputs = json.loads((out / "run_manifest.json").read_bytes())["inputs"]
+        assert inputs == {fill(path): hashlib.sha256(Path(fill(path)).read_bytes()).hexdigest()
+                          for path in reads}
+
+    def test_a_second_run_lists_only_its_own_inputs(self, tmp_path, data_dir):
+        # two commands in one process: the second manifest holds none of the first's reads
+        assert main(["stats", *(arg.format(data=data_dir) for arg in self.CORPUS),
+                     "--output-dir", str(tmp_path / "stats")]) == 0
+        assert main(["mine", "--transactions", str(data_dir / "market9.tsv"), *self.THRESHOLDS,
+                     "--output-dir", str(tmp_path / "mine")]) == 0
+        inputs = json.loads((tmp_path / "mine" / "run_manifest.json").read_bytes())["inputs"]
+        assert list(inputs) == [str(data_dir / "market9.tsv")]
 
     def test_only_mine_imports_decimal(self, tmp_path, data_dir):
         # a fresh interpreter, since pytest itself imports `decimal`; nor do

@@ -4,6 +4,7 @@ output edited after the run fails naming its file, and the model imports
 only the standard library."""
 
 import ast
+import hashlib
 import json
 import os
 import shutil
@@ -96,6 +97,12 @@ def edit_line(path: Path, index: int, edit) -> None:
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
+def delete_line(path: Path, index: int) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    del lines[index]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
 def add_one_to_count(line: str) -> str:
     key, count, rest = line.split("\t", 2)
     return f"{key}\t{int(count) + 1}\t{rest}"
@@ -118,7 +125,9 @@ def add_one_to_switching(path: Path) -> None:
     ("sample-evaluate", "report_02_partial.json", add_one_to_switching),
     ("market9", "frequent_itemsets.tsv", lambda p: edit_line(p, 1, add_one_to_count)),
     ("market9", "frequent_itemsets.tsv", lambda p: edit_line(p, 12, add_one_to_count)),
-], ids=["digraph-count", "trace-hand", "report-field", "itemset-count", "level-3-count"])
+    ("market9", "rules.tsv", lambda p: delete_line(p, 2)),
+], ids=["digraph-count", "trace-hand", "report-field", "itemset-count", "level-3-count",
+        "deleted-rule"])
 def test_an_edited_output_fails_naming_its_file(golden_runs, tmp_path, capsys, run, name, tamper):
     out = tmp_path / run
     shutil.copytree(golden_runs / run, out)
@@ -129,6 +138,46 @@ def test_an_edited_output_fails_naming_its_file(golden_runs, tmp_path, capsys, r
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith(f"{out / name}: ") for line in lines), lines
     assert lines[-1].startswith("reference: ")
+
+
+def test_rules_kept_only_above_the_bar_fail_naming_the_file(tmp_path, capsys):
+    # market9 holds rules at confidence exactly 0.5 (I1 I2 => I3 is 2 of 4);
+    # a bar just above 0.5 keeps the rules a miner keeping only those strictly
+    # above 0.5 would, and its rules.tsv must not pass for the run at 0.5
+    runs = {}
+    for bar in ("0.5", "0.50000000000000001"):
+        runs[bar] = tmp_path / bar
+        assert main(["mine", "--transactions", str(DATA / "market9.tsv"), "--min-support", "2",
+                     "--min-confidence", bar, "--output-dir", str(runs[bar])]) == 0
+        assert reference.check(runs[bar]) == []
+    at, above = ((runs[bar] / "rules.tsv").read_text(encoding="utf-8") for bar in runs)
+    assert "I1 I2\tI3\t0.222222\t0.500000" in at.split("\n")
+    assert len(above.split("\n")) < len(at.split("\n"))
+    (runs["0.5"] / "rules.tsv").write_text(above, encoding="utf-8")
+    assert reference.main(["check", str(runs["0.5"])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(f"{runs['0.5'] / 'rules.tsv'}: ") for line in lines), lines
+
+
+def test_an_input_the_run_overwrote_is_named(tmp_path, monkeypatch, capsys):
+    # the manifest lists out/monographs.tsv as a corpus file, and the run
+    # writes its monograph table there: the manifest holds the digest of the
+    # text read, so the check names the file as changed since the run
+    monkeypatch.chdir(tmp_path)
+    Path("alphabet.json").write_text(json.dumps({"name": "ab", "letters": ["a", "b"]}),
+                                     encoding="utf-8")
+    Path("manifest.txt").write_text("out/monographs.tsv\n", encoding="utf-8")
+    Path("out").mkdir()
+    text = b"abba baab ab"
+    Path("out/monographs.tsv").write_bytes(text)
+    assert main(["stats", "--alphabet", "alphabet.json", "--manifest", "manifest.txt",
+                 "--output-dir", "out"]) == 0
+    inputs = json.loads(Path("out/run_manifest.json").read_bytes())["inputs"]
+    assert inputs["out/monographs.tsv"] == hashlib.sha256(text).hexdigest()
+    capsys.readouterr()
+    assert reference.main(["check", "out"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("out/monographs.tsv: changed since the run") for line in lines), lines
 
 
 def test_a_changed_input_fails_naming_it(tmp_path, capsys):
