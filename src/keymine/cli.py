@@ -2,7 +2,7 @@
 
 Every command validates its inputs up front, writes its outputs plus a
 machine-readable run manifest (parameters, tool version, and the sha256 of
-every input, as `corpus.read_text` recorded it while the command read the
+every input, as `corpus`'s readers recorded it while the command read the
 file) into the output directory, and exits 0 only if all requested outputs
 were written and all embedded audits passed. `main` empties that record
 once the `--config` file is read, so the config is not listed.
@@ -26,14 +26,13 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .corpus import (
     AlphabetConfig,
-    LetterStream,
+    CorpusCounts,
     UnreadableFileError,
-    count_ngraphs,
     derive_lower,
     digests,
+    read_bytes,
     read_json,
     read_manifest,
-    tokenize_file,
     write_json,
     write_lines,
     write_ngraph_tsv,
@@ -113,21 +112,20 @@ def _require(args, *names: str) -> None:
             raise CliError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
-def _load_corpus(args) -> tuple[list[Path], dict, LetterStream]:
+def _load_corpus(args, n: int) -> tuple[list[Path], dict, CorpusCounts]:
     """A corpus command's files, as its manifest lists them, its alphabet
-    and manifest parameters, and one stream holding the letter runs of all
-    the files; a run never spans two files, so no n-gram crosses a file."""
+    and manifest parameters, and the counts of all the files at order `n`,
+    read file by file in pieces; a run never spans two files, so no n-gram
+    crosses a file."""
     _require(args, "alphabet", "manifest")
     alphabet = _read(args, "alphabet", AlphabetConfig.from_json)
     files = _read(args, "manifest", read_manifest)
     if not files:
         raise CliError(f"{args.manifest}: manifest lists no corpus files")
-    stream = LetterStream([], 0, alphabet)
+    counts = CorpusCounts(alphabet, n)
     for path in files:
-        source = tokenize_file(path, alphabet)
-        stream.runs += source.runs
-        stream.undetermined_count += source.undetermined_count
-    return files, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, stream
+        counts.add_file(path)
+    return files, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, counts
 
 
 def _parse_support_threshold(text: str) -> tuple[str, int | Decimal]:
@@ -169,10 +167,10 @@ def _number_text(text: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    files, parameters, stream = _load_corpus(args)
-    tables = {3: count_ngraphs(stream, 3)}
-    tables[2] = derive_lower(tables[3], stream)
-    tables[1] = derive_lower(tables[2], stream)
+    files, parameters, counts = _load_corpus(args, 3)
+    tables = {3: counts.table()}
+    tables[2] = derive_lower(tables[3], counts.ends)
+    tables[1] = derive_lower(tables[2], counts.ends)
     total_letters = tables[1].total
     if total_letters == 0:
         raise CliError("corpus contains no alphabet letters")
@@ -183,7 +181,7 @@ def cmd_stats(args) -> int:
     summary = {
         "total_letters": total_letters,
         "distinct_letters": len(tables[1].counts),
-        "undetermined": stream.undetermined_count,
+        "undetermined": counts.undetermined_count,
         "sources": len(files),
     }
     if args.format == "json":
@@ -210,8 +208,8 @@ def cmd_mine(args) -> int:
             raise CliError(f"{args.transactions}: no items to mine")
         source = {"transactions": str(args.transactions)}
     else:
-        _, source, stream = _load_corpus(args)
-        digraphs = count_ngraphs(stream, 2)
+        _, source, counts = _load_corpus(args, 2)
+        digraphs = counts.table()
         if digraphs.total == 0:
             raise CliError("corpus contains no digraphs to mine")
         db = digraphs_as_transactions(digraphs)
@@ -227,6 +225,7 @@ def cmd_mine(args) -> int:
     if min_confidence > 1:
         print(f"warning: minimum confidence {min_confidence} exceeds 1; no rule can satisfy it")
     levels = mine_frequent(db, params)
+    del db  # the rows are mined: free them before the rules are built
     for level in levels:
         print(
             f"level {level.k}: {level.candidates} candidates, "
@@ -255,13 +254,15 @@ def cmd_mine(args) -> int:
 
 
 def cmd_design(args) -> int:
-    _, parameters, stream = _load_corpus(args)
-    digraphs = count_ngraphs(stream, 2)
-    monographs = derive_lower(digraphs, stream)
+    _, parameters, counts = _load_corpus(args, 2)
+    digraphs = counts.table()
+    monographs = derive_lower(digraphs, counts.ends)
     if monographs.total == 0:
         raise CliError("corpus contains no alphabet letters")
     if args.geometry:
-        geometry = _read(args, "geometry", load_geometry)
+        # read once: the input may be a pipe, and the copy must be the bytes loaded
+        raw = _read(args, "geometry", read_bytes)
+        geometry = load_geometry(args.geometry, raw)
     else:
         geometry = default_geometry()
     partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
@@ -269,7 +270,7 @@ def cmd_design(args) -> int:
     audit = audit_partition(partition, monographs, digraphs)
     out = _out_dir(args)
     if args.geometry:
-        (out / "geometry.json").write_bytes(Path(args.geometry).read_bytes())
+        (out / "geometry.json").write_bytes(raw)
     else:
         save_geometry(geometry, out / "geometry.json")
     save_layout(layout, out / "layout.json", geometry_ref="geometry.json")
@@ -292,12 +293,12 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _, parameters, stream = _load_corpus(args)
+    _, parameters, counts = _load_corpus(args, 2)
     geometries: dict = {}  # one load per geometry file, shared by the layouts naming it
     layouts = [load_layout(path, geometries) for path in args.layouts]
-    digraphs = count_ngraphs(stream, 2)
-    monographs = derive_lower(digraphs, stream)
-    total_chars = monographs.total + stream.undetermined_count
+    digraphs = counts.table()
+    monographs = derive_lower(digraphs, counts.ends)
+    total_chars = monographs.total + counts.undetermined_count
     out = _out_dir(args)
     reports = []
     for i, (layout_path, layout) in enumerate(zip(args.layouts, layouts), start=1):
@@ -443,7 +444,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.config:
             args = _with_config(argv, given)
-        digests.clear()  # from here on `read_text` records only the command's own inputs
+        digests.clear()  # from here on the readers record only the command's own inputs
         return _COMMANDS[args.command](args)
     except (CliError, OSError, ValueError) as exc:
         key = getattr(exc, "key", None)

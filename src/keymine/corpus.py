@@ -7,8 +7,15 @@ frequency tables; any other code point is counted as "undetermined" and
 ends a run, so no n-gram window spans it (typing a digit or an unknown
 glyph interrupts the letter-to-letter flow).
 
-A command scans the runs once, for its highest order; each lower table is
-derived from the one above it and the run ends (`derive_lower`).
+A command reads each corpus file in blocks of `_BLOCK` bytes (`read_pieces`)
+and counts the text piece by piece into running totals (`CorpusCounts`), so
+no list of runs and no whole file is ever held. A piece ends after an ASCII
+space or LF byte. Such a byte never sits inside a multibyte sequence, so
+each piece decodes on its own; both are starters that never compose, so NFC
+of the pieces equals NFC of the whole. Whitespace does not end a run, so
+the open run's last n-1 letters carry into the next piece, until the file
+ends. A command counts once, at its highest order; each lower table is
+derived from the one above it and a count of the run ends (`derive_lower`).
 
 Digraphs are counted without a Python-level step per letter: each letter
 has a 16-bit code (its own code point when every letter of the alphabet
@@ -19,10 +26,12 @@ read as 32-bit integers at letter offsets 0 and 1: each integer packs one
 adjacent pair of codes, and one `Counter` counts them in C. Only the at
 most (|A|+1)^2 distinct keys are decoded back into letter pairs.
 
-This module also owns the file encoding: every input is read through
-`read_text` and every output written through `write_lines` or `write_json`.
-`read_text` records the sha256 of the bytes it read in `digests`, by path,
-so a command's run manifest lists exactly the bytes the command used.
+This module also owns the file encoding: bulk inputs (corpus files and
+transaction files) are read through `read_pieces`, the small JSON and
+manifest inputs through `read_text`, and every output is written through
+`write_lines` or `write_json`. Both readers record the sha256 of the bytes
+they read in `digests`, by path, so a command's run manifest lists exactly
+the bytes the command used.
 """
 
 from __future__ import annotations
@@ -133,7 +142,8 @@ class AlphabetConfig:
 
 
 class LetterStream:
-    """Text as its maximal runs of alphabet letters.
+    """Text held whole, as its maximal runs of alphabet letters (`tokenize`);
+    a command counts its corpus in pieces through `CorpusCounts` instead.
 
     Whitespace is gone; every other code point outside the alphabet ends a
     run and is counted in `undetermined_count`. A stream may hold the runs
@@ -152,6 +162,13 @@ class LetterStream:
         return sum(map(len, self.runs))
 
 
+def _letter_runs(text: str, alphabet: AlphabetConfig) -> tuple[str, list[str]]:
+    """`text` normalized to composed form (NFC) with its whitespace dropped,
+    and the maximal runs of alphabet letters in it."""
+    text = "".join(unicodedata.normalize("NFC", text).split())
+    return text, alphabet._runs.findall(text)
+
+
 def tokenize(text: str, alphabet: AlphabetConfig) -> LetterStream:
     """Normalize to composed form (NFC), drop whitespace, cut into letter runs.
 
@@ -159,10 +176,8 @@ def tokenize(text: str, alphabet: AlphabetConfig) -> LetterStream:
     (digits, punctuation, foreign scripts), so letters plus undetermined
     equals the normalized input length minus its whitespace count.
     """
-    text = "".join(unicodedata.normalize("NFC", text).split())
-    runs = alphabet._runs.findall(text)
-    undetermined = len(text) - sum(map(len, runs))
-    return LetterStream(runs, undetermined, alphabet)
+    text, runs = _letter_runs(text, alphabet)
+    return LetterStream(runs, len(text) - sum(map(len, runs)), alphabet)
 
 
 class NGraphTable(NamedTuple):
@@ -185,23 +200,110 @@ class NGraphTable(NamedTuple):
         )
 
 
+class CorpusCounts:
+    """Running counts of a corpus fed piece by piece: its n-grams (n = 1, 2
+    or 3), `undetermined_count`, and, from n = 2 on, `ends`, which counts
+    each run by its last n-1 letters (all of a shorter run), as
+    `derive_lower` takes them.
+
+    A piece given to `add_text` ends at whitespace or at its source's end.
+    Whitespace does not end a run, so a run that reaches the end of a piece
+    stays open: its last n-1 letters carry into the next piece, until
+    `end_source`. No n-gram crosses two sources.
+    """
+
+    __slots__ = ("alphabet", "n", "undetermined_count", "ends", "_grams", "_open")
+
+    def __init__(self, alphabet: AlphabetConfig, n: int) -> None:
+        if n not in (1, 2, 3):
+            raise ValueError(f"n must be 1, 2 or 3, got {n}")
+        self.alphabet = alphabet
+        self.n = n
+        self.undetermined_count = 0
+        self.ends: Counter[str] = Counter()
+        self._grams: Counter = Counter()  # packed pairs of letter codes at n = 2, else letter tuples
+        self._open = ""  # the open run's last n-1 letters
+
+    def add_file(self, path: str | Path) -> None:
+        """Count a corpus file, read in pieces that end after an ASCII
+        space or LF byte; its last run ends with the file."""
+        for piece in read_pieces(path, b" \n"):
+            self.add_text(piece)
+        self.end_source()
+
+    def add_text(self, text: str) -> None:
+        """Count one piece of a source, normalized and cut into runs as
+        `tokenize` does."""
+        text, runs = _letter_runs(text, self.alphabet)
+        if not text:
+            return  # whitespace alone neither ends nor extends a run
+        self.undetermined_count += len(text) - sum(map(len, runs))
+        is_letter = self.alphabet._index.__contains__
+        if self._open:  # never at n = 1, whose windows need no carry
+            if is_letter(text[0]):
+                runs[0] = self._open + runs[0]
+            else:
+                self.ends[self._open] += 1
+        self.add_runs(runs)
+        if self.n > 1:
+            m = self.n - 1
+            self._open = runs.pop()[-m:] if is_letter(text[-1]) else ""
+            self.ends.update(run[-m:] for run in runs)
+
+    def end_source(self) -> None:
+        """End the open run, if any: the source it belongs to has ended."""
+        if self._open:
+            self.ends[self._open] += 1
+            self._open = ""
+
+    def add_runs(self, runs: Iterable[str]) -> None:
+        """Count the n-gram windows of `runs`; no window spans two runs.
+        `ends` is left as it is."""
+        if self.n != 2:
+            grams, n = self._grams, self.n
+            for run in runs:
+                grams.update(zip(*(run[i:] for i in range(n))))
+            return
+        # digraphs as packed pairs of 16-bit letter codes (see the module
+        # docstring); a pair that holds the separator is never a letter pair
+        alphabet = self.alphabet
+        codes, pairs = alphabet._codes, self._grams
+        for batch in _batches(runs, alphabet._separator):
+            if codes is not None:
+                batch = batch.translate(codes)
+            data = memoryview(batch.encode("utf-16-le", "surrogatepass"))
+            for view in (data, data[2:]):  # the pairs at even letter offsets, then at odd ones
+                pairs.update(view[: len(view) & ~3].cast("I"))
+
+    def table(self) -> NGraphTable:
+        """The n-gram counts so far. Digraph keys hold the alphabet's own
+        letter objects."""
+        if self.n != 2:
+            return NGraphTable(n=self.n, counts=self._grams, alphabet=self.alphabet)
+        letters, codes = self.alphabet.letters, self.alphabet._codes
+        letter_of = dict(zip(map(ord, letters), letters) if codes is None else enumerate(letters, 1))
+        counts: Counter[tuple[str, str]] = Counter()
+        for key, count in self._grams.items():
+            # native byte order back to the UTF-16-LE bytes: the first letter's code is the low half
+            key = int.from_bytes(key.to_bytes(4, sys.byteorder), "little")
+            first, second = letter_of.get(key & 0xFFFF), letter_of.get(key >> 16)
+            if first is not None and second is not None:
+                counts[first, second] = count
+        return NGraphTable(n=2, counts=counts, alphabet=self.alphabet)
+
+
 def count_ngraphs(stream: LetterStream, n: int) -> NGraphTable:
     """Count windows of n consecutive letters; windows never leave a run.
     Digraph keys hold the alphabet's own letter objects."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"n must be 1, 2 or 3, got {n}")
-    if n == 2:
-        return NGraphTable(n=2, counts=_count_digraphs(stream), alphabet=stream.alphabet)
-    counts: Counter[tuple[str, ...]] = Counter()
-    for run in stream.runs:
-        counts.update(zip(*(run[i:] for i in range(n))))
-    return NGraphTable(n=n, counts=counts, alphabet=stream.alphabet)
+    counts = CorpusCounts(stream.alphabet, n)
+    counts.add_runs(stream.runs)
+    return counts.table()
 
 
 _BATCH = 4096  # letters joined into one encoded batch
 
 
-def _batches(runs: list[str], separator: str) -> Iterator[str]:
+def _batches(runs: Iterable[str], separator: str) -> Iterator[str]:
     """The runs joined by `separator` into strings of at most `_BATCH`
     letters and separators. A longer run is cut into pieces of `_BATCH`
     letters, each starting with the last letter of the piece before, so
@@ -220,36 +322,15 @@ def _batches(runs: list[str], separator: str) -> Iterator[str]:
     yield separator.join(batch)
 
 
-def _count_digraphs(stream: LetterStream) -> Counter[tuple[str, str]]:
-    """Digraph counts from packed pairs of 16-bit letter codes (see the
-    module docstring); a pair that holds the separator is dropped."""
-    alphabet = stream.alphabet
-    letters, codes = alphabet.letters, alphabet._codes
-    pairs: Counter[int] = Counter()
-    for batch in _batches(stream.runs, alphabet._separator):
-        if codes is not None:
-            batch = batch.translate(codes)
-        data = memoryview(batch.encode("utf-16-le", "surrogatepass"))
-        for view in (data, data[2:]):  # the pairs at even letter offsets, then at odd ones
-            pairs.update(view[: len(view) & ~3].cast("I"))
-    letter_of = dict(zip(map(ord, letters), letters) if codes is None else enumerate(letters, 1))
-    counts: Counter[tuple[str, str]] = Counter()
-    for key, count in pairs.items():
-        # native byte order back to the UTF-16-LE bytes: the first letter's code is the low half
-        key = int.from_bytes(key.to_bytes(4, sys.byteorder), "little")
-        first, second = letter_of.get(key & 0xFFFF), letter_of.get(key >> 16)
-        if first is not None and second is not None:
-            counts[first, second] = count
-    return counts
-
-
-def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
-    """The (n-1)-gram table of the stream whose n-gram table this is.
+def derive_lower(table: NGraphTable, ends: Counter[str]) -> NGraphTable:
+    """The (n-1)-gram table of the corpus whose n-gram table this is, given
+    `ends`, the corpus's runs counted by their last n-1 or more letters (all
+    of a shorter run), as `CorpusCounts` keeps them.
 
     Every (n-1)-gram window of a run but its last starts exactly one n-gram
     window, so each n-gram's count goes to its first n-1 letters, and each
     run of at least n-1 letters adds 1 to its last (n-1)-gram. Equal to
-    `count_ngraphs(stream, n - 1)`, without scanning the runs' letters.
+    counting the (n-1)-grams, without scanning the runs' letters.
     """
     m = table.n - 1
     if m < 1:
@@ -257,40 +338,95 @@ def derive_lower(table: NGraphTable, stream: LetterStream) -> NGraphTable:
     counts: Counter[tuple[str, ...]] = Counter()
     for key, count in table.counts.items():
         counts[key[:m]] += count
-    ends = Counter(run[-m:] for run in stream.runs if len(run) >= m)
     for end, count in ends.items():
-        counts[tuple(end)] += count
+        if len(end) >= m:
+            counts[tuple(end[-m:])] += count
     return NGraphTable(n=m, counts=counts, alphabet=table.alphabet)
 
 
-digests: dict[str, str] = {}  # path -> sha256 of the bytes `read_text` last read there
+_BLOCK = 1 << 16  # bytes `read_pieces` reads at a time
+
+digests: dict[str, str] = {}  # path -> sha256 of the bytes last read there
 
 
-def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file, dropping one leading byte order mark, and
-    record the sha256 of its bytes in `digests`; a read failure names the
-    file and the reason, a decoding failure the file and the byte offset."""
+def _decode(path: Path, raw: bytes | bytearray, start: int = 0) -> str:
+    """UTF-8 bytes found at byte offset `start` of the file at `path`; a
+    byte order mark at the file's start is dropped, and a decoding failure
+    names the file and the offset in it."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not valid UTF-8 at byte offset {start + exc.start}") from exc
+    return text if start else text.removeprefix("\ufeff")
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file, their sha256 recorded in `digests`; a
+    read failure names the file and the reason."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UnreadableFileError(path, exc) from exc
     digests[str(path)] = sha256(raw).hexdigest()
+    return raw
+
+
+def read_pieces(path: str | Path, cuts: bytes) -> Iterator[str]:
+    """The UTF-8 text of a bulk input file, in pieces, read `_BLOCK` bytes
+    at a time. A piece ends after the last of the ASCII bytes `cuts` in a
+    block, or with the file; a block holding none joins the next. One
+    leading byte order mark is dropped, and once every block is read their
+    sha256 is recorded in `digests`. A read failure names the file and the
+    reason, a decoding failure the file and the byte offset in it."""
+    path = Path(path)
     try:
-        return raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
+        file = path.open("rb")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise UnreadableFileError(path, exc) from exc
+    digest = sha256()
+    start, held = 0, bytearray()  # the file offset of the piece being gathered, and its bytes so far
+    with file:
+        while True:
+            try:
+                block = file.read(_BLOCK)
+            except OSError as exc:
+                raise UnreadableFileError(path, exc) from exc
+            if not block:
+                break
+            digest.update(block)
+            cut = max(map(block.rfind, cuts)) + 1  # 0: no cut byte in the block
+            if not cut:
+                held += block
+                continue
+            held += block[:cut]
+            yield _decode(path, held, start)
+            start += len(held)
+            held = bytearray(block[cut:])
+    if held:
+        yield _decode(path, held, start)
+    digests[str(path)] = digest.hexdigest()
 
 
-def read_json(path: str | Path):
-    """Read a UTF-8 JSON input file; a decoding or parse failure names the
-    file, and so do an integer too long to convert (over 4,300 digits) and
-    arrays or objects nested past the recursion limit."""
-    text = read_text(path)
+def read_text(path: str | Path) -> str:
+    """Read a small UTF-8 input file whole, through `read_bytes`, dropping
+    one leading byte order mark; a decoding failure names the file and the
+    byte offset."""
+    path = Path(path)
+    return _decode(path, read_bytes(path))
+
+
+def read_json(path: str | Path, raw: bytes | None = None):
+    """Read a UTF-8 JSON input file whole, through `read_bytes` unless `raw`
+    already holds its bytes; a decoding or parse failure names the file, and
+    so do an integer too long to convert (over 4,300 digits) and arrays or
+    objects nested past the recursion limit."""
+    path = Path(path)
+    text = _decode(path, read_bytes(path) if raw is None else raw)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise IngestionError(f"{Path(path)}: invalid JSON: {exc}") from exc
+        raise IngestionError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -303,10 +439,6 @@ def write_json(path: str | Path, data, sort_keys: bool = False) -> None:
     final LF; a NaN or infinity is refused with `ValueError`."""
     write_lines(path, [json.dumps(data, ensure_ascii=False, indent=2, sort_keys=sort_keys,
                                   allow_nan=False)])
-
-
-def tokenize_file(path: str | Path, alphabet: AlphabetConfig) -> LetterStream:
-    return tokenize(read_text(path), alphabet)
 
 
 def read_manifest(path: str | Path) -> list[Path]:

@@ -338,10 +338,11 @@ def place_keys(partition: HandPartition, geometry: KeyboardGeometry, name: str =
 _GEOMETRY_FIELDS = ("id", "hand", "finger", "row", "layer", "cost")
 
 
-def load_geometry(path: str | Path) -> KeyboardGeometry:
-    """Load a geometry file: a JSON array of position records."""
+def load_geometry(path: str | Path, raw: bytes | None = None) -> KeyboardGeometry:
+    """Load a geometry file: a JSON array of position records. `raw`, when
+    given, holds the file's bytes, already read."""
     path = Path(path)
-    data = read_json(path)
+    data = read_json(path, raw)
     if not isinstance(data, list):
         raise IngestionError(f"{path}: expected a JSON array of positions")
     positions = []

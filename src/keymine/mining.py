@@ -34,7 +34,7 @@ from operator import itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import IngestionError, NGraphTable, read_text, write_lines
+from .corpus import IngestionError, NGraphTable, read_pieces, write_lines
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -414,33 +414,37 @@ def digraphs_as_transactions(table: NGraphTable) -> TransactionDB:
     return TransactionDB(universe=tuple(sorted(own, key=index)), rows=rows)
 
 
-def _itemsets(path: Path, lines: list[str], held: dict[str, str]) -> Iterator[tuple[str, ...]]:
-    """Each transaction line's distinct items in string order. `held` maps
-    each item to the first equal string read, which stands for it in every
-    row."""
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip() or line.startswith("#") or line == "tid\titems":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestionError(f"{path}:{lineno}: expected 2 tab-separated columns")
-        items = parts[1].split()
-        yield tuple(sorted(set(map(held.setdefault, items, items))))
+def _itemsets(path: Path, pieces: Iterable[str], held: dict[str, str]) -> Iterator[tuple[str, ...]]:
+    """Each transaction line's distinct items in string order, from text
+    pieces that each end after an LF or at the file's end. `held` maps each
+    item to the first equal string read, which stands for it in every row."""
+    first = 1  # the number of the piece's first line
+    for piece in pieces:
+        lines = piece.replace("\r\n", "\n").split("\n")
+        for lineno, line in enumerate(lines, first):
+            if not line.strip() or line.startswith("#") or line == "tid\titems":
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise IngestionError(f"{path}:{lineno}: expected 2 tab-separated columns")
+            items = parts[1].split()
+            yield tuple(sorted(set(map(held.setdefault, items, items))))
+        # the piece's last line, empty unless the file ends there, goes on in the next piece
+        first += len(lines) - 1
 
 
 def read_transactions_tsv(path: str | Path) -> TransactionDB:
     """Load a transaction DB from TSV: tid, space-separated item list.
 
     The universe is the sorted set of items, so a row is its distinct items
-    in string order; the lines' rows are counted in one `Counter`, and rows
-    and universe hold one string object per item. Lines end at LF, and one
-    CR before it is dropped; no other code point ends a line.
+    in string order; the file is read in pieces of whole lines, whose rows
+    are counted in one `Counter`, and rows and universe hold one string
+    object per item. Lines end at LF, and one CR before it is dropped; no
+    other code point ends a line.
     """
     path = Path(path)
     held: dict[str, str] = {}
-    # only the lines are passed on, so the whole text is freed once it is split
-    lines = read_text(path).replace("\r\n", "\n").split("\n")
-    rows = Counter(_itemsets(path, lines, held))
+    rows = Counter(_itemsets(path, read_pieces(path, b"\n"), held))
     return TransactionDB(universe=tuple(sorted(held)), rows=rows)
 
 

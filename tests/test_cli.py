@@ -19,11 +19,12 @@ from keymine import layout as layout_module
 from keymine.cli import main
 from keymine.corpus import (
     AlphabetConfig,
+    CorpusCounts,
     LetterStream,
     count_ngraphs,
     read_manifest,
+    read_text,
     tokenize,
-    tokenize_file,
 )
 from keymine.evaluation import read_report_json
 from keymine.layout import (
@@ -430,6 +431,22 @@ class TestDesign:
         layout = load_layout(out / "layout.json")
         assert set(layout.mapping.values()) == {"L1", "L2", "R1", "R2"}
 
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_geometry_read_from_a_pipe_is_copied(self, tmp_path, data_dir):
+        # a pipe can be read once: the copy holds the bytes the design was made from
+        geometry = (data_dir / "sample" / "layouts" / "geometry.json").read_bytes()
+        alpha, manifest = write_corpus(tmp_path, ["ab ab ac ad"], "abcd")
+        out = tmp_path / "out"
+        src = Path(keymine.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "keymine.cli", "design", "--alphabet", str(alpha),
+             "--manifest", str(manifest), "--geometry", "/dev/stdin", "--output-dir", str(out)],
+            input=geometry, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert (out / "geometry.json").read_bytes() == geometry
+        assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "scored"), str(out / "layout.json")]) == 0
+
 def make_eval_fixture(tmp_path):
     text = random_text("abcdef", 1500, 5, space_prob=0.1, junk="12", junk_prob=0.05)
     alpha, manifest = write_corpus(tmp_path, [text], "abcdef")
@@ -568,11 +585,11 @@ class TestOneLoadPerInput:
     def count_calls(self, monkeypatch):
         calls = []
 
-        def spy(stream, n):
+        def spy(alphabet, n):
             calls.append(n)
-            return count_ngraphs(stream, n)
+            return CorpusCounts(alphabet, n)
 
-        monkeypatch.setattr(cli, "count_ngraphs", spy)
+        monkeypatch.setattr(cli, "CorpusCounts", spy)
         return calls
 
     @pytest.fixture
@@ -947,7 +964,7 @@ class TestMetamorphic:
         # the pair counts add both directions of a digraph; reversed on the
         # runs, not the text, which NFC would compose differently
         alphabet = AlphabetConfig.from_json(DATA / "alphabets" / self.CORPORA[corpus][0])
-        stream = join_streams(*(tokenize_file(path, alphabet)
+        stream = join_streams(*(tokenize(read_text(path), alphabet)
                                 for path in read_manifest(DATA / corpus / "manifest.txt")))
         mirror = LetterStream([run[::-1] for run in stream.runs], stream.undetermined_count,
                               alphabet)

@@ -1,5 +1,6 @@
 """Tokenization, n-graph counting, ranking, and corpus file handling."""
 
+import hashlib
 import json
 import random
 import string
@@ -9,18 +10,20 @@ from collections import Counter
 
 import pytest
 
+from keymine import corpus
 from keymine.corpus import (
     _BATCH,
     AlphabetConfig,
+    CorpusCounts,
     IngestionError,
     LetterStream,
     NGraphTable,
     count_ngraphs,
     derive_lower,
+    digests,
     read_manifest,
     read_text,
     tokenize,
-    tokenize_file,
     write_json,
     write_lines,
     write_ngraph_tsv,
@@ -33,6 +36,7 @@ from conftest import join_streams
 
 ABC = AlphabetConfig(name="abc", letters=("a", "b", "c"))
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
+AZ = AlphabetConfig(name="az", letters=tuple(string.ascii_lowercase))
 
 
 class TestAlphabetConfig:
@@ -364,11 +368,24 @@ class TestPackedDigraphCount:
         assert peak - result < 1_000_000
 
 
-def assert_derives_each_lower_order(stream):
-    """`count_ngraphs` is the oracle: deriving from order n must give the
-    table it counts at order n - 1, for n = 2 and 3."""
+def counted(alpha, n, *texts):
+    """`CorpusCounts` of order n over the texts, each fed whole as one source."""
+    counts = CorpusCounts(alpha, n)
+    for text in texts:
+        counts.add_text(text)
+        counts.end_source()
+    return counts
+
+
+def assert_derives_each_lower_order(alpha, *texts):
+    """`count_ngraphs` is the oracle: for n = 2 and 3, the running counts of
+    the texts must give the table it counts at order n, and deriving from
+    them the one it counts at order n - 1."""
+    stream = join_streams(*(tokenize(text, alpha) for text in texts))
     for n in (2, 3):
-        assert derive_lower(count_ngraphs(stream, n), stream) == count_ngraphs(stream, n - 1)
+        counts = counted(alpha, n, *texts)
+        assert counts.table() == count_ngraphs(stream, n)
+        assert derive_lower(counts.table(), counts.ends) == count_ngraphs(stream, n - 1)
 
 
 class TestDeriveLower:
@@ -378,9 +395,8 @@ class TestDeriveLower:
     ], ids=["sample", "bangla"])
     def test_checked_in_corpora(self, data_dir, alphabet, manifest):
         alpha = AlphabetConfig.from_json(data_dir / "alphabets" / alphabet)
-        stream = join_streams(*(tokenize_file(path, alpha)
-                                for path in read_manifest(data_dir / manifest)))
-        assert_derives_each_lower_order(stream)
+        assert_derives_each_lower_order(
+            alpha, *(read_text(path) for path in read_manifest(data_dir / manifest)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_junk_heavy_corpora(self, seed):
@@ -388,28 +404,26 @@ class TestDeriveLower:
         alpha = AlphabetConfig(name="az", letters=tuple(letters))
         text = random_text(letters, 3000, seed, weights=zipf_weights(26),
                            space_prob=0.1, junk="0.,;", junk_prob=0.45)
-        stream = tokenize(text, alpha)
         # runs shorter than a window exist at both orders
-        assert {1, 2} <= set(map(len, stream.runs))
-        assert_derives_each_lower_order(stream)
+        assert {1, 2} <= set(map(len, tokenize(text, alpha).runs))
+        assert_derives_each_lower_order(alpha, text)
 
     def test_empty_stream(self):
-        stream = tokenize("", AB)
-        assert_derives_each_lower_order(stream)
-        assert derive_lower(count_ngraphs(stream, 2), stream).counts == {}
+        assert_derives_each_lower_order(AB, "")
+        counts = counted(AB, 2, "")
+        assert derive_lower(counts.table(), counts.ends).counts == {}
 
     def test_single_letter_runs(self):
         # no digraph at all, yet every letter is a run's end
-        stream = tokenize("a1b2a3c 4a", ABC)
-        assert stream.runs == ["a", "b", "a", "c", "a"]
-        assert_derives_each_lower_order(stream)
-        assert derive_lower(count_ngraphs(stream, 2), stream).counts == {
+        assert tokenize("a1b2a3c 4a", ABC).runs == ["a", "b", "a", "c", "a"]
+        assert_derives_each_lower_order(ABC, "a1b2a3c 4a")
+        counts = counted(ABC, 2, "a1b2a3c 4a")
+        assert derive_lower(counts.table(), counts.ends).counts == {
             ("a",): 3, ("b",): 1, ("c",): 1}
 
     def test_nothing_below_monographs(self):
-        stream = tokenize("ab", AB)
         with pytest.raises(ValueError):
-            derive_lower(count_ngraphs(stream, 1), stream)
+            derive_lower(count_ngraphs(tokenize("ab", AB), 1), Counter())
 
 
 def printed_rows(table, tmp_path):
@@ -417,6 +431,73 @@ def printed_rows(table, tmp_path):
     path = tmp_path / "table.tsv"
     write_ngraph_tsv(table, path)
     return [tuple(line.split("\t")) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+# every block size up to 64 bytes, so a block ends at each offset of a word
+# and of a multibyte code point; and a few larger ones
+BLOCK_SIZES = [*range(1, 65), 100, 1000, 4096]
+
+
+class TestCountsInBlocks:
+    """A corpus file is read in blocks of `corpus._BLOCK` bytes and counted
+    piece by piece; at any block size the tables, the undetermined count
+    and the digests equal those of the reference model over whole texts."""
+
+    @pytest.mark.parametrize("alphabet, texts", [
+        # a prefix of the English sample: its runs cross many cuts
+        ("english.json", lambda data: [(data / "sample" / "corpus.txt").read_bytes()[:3000]]),
+        # vowel signs that NFC composes, one more at a file's end, and a
+        # byte order mark, which only a file's first piece drops
+        ("bangla.json", lambda data: [
+            ("\ufeff" + (data / "bangla" / f"corpus{i}.txt").read_text(encoding="utf-8")[:1000])
+            .encode() for i in (1, 2)] + ["\u0995\u09c7\u09be".encode()]),
+    ], ids=["sample", "bangla"])
+    def test_tables_and_digests_at_every_block_size(self, tmp_path, data_dir, monkeypatch,
+                                                     alphabet, texts):
+        alpha = AlphabetConfig.from_json(data_dir / "alphabets" / alphabet)
+        files = []
+        for i, raw in enumerate(texts(data_dir)):
+            files.append(tmp_path / f"part{i}.txt")
+            files[-1].write_bytes(raw)
+        runs, undetermined = reference.letter_runs(map(reference.read, files), alpha.letters)
+        expected = {n: reference.ngrams(runs, n) for n in (1, 2, 3)}
+        hashes = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(corpus, "_BLOCK", size)
+            for n in (2, 3):
+                digests.clear()
+                counts = CorpusCounts(alpha, n)
+                for path in files:
+                    counts.add_file(path)
+                table = counts.table()
+                assert (size, table.counts) == (size, expected[n])
+                assert derive_lower(table, counts.ends).counts == expected[n - 1]
+                assert counts.undetermined_count == undetermined
+                assert digests == hashes
+
+    def test_bounded_memory(self, tmp_path):
+        # a 4 MB corpus of words padded to 64 columns, so that the count
+        # stays quick under tracemalloc; whitespace ends no run, so the whole
+        # file is one run, open across every block. Above the trigraph table
+        # it builds, the count holds a few blocks at a time, never the file
+        rng = random.Random(5)
+        path = tmp_path / "wide.txt"
+        with path.open("w", encoding="utf-8") as file:
+            for i in range(62_500):
+                word = "".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 9)))
+                file.write(f"{word:<63}" + ("\n" if i % 4 == 3 else " "))
+        assert path.stat().st_size == 4_000_000
+        tracemalloc.start()
+        try:
+            counts = CorpusCounts(AZ, 3)
+            counts.add_file(path)
+            table = counts.table()
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.ends.values()) == 1
+        assert table.total == sum(len(word) for word in path.read_text().split()) - 2
+        assert peak - result < 1_000_000
 
 
 class TestMonographRanking:

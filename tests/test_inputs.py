@@ -40,6 +40,10 @@ GOOD = {
     "config.json": CONFIG,
 }
 
+BLOCK = 1 << 16  # the bytes a bulk input is read in at a time
+# market9, and then a comment up to the end of the first block
+FILLED_MARKET9 = GOOD["market9.tsv"] + b"#".ljust(BLOCK - len(GOOD["market9.tsv"]) - 1, b"x") + b"\n"
+
 CORPUS = ["--alphabet", "alphabet.json", "--manifest", "manifest.txt", "--output-dir", "out"]
 MINE = ["--min-confidence", "0.7", "--output-dir", "out"]
 # kind -> (the input a row edits, the command that reads it, the output checked, its golden)
@@ -257,6 +261,20 @@ ROWS = [
       for kind in ("alphabet", "manifest", "corpus summary", "geometry", "layout", "report",
                    "transactions", "config under flags", "design config", "mine config",
                    "stats config")),
+    # bulk inputs are read in 64 KiB blocks: an offset past the first is
+    # counted from the file's start, and only the file's first piece drops a mark
+    row("corpus", "not UTF-8 past the first block", raw(b"a " * 40_000 + b"\xff"),
+        message="corpus.txt: not valid UTF-8 at byte offset 80000"),
+    row("transactions", "not UTF-8 past the first block",
+        raw(b"tid\titems\n" + b"T1\ta b\n" * 12_000 + b"T2\t\xff\n"),
+        message="market9.tsv: not valid UTF-8 at byte offset 84013"),
+    row("corpus summary", "spaces filling the first block", raw(GOOD["corpus.txt"].ljust(BLOCK)),
+        "same"),
+    row("corpus summary", "u+feff opening the second block",
+        raw(GOOD["corpus.txt"].ljust(BLOCK) + "\ufeff".encode()), "changed"),
+    row("transactions", "comment filling the first block", raw(FILLED_MARKET9), "same"),
+    row("transactions", "u+feff opening the second block",
+        raw(FILLED_MARKET9 + "\ufefftid\titems\n".encode()), "changed"),
     *(row(kind, "no rows", raw(b"tid\titems\n"),
           message="market9.tsv: no transactions to mine")
       for kind in ("transactions", "transactions by fraction")),

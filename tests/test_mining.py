@@ -1,17 +1,19 @@
 """Level-wise miner, brute-force oracle, rule generation, digraph adapter."""
 
+import hashlib
 import itertools
 import math
 import random
 import string
+import tracemalloc
 from collections.abc import Sized
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from keymine import mining
-from keymine.corpus import AlphabetConfig, IngestionError, count_ngraphs, tokenize
+from keymine import corpus, mining
+from keymine.corpus import AlphabetConfig, IngestionError, count_ngraphs, digests, tokenize
 from keymine.mining import (
     AssociationRule,
     FrequentLevel,
@@ -30,7 +32,7 @@ from keymine.synth import random_text
 
 from conftest import DATA, MARKET9_UNIVERSE, write_transactions_tsv
 from oracles import random_db
-from reference import UniverseTooLargeError, brute_force_frequent, support_count
+from reference import UniverseTooLargeError, basket_rows, brute_force_frequent, support_count
 
 PARAMS2 = MiningParams(min_support_count=2, min_confidence=0.7)
 
@@ -819,3 +821,71 @@ class TestTransactionTsv:
         path.write_text("T1\ta\tb\n", encoding="utf-8")
         with pytest.raises(IngestionError, match="db.tsv:1"):
             read_transactions_tsv(path)
+
+
+# every block size up to 64 bytes, so a block ends at each offset of a line,
+# of a CRLF and of a multibyte code point; and a few larger ones
+BLOCK_SIZES = [*range(1, 65), 100, 1000, 4096]
+
+
+class TestTransactionsInBlocks:
+    """`read_transactions_tsv` reads 64 KiB blocks and counts the whole lines
+    of each; at any block size it finds the rows the reference model finds
+    in the whole text, numbers lines as the whole file does, and records the
+    file's digest."""
+
+    @pytest.fixture
+    def baskets(self, tmp_path, data_dir):
+        # market9's and baskets400's lines with CRLF ends, a byte order mark,
+        # comments, baskets400's header repeated, and U+2028 and U+0085
+        # between items
+        lines = []
+        for name in ("market9.tsv", "baskets400.tsv"):
+            for i, line in enumerate((data_dir / name).read_text(encoding="utf-8").splitlines()):
+                sep = "\u2028" if i % 7 == 3 else "\x85" if i % 7 == 5 else " "
+                lines.append(line.replace(" ", sep, 1))
+                if i % 50 == 1:
+                    lines.append("# a comment")
+        path = tmp_path / "baskets.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
+        return path
+
+    def test_rows_and_digest_at_every_block_size(self, baskets, monkeypatch):
+        expected = basket_rows(baskets)
+        assert len(expected) > 250
+        digest = hashlib.sha256(baskets.read_bytes()).hexdigest()
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(corpus, "_BLOCK", size)
+            digests.clear()
+            db = read_transactions_tsv(baskets)
+            assert db.rows == expected, size
+            assert db.universe == tuple(sorted({item for row in expected for item in row}))
+            assert digests == {str(baskets): digest}
+
+    def test_refused_line_keeps_its_number_at_every_block_size(self, baskets, monkeypatch):
+        lines = baskets.read_bytes().split(b"\r\n")
+        lines.insert(300, b"T999 no tab")  # line 301
+        baskets.write_bytes(b"\r\n".join(lines))
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(corpus, "_BLOCK", size)
+            with pytest.raises(IngestionError, match=r"baskets.tsv:301: expected 2 tab"):
+                read_transactions_tsv(baskets)
+
+    def test_bounded_memory(self, tmp_path):
+        # about 2 MB of lines with long ids and few distinct rows: the rows are
+        # counted block by block, and no whole text or list of lines is held
+        path = tmp_path / "many.tsv"
+        rows = [" ".join(f"i{j}" for j in range(k, k + 4)) for k in range(10)]
+        with path.open("w", encoding="utf-8") as file:
+            file.write("tid\titems\n")
+            for i in range(10_000):
+                file.write(f"T{i:0>200}\t{rows[i % 10]}\n")
+        assert path.stat().st_size > 2_000_000
+        tracemalloc.start()
+        try:
+            db = read_transactions_tsv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(db) == 10_000 and len(db.rows) == 10
+        assert peak < 1_000_000
