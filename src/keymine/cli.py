@@ -1,11 +1,17 @@
 """Command-line front end: stats, mine, design, evaluate, compare-only.
 
-Every command validates its inputs up front, writes its outputs plus a
-machine-readable run manifest (parameters, tool version, and the sha256 of
-every input, as `corpus`'s readers recorded it while the command read the
-file) into the output directory, and exits 0 only if all requested outputs
-were written and all embedded audits passed. `main` empties that record
-once the `--config` file is read, so the config is not listed.
+Every command validates its inputs up front: a corpus command reads its
+alphabet and manifest and finds every listed file, and `design` loads its
+geometry and `evaluate` its layouts, before any corpus file is counted.
+Each writes its outputs plus a machine-readable run manifest (parameters,
+tool version, and the sha256 of every input, as `corpus`'s readers
+recorded it while the command read the file) into the output directory,
+and exits 0 only if all requested outputs were written and all embedded
+audits passed. `main` empties that record once the `--config` file is
+read, so the config is not listed. `mine` decides both thresholds on the
+digits of their flag texts (`mining.decimal_parts`), so no command imports
+`decimal`, and on a corpus it keeps only the transaction rows through
+Apriori: the counts and the digraph table are freed once the rows are built.
 
 A `--config` JSON value, a string or a number, is parsed as its
 `--key=value` flag placed right after the command name: it is checked as
@@ -21,7 +27,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import __version__
 from .corpus import (
@@ -59,6 +65,7 @@ from .layout import (
 )
 from .mining import (
     MiningParams,
+    decimal_parts,
     digraphs_as_transactions,
     exact_ratio,
     generate_rules,
@@ -67,10 +74,6 @@ from .mining import (
     write_frequent_tsv,
     write_rules_tsv,
 )
-
-
-if TYPE_CHECKING:
-    from decimal import Decimal
 
 
 class CliError(Exception):
@@ -112,27 +115,39 @@ def _require(args, *names: str) -> None:
             raise CliError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
-def _load_corpus(args, n: int) -> tuple[list[Path], dict, CorpusCounts]:
-    """A corpus command's files, as its manifest lists them, its alphabet
-    and manifest parameters, and the counts of all the files at order `n`,
-    read file by file in pieces; a run never spans two files, so no n-gram
-    crosses a file."""
+def _corpus_inputs(args) -> tuple[AlphabetConfig, list[Path], dict]:
+    """A corpus command's alphabet, the files its manifest lists, and the two
+    as parameters, read and checked before any other input is read or any
+    file counted: a listed file that is missing fails here (a `stat`, which
+    reads nothing), one that cannot be read fails once it is counted."""
     _require(args, "alphabet", "manifest")
     alphabet = _read(args, "alphabet", AlphabetConfig.from_json)
     files = _read(args, "manifest", read_manifest)
     if not files:
         raise CliError(f"{args.manifest}: manifest lists no corpus files")
+    for path in files:
+        try:
+            path.stat()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise UnreadableFileError(path, exc) from exc
+    return alphabet, files, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}
+
+
+def _count(alphabet: AlphabetConfig, files: list[Path], n: int) -> CorpusCounts:
+    """The counts of all the files at order `n`, read file by file in
+    pieces; a run never spans two files, so no n-gram crosses a file."""
     counts = CorpusCounts(alphabet, n)
     for path in files:
         counts.add_file(path)
-    return files, {"alphabet": str(args.alphabet), "manifest": str(args.manifest)}, counts
+    return counts
 
 
-def _parse_support_threshold(text: str) -> tuple[str, int | Decimal]:
-    """An integer is an absolute count (>= 1); a fraction comes back as the
-    exact `Decimal` of its text, which must lie in (0, 1], so that once the
-    database size is known the count is its exact ceiling: 0.07 of 100 rows
-    is 7, where the float product 0.07 * 100 is just above 7, and
+def _parse_support_threshold(text: str) -> tuple[str, int | str]:
+    """An integer is an absolute count (>= 1); a fraction comes back as its
+    text, which must lie in (0, 1] as the decimal it is written as, decided
+    on its digits (`decimal_parts`), so that once the database size is known
+    the count is the exact ceiling (`exact_ratio`): 0.07 of 100 rows is 7,
+    where the float product 0.07 * 100 is just above 7, and
     1.0000000000000001, whose float is 1.0, is refused. Validated before any
     input is read."""
     text = text.strip()
@@ -148,12 +163,13 @@ def _parse_support_threshold(text: str) -> tuple[str, int | Decimal]:
         value = float(text)
     except ValueError:
         raise CliError(f"--min-support must be a count or a fraction, got {text!r}") from None
-    from decimal import Decimal  # only `mine` takes a fraction; kept off the other commands' imports
-
-    # nan and inf first: a Decimal holds them, but no ratio does
-    if not math.isfinite(value) or not 0 < (fraction := Decimal(text)) <= 1:
-        raise CliError(f"--min-support fraction must be in (0, 1], got {text}")
-    return "fraction", fraction
+    # nan and inf first, and every text whose float overflows: above 1 all the same
+    if math.isfinite(value):
+        sign, digits, exponent = decimal_parts(text)
+        # below 1 when the leading digit's place is under 10**0, else exactly 1
+        if sign > 0 and digits and (len(digits) + exponent <= 0 or (digits, exponent) == ("1", 0)):
+            return "fraction", text
+    raise CliError(f"--min-support fraction must be in (0, 1], got {text}")
 
 
 def _number_text(text: str) -> str:
@@ -167,7 +183,8 @@ def _number_text(text: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    files, parameters, counts = _load_corpus(args, 3)
+    alphabet, files, parameters = _corpus_inputs(args)
+    counts = _count(alphabet, files, 3)
     tables = {3: counts.table()}
     tables[2] = derive_lower(tables[3], counts.ends)
     tables[1] = derive_lower(tables[2], counts.ends)
@@ -208,20 +225,19 @@ def cmd_mine(args) -> int:
             raise CliError(f"{args.transactions}: no items to mine")
         source = {"transactions": str(args.transactions)}
     else:
-        _, source, counts = _load_corpus(args, 2)
-        digraphs = counts.table()
+        alphabet, files, source = _corpus_inputs(args)
+        digraphs = _count(alphabet, files, 2).table()  # no name keeps the packed counts alive
         if digraphs.total == 0:
             raise CliError("corpus contains no digraphs to mine")
         db = digraphs_as_transactions(digraphs)
+        del digraphs  # Apriori reads only the rows: free the table before mining
     size = len(db)  # sums every row's multiplicity, so taken once
     if support_kind == "count":
         count = support_value
     else:  # the ceiling of the exact fraction of |D|, and at least one transaction
         num, den = exact_ratio(support_value, size)
         count = max(1, -(-num * size // den))
-    from decimal import Decimal  # kept off the other commands' imports
-
-    params = MiningParams(min_support_count=count, min_confidence=Decimal(args.min_confidence))
+    params = MiningParams(min_support_count=count, min_confidence=args.min_confidence)
     if min_confidence > 1:
         print(f"warning: minimum confidence {min_confidence} exceeds 1; no rule can satisfy it")
     levels = mine_frequent(db, params)
@@ -254,17 +270,18 @@ def cmd_mine(args) -> int:
 
 
 def cmd_design(args) -> int:
-    _, parameters, counts = _load_corpus(args, 2)
-    digraphs = counts.table()
-    monographs = derive_lower(digraphs, counts.ends)
-    if monographs.total == 0:
-        raise CliError("corpus contains no alphabet letters")
+    alphabet, files, parameters = _corpus_inputs(args)
     if args.geometry:
         # read once: the input may be a pipe, and the copy must be the bytes loaded
         raw = _read(args, "geometry", read_bytes)
         geometry = load_geometry(args.geometry, raw)
     else:
         geometry = default_geometry()
+    counts = _count(alphabet, files, 2)
+    digraphs = counts.table()
+    monographs = derive_lower(digraphs, counts.ends)
+    if monographs.total == 0:
+        raise CliError("corpus contains no alphabet letters")
     partition = assign_hands(monographs, digraphs, tie_policy=args.tie_policy)
     layout = place_keys(partition, geometry, name=args.name)
     audit = audit_partition(partition, monographs, digraphs)
@@ -293,9 +310,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _, parameters, counts = _load_corpus(args, 2)
+    alphabet, files, parameters = _corpus_inputs(args)
     geometries: dict = {}  # one load per geometry file, shared by the layouts naming it
     layouts = [load_layout(path, geometries) for path in args.layouts]
+    counts = _count(alphabet, files, 2)
     digraphs = counts.table()
     monographs = derive_lower(digraphs, counts.ends)
     total_chars = monographs.total + counts.undetermined_count

@@ -23,10 +23,17 @@ threshold is applied to them in C: an itemset becomes a Python object only
 when it is frequent. A level keeps only its frequent itemsets and the number
 of candidates it counted. A level longer than every row is never built: it
 is a scan over no rows, recorded only when its join yields a candidate.
+
+Thresholds are decided on the exact digits they are written with, in
+integers: `decimal_parts` reads a threshold's text (or a float's or a
+`Decimal`'s) as sign, digits and exponent, and `exact_ratio` builds its
+ratio only where a decision on counts can turn on it, so the `decimal`
+module is never imported and no power of ten grows with the exponent.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import partial
 from itertools import chain, combinations, compress, repeat
@@ -61,24 +68,29 @@ class TransactionDB:
 
 class _MiningParams(NamedTuple):
     min_support_count: int
-    min_confidence: float | Decimal
+    min_confidence: str | float | Decimal
 
 
 class MiningParams(_MiningParams):
     """Thresholds for the miner. Support is an absolute transaction count.
 
-    Confidence is decided on the exact ratio of its decimal text: a float's
-    shortest text (0.1 is one tenth) or a `Decimal`'s own digits. A
-    confidence above 1.0 is permitted but unsatisfiable: it yields no rules.
+    Confidence is decided on the exact ratio of the decimal it is written as
+    (see `decimal_parts`): a text as it stands (a flag's), a float as its
+    shortest text (0.1 is one tenth), a `Decimal` as its own digits. NaN and
+    any value below 0 are refused, -1e-999 included. A confidence above 1 is
+    permitted but unsatisfiable: it yields no rules.
     """
 
     __slots__ = ()
 
-    def __new__(cls, min_support_count: int, min_confidence: float | Decimal) -> MiningParams:
+    def __new__(cls, min_support_count: int, min_confidence: str | float | Decimal) -> MiningParams:
         if min_support_count < 1:
             raise ValueError("min_support_count must be >= 1")
-        # NaN is unequal to itself; ordering a Decimal NaN would raise instead of failing
-        if min_confidence != min_confidence or min_confidence < 0:
+        try:
+            refused = decimal_parts(min_confidence)[0] < 0
+        except ValueError:  # NaN, or a text that float() does not read
+            refused = True
+        if refused:
             raise ValueError("min_confidence must be >= 0")
         return super().__new__(cls, min_support_count, min_confidence)
 
@@ -336,15 +348,68 @@ class AssociationRule(_AssociationRule):
         return cls(*iterable)  # so `_replace` validates too
 
 
-def exact_ratio(threshold: Decimal, n: int) -> tuple[int, int]:
-    """The exact ratio num/den of a threshold's decimal digits, for deciding
-    on counts of at most `n`. A threshold below 10**-len(str(n)) is below
-    1/n, the least ratio of such counts, so it comes back as (0, 1): its own
-    ratio, whose denominator grows with the exponent (1e-999999999), is
-    never built."""
-    if threshold.adjusted() < -len(str(n)):
+def decimal_parts(value: str | float | Decimal) -> tuple[int, str, int | float]:
+    """The exact value of a number as it is written, as `(sign, digits,
+    exponent)`: sign * int(digits) * 10**exponent, where `digits` are ASCII
+    with no leading or trailing zero ("" for zero, whose sign is 1). A string
+    is read as it stands, any other value as its str() (a float's shortest
+    text, a `Decimal`'s own digits), and every text float() reads is taken: a
+    sign, surrounding whitespace, `_` between digits, Unicode digits, an
+    exponent. An infinity is "1" at exponent `math.inf`; NaN, or a text
+    float() refuses, raises ValueError. No power of ten is built, so
+    1e-999999999 costs what 1e-9 does."""
+    text = value if isinstance(value, str) else str(value)
+    float(text)  # ValueError for any text float() refuses
+    text = text.strip().replace("_", "").lower()
+    if not text.isascii():  # what float() reads beyond ASCII are decimal digits
+        text = "".join(c if c.isascii() else str(int(c)) for c in text)
+    sign = -1 if text[0] == "-" else 1
+    text = text.lstrip("+-")
+    if text[0] == "n":
+        raise ValueError(f"not a number: {value!r}")
+    if text[0] == "i":  # inf or infinity
+        return sign, "1", math.inf
+    mantissa, _, exponent = text.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return 1, "", 0
+    power = _int(exponent.lstrip("+-")) * (-1 if exponent.startswith("-") else 1)
+    return sign, significant, power - len(fraction) + len(digits) - len(significant)
+
+
+def _int(digits: str) -> int:
+    """The value of a string of ASCII digits, 0 when it is empty, however
+    long: int() reads at most sys.get_int_max_str_digits() at once, and
+    never fewer than 640."""
+    value = 0
+    for at in range(0, len(digits), 512):
+        value = value * 10 ** len(digits[at : at + 512]) + int(digits[at : at + 512])
+    return value
+
+
+def exact_ratio(threshold: str | float | Decimal, n: int) -> tuple[int, int]:
+    """The exact ratio num/den, in lowest terms, of a threshold as it is
+    written (see `decimal_parts`), for deciding on ratios of counts of at
+    most `n`, which lie in [1/n, n]. A threshold below 10**-len(str(n)), so
+    below 1/n, comes back as (0, 1), and one at or above 10**len(str(n)), so
+    above n, as (±10**len(str(n)), 1): every such decision comes out the
+    same, and no ratio whose terms grow with the exponent (1e-999999999,
+    1e999999999) is built."""
+    sign, digits, exponent = decimal_parts(threshold)
+    width = len(str(n))
+    lead = len(digits) + exponent  # the threshold lies in [10**(lead - 1), 10**lead)
+    if not digits or lead <= -width:
         return 0, 1
-    return threshold.as_integer_ratio()
+    if lead > width:
+        return sign * 10**width, 1
+    num = _int(digits)
+    if exponent >= 0:
+        return sign * num * 10**exponent, 1
+    den = 10**-exponent
+    common = math.gcd(num, den)
+    return sign * num // common, den // common
 
 
 def generate_rules(
@@ -360,12 +425,10 @@ def generate_rules(
     """
     if db_size <= 0:
         raise ValueError("db_size must be positive")
-    if params.min_confidence > 1:
-        return []  # no confidence exceeds 1
-    from decimal import Decimal  # only `mine` makes rules; kept off the other commands' imports
-
     # a confidence is a count of at least 1 over one of at most db_size
-    num, den = exact_ratio(Decimal(str(params.min_confidence)), db_size)
+    num, den = exact_ratio(params.min_confidence, db_size)
+    if num > den:
+        return []  # no confidence exceeds 1
     counts = frequent_map(levels)
     rules: list[AssociationRule] = []
     for level in levels:

@@ -177,6 +177,33 @@ class TestMine:
                if line.startswith(("level ", "scans performed:"))]
         assert "\n".join(log) + "\n" == (golden / "stdout.txt").read_text(encoding="utf-8")
 
+    def test_corpus_tables_are_freed_before_mining(self, tmp_path, data_dir):
+        # a spy in place of `mine_frequent` looks for every live object of
+        # the corpus counts and the digraph table, in a fresh interpreter so
+        # that no other test's objects are alive
+        argv = ["mine", "--alphabet", str(data_dir / "alphabets" / "english.json"),
+                "--manifest", str(data_dir / "sample" / "manifest.txt"),
+                "--min-support", "0.01", "--min-confidence", "0.1",
+                "--output-dir", str(tmp_path / "out")]
+        script = (
+            "import gc\n"
+            "from keymine import cli\n"
+            "from keymine.corpus import CorpusCounts, NGraphTable\n"
+            "seen = []\n"
+            "def spy(db, params):\n"
+            "    gc.collect()\n"
+            "    seen.append([type(o).__name__ for o in gc.get_objects() if isinstance(o, CorpusCounts)\n"
+            "                 or isinstance(o, NGraphTable) and o.n == 2])\n"
+            "    return mine(db, params)\n"
+            "mine, cli.mine_frequent = cli.mine_frequent, spy\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert seen == [[]], seen\n"
+        )
+        src = Path(keymine.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+
     def test_basket_rows_shuffled_renamed_and_reordered_mine_identically(self, tmp_path, data_dir):
         # a row is its set of items and the tids are labels: neither the order
         # of rows or items, nor the tids, nor a repeated item may change the output
@@ -575,6 +602,71 @@ class TestEvaluate:
         assert main(["evaluate", "--alphabet", str(alpha), "--manifest", str(manifest),
                      "--output-dir", str(tmp_path / "out"), str(bad)]) == 1
         assert "geometry_ref" in capsys.readouterr().err
+
+
+class TestInputsBeforeCounting:
+    """`design` loads its geometry and `evaluate` its layouts, with the
+    geometries they name, before any corpus file is counted, so a bad one
+    fails at once, however large the corpus."""
+
+    CORPUS = ["--alphabet", str(DATA / "alphabets" / "english.json"),
+              "--manifest", str(DATA / "sample" / "manifest.txt")]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The paths `CorpusCounts.add_file` is called with, in order."""
+        calls = []
+        add_file = CorpusCounts.add_file
+
+        def spy(self, path):
+            calls.append(path)
+            return add_file(self, path)
+
+        monkeypatch.setattr(CorpusCounts, "add_file", spy)
+        return calls
+
+    def test_bad_geometry_fails_before_counting(self, tmp_path, counted, capsys):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"positions": [', encoding="utf-8")
+        for geometry in (tmp_path / "missing.json", tmp_path, malformed):
+            assert main(["design", *self.CORPUS, "--geometry", str(geometry),
+                         "--output-dir", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {geometry}: ")
+        assert counted == []
+        assert not (tmp_path / "out").exists()
+        assert main(["design", *self.CORPUS, "--output-dir", str(tmp_path / "out")]) == 0
+        assert counted == read_manifest(DATA / "sample" / "manifest.txt")
+
+    def test_bad_layout_fails_before_counting(self, tmp_path, counted, capsys):
+        good = DATA / "sample" / "layouts" / "partial.json"
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{", encoding="utf-8")
+        dangling = tmp_path / "dangling.json"
+        dangling.write_text(good.read_text(encoding="utf-8").replace(
+            json.loads(good.read_bytes())["geometry_ref"], "nosuch.json"), encoding="utf-8")
+        for layout in (tmp_path / "missing.json", malformed, dangling):
+            assert main(["evaluate", *self.CORPUS, "--output-dir", str(tmp_path / "out"),
+                         str(good), str(layout)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {layout}: ")
+        assert counted == []
+        assert main(["evaluate", *self.CORPUS, "--output-dir", str(tmp_path / "out"),
+                     str(good)]) == 0
+        assert counted == read_manifest(DATA / "sample" / "manifest.txt")
+
+    def test_missing_corpus_file_fails_before_any_is_counted(self, tmp_path, counted, capsys):
+        # the manifest's files are checked to exist before the first is counted
+        files = read_manifest(DATA / "sample" / "manifest.txt")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"{path}\n" for path in [*files, tmp_path / "gone.txt"]),
+                            encoding="utf-8")
+        for command in ("stats", "mine", "design", "evaluate"):
+            extra = {"mine": ["--min-support", "2", "--min-confidence", "0.5"],
+                     "evaluate": [str(DATA / "sample" / "layouts" / "partial.json")]}
+            assert main([command, "--alphabet", str(DATA / "alphabets" / "english.json"),
+                         "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
+                         *extra.get(command, [])]) == 1
+            assert capsys.readouterr().err == f"error: {tmp_path / 'gone.txt'}: No such file or directory\n"
+        assert counted == []
 
 
 class TestOneLoadPerInput:
@@ -1119,21 +1211,28 @@ class TestConfigAndManifest:
         inputs = json.loads((tmp_path / "mine" / "run_manifest.json").read_bytes())["inputs"]
         assert list(inputs) == [str(data_dir / "market9.tsv")]
 
-    def test_only_mine_imports_decimal(self, tmp_path, data_dir):
-        # a fresh interpreter, since pytest itself imports `decimal`; nor do
-        # they load `array`, which only mining's level-2 count uses
+    def test_no_command_imports_decimal(self, tmp_path, data_dir):
+        # a fresh interpreter, since pytest itself imports `decimal`; `mine`
+        # decides both thresholds on the digits of their texts, for a corpus
+        # and for a transaction TSV, at a count and at a fraction; and only
+        # mine loads `array`, which mining's level-2 count uses
         alpha = data_dir / "alphabets" / "english.json"
         corpus = ["--alphabet", str(alpha), "--manifest", str(data_dir / "sample" / "manifest.txt")]
+        baskets = ["--transactions", str(data_dir / "market9.tsv")]
         layout = data_dir / "sample" / "layouts" / "partial.json"
         commands = [["stats", *corpus], ["design", *corpus], ["evaluate", *corpus, str(layout)]]
-        for argv in commands:
-            argv += ["--output-dir", str(tmp_path / argv[0])]
+        mines = [["mine", *source, "--min-support", support, "--min-confidence", "0.1"]
+                 for source, support in [(corpus, "2"), (corpus, "0.01"), (baskets, "2"),
+                                         (baskets, "0.3")]]
+        for i, argv in enumerate(commands + mines):
+            argv += ["--output-dir", str(tmp_path / f"{argv[0]}{i}")]
         script = (
             "import sys\n"
             "from keymine.cli import main\n"
             f"assert all(main(argv) == 0 for argv in {commands!r})\n"
-            "assert 'decimal' not in sys.modules, 'decimal imported'\n"
             "assert 'array' not in sys.modules, 'array imported'\n"
+            f"assert all(main(argv) == 0 for argv in {mines!r})\n"
+            "assert 'decimal' not in sys.modules, 'decimal imported'\n"
         )
         src = Path(keymine.__file__).resolve().parent.parent
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

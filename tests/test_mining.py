@@ -3,12 +3,16 @@
 import hashlib
 import itertools
 import math
+import os
 import random
 import string
+import subprocess
+import sys
 import tracemalloc
 from collections.abc import Sized
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,9 @@ from keymine.mining import (
     MiningParams,
     MiningInvariantError,
     TransactionDB,
+    decimal_parts,
     digraphs_as_transactions,
+    exact_ratio,
     frequent_map,
     generate_candidates,
     generate_rules,
@@ -95,6 +101,39 @@ class TestMiningParams:
         params = MiningParams(min_support_count=2, min_confidence=1.01)
         levels = mine_frequent(market9, params)
         assert generate_rules(levels, len(market9), params) == []
+
+    @pytest.mark.parametrize("text, accepted", [
+        ("0", True), ("-0", True), ("-0.0", True), ("0E-400", True), ("0.5", True),
+        (" 0.5 ", True), ("1_0", True), ("1e-999999999", True), ("1e999999999", True),
+        ("inf", True), ("Infinity", True),
+        ("-0.1", False), ("-1e-999", False), ("-1e999999999", False), ("-inf", False),
+        ("nan", False), ("-nan", False), ("NaN", False)])
+    def test_text_and_decimal_decided_alike(self, text, accepted):
+        # -1e-999 is below 0 as written, though its float is -0.0
+        for value in (text, Decimal(text)):
+            if accepted:
+                assert MiningParams(1, value).min_confidence is value
+            else:
+                with pytest.raises(ValueError, match="^min_confidence must be >= 0$"):
+                    MiningParams(1, value)
+
+    def test_float_decided_as_its_shortest_text(self, market9):
+        levels = mine_frequent(market9, MiningParams(1, 0.0))
+        for f in (0.0, -0.0, 0.1, 1 / 3, 2 / 3, 0.5, 5e-324, 1.0, 1e300, math.inf,
+                  -5e-324, -0.5, -math.inf, math.nan):
+            forms = (f, repr(f), Decimal(repr(f)))
+            if f >= 0:
+                rules = [generate_rules(levels, 9, MiningParams(1, form)) for form in forms]
+                assert rules[0] == rules[1] == rules[2]
+            else:
+                for form in forms:
+                    with pytest.raises(ValueError, match="^min_confidence must be >= 0$"):
+                        MiningParams(1, form)
+
+    def test_text_that_float_refuses_is_refused(self):
+        for text in ("abc", "", "1/3", "0x1", "1e", "sNaN"):
+            with pytest.raises(ValueError, match="^min_confidence must be >= 0$"):
+                MiningParams(1, text)
 
 
 class TestCountSupports:
@@ -701,6 +740,46 @@ class TestGenerateRules:
                 # the support count: the exact ceiling, and at least one transaction
                 assert max(1, -(-num * n // den)) == math.ceil(Fraction(text) * n)
 
+    def test_extreme_exponents_return_at_once(self):
+        # in a child with a bounded address space and a deadline, so that a
+        # 10**999999999 being built fails the test instead of the run
+        script = """
+import resource
+from decimal import Decimal
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from keymine.cli import CliError, _parse_support_threshold
+from keymine.mining import (
+    CountedItemset, FrequentLevel, MiningParams, decimal_parts, exact_ratio, generate_rules)
+for text in ("1e-999999999", "1e999999999", "-1e999999999", "0E-400", "0e999999999"):
+    for value in (text, Decimal(text)):
+        decimal_parts(value)
+        exact_ratio(value, 10)
+        exact_ratio(value, 10**30)
+        if text[0] != "-":
+            MiningParams(1, value)
+assert exact_ratio("1e-999999999", 10) == exact_ratio("0E-400", 10) == (0, 1)
+assert exact_ratio("1e999999999", 10) == (100, 1) and exact_ratio("-1e999999999", 10) == (-100, 1)
+assert decimal_parts("0E-400") == decimal_parts("0e999999999") == (1, "", 0)
+assert decimal_parts("1e-999999999") == (1, "1", -999999999)
+singles = (CountedItemset(("a",), 2), CountedItemset(("b",), 2))
+levels = [FrequentLevel(1, ("a", "b"), singles, 2),
+          FrequentLevel(2, ("a", "b"), (CountedItemset(("a", "b"), 2),), 1)]
+assert generate_rules(levels, 9, MiningParams(1, "1e999999999")) == []
+assert len(generate_rules(levels, 9, MiningParams(1, "1e-999999999"))) == 2
+assert _parse_support_threshold("1e-999999999") == ("fraction", "1e-999999999")
+for text in ("1e999999999", "0E-400", "-1e-999999999"):
+    try:
+        _parse_support_threshold(text)
+    except CliError as exc:
+        assert "fraction must be in (0, 1]" in str(exc), exc
+    else:
+        raise AssertionError(text)
+"""
+        src = Path(mining.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+        assert result.returncode == 0, result.stderr
+
     @pytest.mark.parametrize("seed", range(8))
     def test_every_rule_meets_both_thresholds(self, seed):
         db = random_db(seed, universe_size=6, n_transactions=20)
@@ -735,6 +814,110 @@ class TestGenerateRules:
             rule._replace(consequent=("I1",))
         with pytest.raises(ValueError, match="^rule sides must be non-empty$"):
             rule._replace(antecedent=())
+
+
+def threshold_texts(seed: int, count: int) -> list[str]:
+    """Seeded texts that float() reads: signs, surrounding whitespace, `_`
+    between digits, leading zeros, zero mantissas, exponents from -400 to
+    400 with a sign, leading zeros or `_`, and a few in non-ASCII digits."""
+    rng = random.Random(seed)
+
+    def underscored(digits: str) -> str:
+        return "".join(d + "_" * (i + 1 < len(digits) and rng.random() < 0.2)
+                       for i, d in enumerate(digits))
+
+    texts = ["٠.٥", "١e-٢", "٣٣٠E+٠١", "  1_0.0_5e-1_0\n", "5.", ".5", "-0", "+0E-400"]
+    while len(texts) < count:
+        digits = "".join(rng.choice(string.digits) for _ in range(rng.randint(1, 14)))
+        if rng.random() < 0.15:
+            digits = "0" * len(digits)
+        if rng.random() < 0.3:
+            digits = "0" * rng.randint(1, 3) + digits
+        cut = rng.randint(0, len(digits))
+        mantissa = (underscored(digits[:cut]) + "." + underscored(digits[cut:])
+                    if rng.random() < 0.7 else underscored(digits))
+        exponent = ""
+        if rng.random() < 0.8:
+            value = rng.randint(-400, 400)
+            sign = "-" if value < 0 else rng.choice(("", "+"))
+            exponent = (rng.choice("eE") + sign + "0" * rng.randint(0, 2)
+                        + underscored(str(abs(value))))
+        pad = ("", " ", "\t", "\n", " \u2003")
+        texts.append(rng.choice(pad) + rng.choice(("", "+", "-")) + mantissa + exponent
+                     + rng.choice(pad))
+    return texts
+
+
+class TestDecimalParts:
+    """`decimal_parts` and `exact_ratio` against `fractions.Fraction`, which
+    reads the same texts as exact rationals."""
+
+    TEXTS = threshold_texts(11, 500)
+
+    @pytest.mark.parametrize("chunk", range(5))
+    def test_parts_are_the_exact_value(self, chunk):
+        for text in self.TEXTS[chunk::5]:
+            float(text)  # a text the flags take
+            exact = Fraction(text.replace("_", ""))
+            for value in (text, Decimal(text)):
+                sign, digits, exponent = decimal_parts(value)
+                assert Fraction(sign * int(digits or "0")) * Fraction(10) ** exponent == exact
+                assert digits.isascii() and digits.strip("0") == digits
+                assert digits or (sign, exponent) == (1, 0)
+
+    @pytest.mark.parametrize("chunk", range(5))
+    def test_ratio_is_exact_between_the_cuts(self, chunk):
+        for text in self.TEXTS[chunk::5]:
+            exact = Fraction(text.replace("_", ""))
+            sign = -1 if exact < 0 else 1
+            for n in (1, 9, 10, 99, 100, 12345):
+                width = len(str(n))
+                if abs(exact) < Fraction(1, 10**width):
+                    expected = (0, 1)
+                elif abs(exact) >= 10**width:
+                    expected = (sign * 10**width, 1)
+                else:
+                    expected = (exact.numerator, exact.denominator)
+                assert exact_ratio(text, n) == expected, (text, n)
+
+    @pytest.mark.parametrize("chunk", range(5))
+    def test_every_decision_on_counts_matches(self, chunk):
+        # the cuts change no decision on counts of at most n: a confidence
+        # c/ca with 1 <= c <= ca <= n, and a support count's exact ceiling
+        for text in self.TEXTS[chunk::5]:
+            exact = Fraction(text.replace("_", ""))
+            for n in (1, 3, 10, 12):
+                num, den = exact_ratio(text, n)
+                for ca in range(1, n + 1):
+                    for c in range(1, ca + 1):
+                        assert (c * den >= num * ca) == (Fraction(c, ca) >= exact), (text, c, ca)
+                if 0 < exact <= 1:
+                    assert max(1, -(-num * n // den)) == max(1, math.ceil(exact * n))
+
+    def test_floats_read_as_their_shortest_text(self):
+        for f in (0.1, 1 / 3, 5e-324, 1e-5, 1.5e300, -0.0, 123.0, 2.5e-7):
+            assert decimal_parts(f) == decimal_parts(repr(f))
+            sign, digits, exponent = decimal_parts(f)
+            assert Fraction(sign * int(digits or "0")) * Fraction(10) ** exponent == Fraction(repr(f))
+
+    def test_infinities_and_nan(self):
+        assert decimal_parts("inf") == decimal_parts(" Infinity ") == (1, "1", math.inf)
+        assert decimal_parts(-math.inf) == decimal_parts(Decimal("-Infinity")) == (-1, "1", math.inf)
+        assert exact_ratio("inf", 100) == (1000, 1) and exact_ratio("-inf", 5) == (-10, 1)
+        for value in ("nan", "-NaN", math.nan, Decimal("NaN"), "abc", "", "1_", "1e"):
+            with pytest.raises(ValueError):
+                decimal_parts(value)
+
+    def test_digits_past_the_int_digit_limit(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits at once
+        # (as does Fraction's parser), so a Decimal's ratio is the oracle here
+        for text in ("0." + "3" * 5000, "1." + "0" * 4400 + "1", "1" + "0" * 5000 + "e-5000",
+                     "3e-" + "0" * 5000 + "2", "1e+" + "0" * 5000):
+            assert exact_ratio(text, 100) == Decimal(text).as_integer_ratio()
+        huge = "1e" + "9" * 5000
+        assert decimal_parts(huge) == (1, "1", int("9" * 4000) * 10**1000 + int("9" * 1000))
+        assert exact_ratio(huge, 100) == (1000, 1) and exact_ratio("-" + huge, 100) == (-1000, 1)
+        assert exact_ratio(huge.replace("e", "e-"), 100) == (0, 1)
 
 
 class TestDigraphAdapter:
