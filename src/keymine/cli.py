@@ -215,8 +215,9 @@ def cmd_mine(args) -> int:
     _require(args, "min_support", "min_confidence")
     support_kind, support_value = _parse_support_threshold(args.min_support)
     min_confidence = float(args.min_confidence)
-    if not min_confidence >= 0:
-        raise CliError(f"--min-confidence must be >= 0, got {min_confidence}")
+    # a text below 0 can have the float -0.0 (-1e-999): its sign is read off its digits
+    if not min_confidence >= 0 or decimal_parts(args.min_confidence)[0] < 0:
+        raise CliError(f"--min-confidence must be >= 0, got {args.min_confidence.strip()}")
     if args.transactions:
         db = _read(args, "transactions", read_transactions_tsv)
         if not db.rows:

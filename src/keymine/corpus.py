@@ -2,7 +2,10 @@
 reading and writing of every keymine file.
 
 Raw text is NFC-normalized, stripped of whitespace, and cut into maximal
-runs of alphabet letters. The runs feed monograph, digraph and trigraph
+runs of alphabet letters. Whitespace is dropped after NFC: from an ASCII
+piece by one `str.translate` that deletes the ten ASCII whitespace code
+points, so no list of words is built, and from any other text by splitting
+on whitespace and joining. The runs feed monograph, digraph and trigraph
 frequency tables; any other code point is counted as "undetermined" and
 ends a run, so no n-gram window spans it (typing a digit or an unknown
 glyph interrupts the letter-to-letter flow).
@@ -162,10 +165,27 @@ class LetterStream:
         return sum(map(len, self.runs))
 
 
+# the ASCII code points that `str.split()` splits on: a table mapping each to
+# None, and the code points themselves, space first, as the likeliest
+_ASCII_WHITESPACE = dict.fromkeys(c for c in range(128) if chr(c).isspace())
+_ASCII_SPACES = sorted(map(chr, _ASCII_WHITESPACE), reverse=True)
+
+
 def _letter_runs(text: str, alphabet: AlphabetConfig) -> tuple[str, list[str]]:
     """`text` normalized to composed form (NFC) with its whitespace dropped,
-    and the maximal runs of alphabet letters in it."""
-    text = "".join(unicodedata.normalize("NFC", text).split())
+    and the maximal runs of alphabet letters in it.
+
+    An ASCII piece drops its whitespace with one `translate`, which
+    allocates only its result, so no list of words is built; any other
+    piece is split on whitespace and joined, as `translate` is slow beyond
+    ASCII. An ASCII piece without whitespace (a long run read whole) is kept
+    as it is, as split and join keep it, not copied.
+    """
+    text = unicodedata.normalize("NFC", text)
+    if not text.isascii():
+        text = "".join(text.split())
+    elif any(map(text.__contains__, _ASCII_SPACES)):
+        text = text.translate(_ASCII_WHITESPACE)
     return text, alphabet._runs.findall(text)
 
 

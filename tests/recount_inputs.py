@@ -12,14 +12,18 @@ JOB is one of stats, design, corpus-mine, baskets, fuzz, longruns and ties:
   composes, and `manifest.txt` listing them;
 - baskets: `baskets.tsv`, 20,000 baskets of 1 to 8 draws from 340
   Zipf-weighted items;
-- fuzz: two Unicode inputs, each an `alphabet.json`, `part1.txt` and
-  `part2.txt` (100,000 chars each, CRLF lines with NBSP, U+3000, U+0085
-  and form feeds among the letters and junk) and `manifest.txt`: `bmp/`,
-  27 letters all below U+10000, U+0000, U+0001 and U+FFFF among them, so
-  runs are joined by U+0002 and each letter is its own code; and `astral/`,
-  whose one letter past U+FFFF makes every letter a translated code.
-  `bmp/`'s `alphabet.json`, `manifest.txt` and `part2.txt` start with a
-  UTF-8 byte order mark, which every input drops;
+- fuzz: three inputs, each an `alphabet.json`, `part1.txt` and
+  `part2.txt` (100,000 chars each, CRLF lines) and `manifest.txt`. Two are
+  Unicode, with NBSP, U+3000, U+0085 and form feeds among the letters and
+  junk: `bmp/`, 27 letters all below U+10000, U+0000, U+0001 and U+FFFF
+  among them, so runs are joined by U+0002 and each letter is its own
+  code; and `astral/`, whose one letter past U+FFFF makes every letter a
+  translated code. `bmp/`'s `alphabet.json`, `manifest.txt` and
+  `part2.txt` start with a UTF-8 byte order mark, which every input drops.
+  The third, `ascii/`, is all ASCII: the a-z alphabet, and junk holding
+  all ten ASCII whitespace code points (tab, LF, VT, FF, CR, U+001C to
+  U+001F and space) plus digits and punctuation, so its pieces drop their
+  whitespace through keymine's ASCII path;
 - longruns: the a-z alphabet, `long.txt`, 1M Zipf-weighted letters with no
   whitespace and no junk, so the whole file is one run, far longer than
   the 4,096 letters that keymine's digraph count takes in one batch, and
@@ -100,8 +104,11 @@ FUZZ_LETTERS = {
     "bmp": ["\x00", "\x01", "\uffff", "\u0301", "\u200d", "\u200c", "\u00e9",
             *"abcdefghijklmnopqrst"],
     "astral": ["\U0001d49c", "\u00df", "\u03b1", "\u03b2", *"abcdefghijkl"],
+    "ascii": list(string.ascii_lowercase),
 }
 FUZZ_JUNK = "\u00a0\u3000\x85\x0c09.,\u00e1"  # odd whitespace drops out; the rest is undetermined
+# every ASCII whitespace code point, so each piece drops it with one translate
+ASCII_JUNK = "\t\n\v\f\r\x1c\x1d\x1e\x1f 09.,;'!?-"
 
 
 def fuzz(work: Path) -> None:
@@ -113,7 +120,8 @@ def fuzz(work: Path) -> None:
                                            encoding="utf-8")
         for i in (1, 2):
             text = random_text(letters, 100_000, seed + 10 * i, weights=zipf_weights(len(letters)),
-                               space_prob=0.1, junk=FUZZ_JUNK, junk_prob=0.05)
+                               space_prob=0.1, junk=ASCII_JUNK if name == "ascii" else FUZZ_JUNK,
+                               junk_prob=0.05)
             lines = (text[at:at + 70] for at in range(0, len(text), 70))
             head = bom if i == 2 else ""
             (out / f"part{i}.txt").write_bytes((head + "\r\n".join(lines)).encode("utf-8"))

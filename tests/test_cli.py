@@ -280,10 +280,14 @@ class TestMine:
         manifest = json.loads(text, parse_constant=refuse)
         assert manifest["parameters"]["min_confidence"] == threshold
 
-    def test_negative_confidence_rejected(self, tmp_path, data_dir):
+    @pytest.mark.parametrize("text", ["-0.5", "-1e-999"])
+    def test_negative_confidence_rejected(self, tmp_path, data_dir, capsys, text):
+        # the float of -1e-999 is -0.0: the sign is read off the text's digits
         assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
-                     "--min-support", "2", "--min-confidence", "-0.5",
+                     "--min-support", "2", f"--min-confidence={text}",
                      "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: --min-confidence must be >= 0, got {text}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_nan_confidence_rejected(self, tmp_path, data_dir, capsys):
         argv = ["mine", "--transactions", str(data_dir / "market9.tsv"), "--min-support", "2",
@@ -606,8 +610,9 @@ class TestEvaluate:
 
 class TestInputsBeforeCounting:
     """`design` loads its geometry and `evaluate` its layouts, with the
-    geometries they name, before any corpus file is counted, so a bad one
-    fails at once, however large the corpus."""
+    geometries they name, and `mine` checks its thresholds, before any
+    corpus file is counted, so a bad one fails at once, however large the
+    corpus."""
 
     CORPUS = ["--alphabet", str(DATA / "alphabets" / "english.json"),
               "--manifest", str(DATA / "sample" / "manifest.txt")]
@@ -667,6 +672,13 @@ class TestInputsBeforeCounting:
                          *extra.get(command, [])]) == 1
             assert capsys.readouterr().err == f"error: {tmp_path / 'gone.txt'}: No such file or directory\n"
         assert counted == []
+
+    def test_negative_confidence_fails_before_counting(self, tmp_path, counted, capsys):
+        assert main(["mine", *self.CORPUS, "--min-support", "2", "--min-confidence=-1e-999",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: --min-confidence must be >= 0, got -1e-999\n"
+        assert counted == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestOneLoadPerInput:

@@ -145,6 +145,36 @@ class TestTokenize:
         assert stream.runs == ["abab"]
         assert stream.undetermined_count == 0
 
+    @pytest.mark.parametrize("code", range(128), ids=lambda code: f"U+{code:04X}")
+    def test_each_ascii_code_point_between_two_letters(self, code):
+        # an ASCII piece drops its whitespace with one translate
+        text = f"a{chr(code)}b"
+        runs, undetermined = reference.letter_runs([text], AZ.letters)
+        stream = tokenize(text, AZ)
+        assert stream.runs == runs and stream.undetermined_count == undetermined
+        counts = counted(AZ, 2, text)
+        assert counts.table().counts == reference.ngrams(runs, 2)
+        assert counts.undetermined_count == undetermined
+
+    def test_ascii_text_without_whitespace_is_not_copied(self):
+        # a long run read whole: translate would hold a second copy of it
+        run = "ab" * 100_000
+        assert corpus._letter_runs(run, AB)[0] is run
+        assert corpus._letter_runs(run + "\x1f", AB) == (run, [run])
+
+    def test_ascii_whitespace_beside_a_non_ascii_code_point(self):
+        # one non-ASCII code point sends the piece through split and join
+        spaces = "".join(chr(c) for c in range(128) if chr(c).isspace())
+        assert len(spaces) == 10
+        text = "".join(f"{letter}{space}" for letter, space in zip("abcdefghij", spaces)) + "k\u00e9l"
+        runs, undetermined = reference.letter_runs([text], AZ.letters)
+        assert runs == ["abcdefghijk", "l"] and undetermined == 1
+        stream = tokenize(text, AZ)
+        assert stream.runs == runs and stream.undetermined_count == undetermined
+        counts = counted(AZ, 2, text)
+        assert counts.table().counts == reference.ngrams(runs, 2)
+        assert counts.undetermined_count == undetermined
+
     def test_decomposed_bangla_vowel_sign_is_one_letter(self, data_dir):
         bangla = AlphabetConfig.from_json(data_dir / "alphabets" / "bangla.json")
         # KA + E sign + AA sign composes to KA + O sign (U+09CB) under NFC
@@ -366,6 +396,24 @@ class TestPackedDigraphCount:
             tracemalloc.stop()
         assert table.total == len(run) - 1
         assert peak - result < 1_000_000
+
+    def test_ascii_piece_in_bounded_memory(self):
+        # whitespace goes with one translate, not a list of one string per
+        # word: on this piece the word list peaked at 525 KB, one translate
+        # at 173 KB
+        rng = random.Random(5)
+        piece = "".join(" " if rng.random() < 0.15 else rng.choice(string.ascii_lowercase)
+                        for _ in range(1 << 16))
+        counts = CorpusCounts(AZ, 2)
+        counts.add_text(piece[:100])  # the counter's first keys
+        tracemalloc.start()
+        try:
+            counts.add_text(piece)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.undetermined_count == 0
+        assert peak < 4 * len(piece)
 
 
 def counted(alpha, n, *texts):
