@@ -2,10 +2,17 @@
 reading and writing of every keymine file.
 
 Raw text is NFC-normalized, stripped of whitespace, and cut into maximal
-runs of alphabet letters. Whitespace is dropped after NFC: from an ASCII
-piece by one `str.translate` that deletes the ten ASCII whitespace code
-points, so no list of words is built, and from any other text by splitting
-on whitespace and joining. The runs feed monograph, digraph and trigraph
+runs of alphabet letters. An ASCII piece is already NFC; it drops its ten
+ASCII whitespace code points with one `str.translate`, so no list of words
+is built. Any other piece is split on whitespace, and each word is
+normalized on its own before the words are joined. Every whitespace code
+point is a starter that composes with nothing and normalizes to whitespace
+only, and no other code point normalizes to anything that holds
+whitespace, so this equals NFC of the whole piece with its whitespace
+dropped. Only a word that fails NFC's quick check, one that holds a code
+point such as the Bengali vowel signs U+09BE and U+09D7, which may compose
+with the code point before it, is decomposed and recomposed; the others
+come back as they are. The runs feed monograph, digraph and trigraph
 frequency tables; any other code point is counted as "undetermined" and
 ends a run, so no n-gram window spans it (typing a digit or an unknown
 glyph interrupts the letter-to-letter flow).
@@ -14,11 +21,11 @@ A command reads each corpus file in blocks of `_BLOCK` bytes (`read_pieces`)
 and counts the text piece by piece into running totals (`CorpusCounts`), so
 no list of runs and no whole file is ever held. A piece ends after an ASCII
 space or LF byte. Such a byte never sits inside a multibyte sequence, so
-each piece decodes on its own; both are starters that never compose, so NFC
-of the pieces equals NFC of the whole. Whitespace does not end a run, so
-the open run's last n-1 letters carry into the next piece, until the file
-ends. A command counts once, at its highest order; each lower table is
-derived from the one above it and a count of the run ends (`derive_lower`).
+each piece decodes on its own, and it is whitespace, so NFC of the pieces
+equals NFC of the whole. Whitespace does not end a run, so the open run's
+last n-1 letters carry into the next piece, until the file ends. A command
+counts once, at its highest order; each lower table is derived from the
+one above it and a count of the run ends (`derive_lower`).
 
 Digraphs are counted without a Python-level step per letter: each letter
 has a 16-bit code (its own code point when every letter of the alphabet
@@ -44,6 +51,7 @@ import re
 import sys
 import unicodedata
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -97,15 +105,17 @@ class AlphabetConfig:
         for i, ch in enumerate(letters):
             if len(ch) != 1:
                 raise ValueError(f"alphabet entry {ch!r} is not a single code point")
-            if len(unicodedata.normalize("NFC", ch)) != 1:
-                # Composition exclusions (e.g. U+09DC) decompose under NFC
-                # and would never match normalized text; require the parts.
-                raise ValueError(
-                    f"alphabet entry {ch!r} (U+{ord(ch):04X}) decomposes under "
-                    "composed-form normalization; list its constituent code points instead"
-                )
             if ch.isspace():
                 raise ValueError(f"alphabet must not contain whitespace (U+{ord(ch):04X})")
+            nfc = unicodedata.normalize("NFC", ch)
+            if nfc != ch:
+                # normalized text never holds such an entry: a composition
+                # exclusion (e.g. U+09DC) decomposes under NFC, and a singleton
+                # (e.g. U+2126 OHM SIGN) becomes another code point
+                codes = " ".join(f"U+{ord(c):04X}" for c in nfc)
+                instead = "its constituent code points" if len(nfc) > 1 else "that code point"
+                raise ValueError(f"alphabet entry {ch!r} (U+{ord(ch):04X}) normalizes to {nfc!r} "
+                                 f"({codes}) under NFC; list {instead} instead")
             if ch in seen:
                 raise ValueError(f"duplicate alphabet letter {ch!r}")
             seen[ch] = i
@@ -175,22 +185,26 @@ def _letter_runs(text: str, alphabet: AlphabetConfig) -> tuple[str, list[str]]:
     """`text` normalized to composed form (NFC) with its whitespace dropped,
     and the maximal runs of alphabet letters in it.
 
-    An ASCII piece drops its whitespace with one `translate`, which
-    allocates only its result, so no list of words is built; any other
-    piece is split on whitespace and joined, as `translate` is slow beyond
-    ASCII. An ASCII piece without whitespace (a long run read whole) is kept
-    as it is, as split and join keep it, not copied.
+    An ASCII piece, which NFC leaves as it is, drops its whitespace with one
+    `translate`, which allocates only its result, so no list of words is
+    built; an ASCII piece without whitespace (a long run read whole) is kept
+    as it is, not copied. Any other piece is split on whitespace, as
+    `translate` is slow beyond ASCII, and each word is normalized before the
+    words are joined: nothing composes or reorders across whitespace (see
+    the module docstring), and only the words that fail NFC's quick check
+    are decomposed and recomposed.
     """
-    text = unicodedata.normalize("NFC", text)
     if not text.isascii():
-        text = "".join(text.split())
+        text = "".join(map(unicodedata.normalize, repeat("NFC"), text.split()))
     elif any(map(text.__contains__, _ASCII_SPACES)):
         text = text.translate(_ASCII_WHITESPACE)
     return text, alphabet._runs.findall(text)
 
 
 def tokenize(text: str, alphabet: AlphabetConfig) -> LetterStream:
-    """Normalize to composed form (NFC), drop whitespace, cut into letter runs.
+    """Normalize to composed form (NFC), drop whitespace, cut into letter runs;
+    each whitespace-delimited word is normalized on its own, which gives the
+    same text as normalizing the whole.
 
     Every remaining code point is either part of a run or undetermined
     (digits, punctuation, foreign scripts), so letters plus undetermined

@@ -12,7 +12,7 @@ JOB is one of stats, design, corpus-mine, baskets, fuzz, longruns and ties:
   composes, and `manifest.txt` listing them;
 - baskets: `baskets.tsv`, 20,000 baskets of 1 to 8 draws from 340
   Zipf-weighted items;
-- fuzz: three inputs, each an `alphabet.json`, `part1.txt` and
+- fuzz: four inputs, each an `alphabet.json`, `part1.txt` and
   `part2.txt` (100,000 chars each, CRLF lines) and `manifest.txt`. Two are
   Unicode, with NBSP, U+3000, U+0085 and form feeds among the letters and
   junk: `bmp/`, 27 letters all below U+10000, U+0000, U+0001 and U+FFFF
@@ -23,7 +23,14 @@ JOB is one of stats, design, corpus-mine, baskets, fuzz, longruns and ties:
   The third, `ascii/`, is all ASCII: the a-z alphabet, and junk holding
   all ten ASCII whitespace code points (tab, LF, VT, FF, CR, U+001C to
   U+001F and space) plus digits and punctuation, so its pieces drop their
-  whitespace through keymine's ASCII path;
+  whitespace through keymine's ASCII path. The fourth, `nfc/`, has letters
+  that NFC composes or reorders (e, a, their acute and dot-below forms,
+  Bengali E and AA signs and their O and AU signs, Hangul jamo and
+  syllables), and junk that draws every code point `str.isspace()` holds
+  (29 of them, U+2000, U+2001, U+0085 and U+3000 among them) and the marks
+  U+0301, U+0323, U+09BE, U+09D7, U+1161 and U+11A8, so composable pairs
+  land on both sides of whitespace, which keymine's word-by-word NFC must
+  keep apart;
 - longruns: the a-z alphabet, `long.txt`, 1M Zipf-weighted letters with no
   whitespace and no junk, so the whole file is one run, far longer than
   the 4,096 letters that keymine's digraph count takes in one batch, and
@@ -105,10 +112,17 @@ FUZZ_LETTERS = {
             *"abcdefghijklmnopqrst"],
     "astral": ["\U0001d49c", "\u00df", "\u03b1", "\u03b2", *"abcdefghijkl"],
     "ascii": list(string.ascii_lowercase),
+    "nfc": ["a", "e", "\u00e1", "\u00e9", "\u1ea1", "\u0301", "\u0995", "\u09c7", "\u09be",
+            "\u09cb", "\u09cc", "\u1100", "\u1161", "\uac00", "\uac01", *"bcdfgh"],
 }
 FUZZ_JUNK = "\u00a0\u3000\x85\x0c09.,\u00e1"  # odd whitespace drops out; the rest is undetermined
 # every ASCII whitespace code point, so each piece drops it with one translate
 ASCII_JUNK = "\t\n\v\f\r\x1c\x1d\x1e\x1f 09.,;'!?-"
+# every whitespace code point, and marks that NFC composes with a letter
+# before them, each five times, so about half the junk is a mark
+NFC_JUNK = ("".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+            + "\u0301\u0323\u09be\u09d7\u1161\u11a8" * 5)
+FUZZ_JUNK_OF = {"bmp": FUZZ_JUNK, "astral": FUZZ_JUNK, "ascii": ASCII_JUNK, "nfc": NFC_JUNK}
 
 
 def fuzz(work: Path) -> None:
@@ -120,7 +134,7 @@ def fuzz(work: Path) -> None:
                                            encoding="utf-8")
         for i in (1, 2):
             text = random_text(letters, 100_000, seed + 10 * i, weights=zipf_weights(len(letters)),
-                               space_prob=0.1, junk=ASCII_JUNK if name == "ascii" else FUZZ_JUNK,
+                               space_prob=0.1, junk=FUZZ_JUNK_OF[name],
                                junk_prob=0.05)
             lines = (text[at:at + 70] for at in range(0, len(text), 70))
             head = bom if i == 2 else ""

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import random
+import re
 import string
+import sys
 import tracemalloc
 import unicodedata
 from collections import Counter
+from itertools import repeat
 
 import pytest
 
@@ -37,6 +40,8 @@ from conftest import join_streams
 ABC = AlphabetConfig(name="abc", letters=("a", "b", "c"))
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
 AZ = AlphabetConfig(name="az", letters=tuple(string.ascii_lowercase))
+# every code point for which `str.isspace()` holds
+WHITESPACE = "".join(re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1)))))
 
 
 class TestAlphabetConfig:
@@ -63,8 +68,19 @@ class TestAlphabetConfig:
     def test_rejects_letters_that_decompose(self):
         # U+09DC is a composition exclusion: normalized text can never
         # contain it as a single code point, so it must be refused.
-        with pytest.raises(ValueError, match="constituent"):
+        with pytest.raises(ValueError, match=r"\(U\+09A1 U\+09BC\) under NFC; .*constituent"):
             AlphabetConfig(name="x", letters=("ড়",))
+
+    @pytest.mark.parametrize("letter, nfc", [("\u2126", "\u03a9"), ("\u212b", "\u00c5"),
+                                             ("\u037e", ";"), ("\uf900", "\u8c48")],
+                             ids=["ohm", "angstrom", "greek-question-mark", "cjk-compatibility"])
+    def test_rejects_letters_that_nfc_replaces(self, letter, nfc):
+        # NFC singletons: normalized text holds only the code point NFC gives
+        with pytest.raises(ValueError) as info:
+            AlphabetConfig(name="x", letters=("a", letter, "b"))
+        assert str(info.value) == (f"alphabet entry {letter!r} (U+{ord(letter):04X}) normalizes to "
+                                   f"{nfc!r} (U+{ord(nfc):04X}) under NFC; list that code point "
+                                   "instead")
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "alpha.json"
@@ -126,6 +142,10 @@ class TestTokenize:
         decomposed = tokenize("e\u0301", alpha)
         assert composed.runs == decomposed.runs == ["\u00e9"]
         assert composed.undetermined_count == decomposed.undetermined_count == 0
+        # a mark after whitespace does not compose with the letter before it
+        for space in WHITESPACE:
+            apart = tokenize(f"e{space}\u0301", alpha)
+            assert apart.runs == ["e"] and apart.undetermined_count == 1
 
     def test_counts_letter_and_undetermined(self):
         stream = tokenize("ab12 ab", AB)
@@ -182,6 +202,76 @@ class TestTokenize:
         assert stream.runs == ["\u0995\u09cb"]
         assert stream.undetermined_count == 0
         assert count_ngraphs(stream, 1).counts[("\u09cb",)] == 1
+
+
+# letters that NFC composes or reorders, precomposed forms among them; U+0323
+# and U+09D7 are left out, so they are undetermined unless NFC composes them
+NFC_LETTERS = ("a", "e", "\u00e1", "\u00e9", "\u1ea1", "\u0301", "\u0995", "\u09c7", "\u09be",
+               "\u09cb", "\u09cc", "\u1100", "\u1161", "\u11a8", "\uac00", "\uac01")
+NFC_EDGES = {
+    "mark-after-space": "e \u0301",
+    "aa-sign-after-space": "\u09c7 \u09be",
+    "aa-sign-composes": "\u09c7\u09be",
+    "aa-sign-after-en-quad": "\u09c7\u2000\u09be",  # U+2000 is U+2002 under NFC
+    "em-quad-between-words": "ae\u2001\u0301a\u2001\u09c7\u09d7",  # U+2001 is U+2003
+    "every-space-before-a-mark": "".join(f"e{space}\u0301\u09c7{space}\u09be"
+                                         for space in WHITESPACE),
+    "jamo-across-space": "\u1100 \u1161",
+    "jamo-compose": "\u1100\u1161\u11a8",
+    "marks-reorder": "a\u0301\u0323",
+    "marks-across-space": "a\u0301 \u0323",
+    "no-whitespace": "\u0995\u09c7\u09be\u0995\u09c7\u09d7e\u0301a\u0323",
+    "whitespace-only": "\u3000\u2001 \x85\u2028\t",
+    "leading-and-trailing-whitespace": "\u2003\u0995\u09c7\u09be e\u0301\u3000",
+    "astral-letter-then-mark": "\U0001d49c\u0301 \U0001d49c \u0301a\U0001d49c\u0323",
+}
+
+
+class TestWordByWordNfc:
+    """A non-ASCII piece is normalized word by word. That equals NFC of the
+    whole piece with its whitespace dropped because every whitespace code
+    point is a starter whose NFD and NFC hold whitespace only, and no other
+    code point's NFD or NFC holds whitespace: so no composite holds a
+    whitespace code point, a combining mark never composes with a starter
+    across one, and canonical reordering never moves a mark past one."""
+
+    def test_whitespace_is_an_nfc_boundary(self):
+        # against the running interpreter's Unicode data, over every code point
+        assert WHITESPACE.isspace() and all(map(WHITESPACE.__contains__, " \u2000\u3000\x85"))
+        for space in WHITESPACE:
+            assert unicodedata.combining(space) == 0, f"U+{ord(space):04X}"
+            for form in ("NFD", "NFC"):
+                assert unicodedata.normalize(form, space).isspace(), f"U+{ord(space):04X}"
+        others = re.sub(r"\s", "", "".join(map(chr, range(sys.maxunicode + 1))))
+        for form in ("NFD", "NFC"):
+            if re.search(r"\s", "".join(map(unicodedata.normalize, repeat(form), others))):
+                found = [f"U+{ord(ch):04X}" for ch in others
+                         if re.search(r"\s", unicodedata.normalize(form, ch))]
+                pytest.fail(f"{form} of {', '.join(found)} holds whitespace")
+
+    @pytest.mark.parametrize("astral", [False, True], ids=["bmp", "numbered"])
+    @pytest.mark.parametrize("text", NFC_EDGES.values(), ids=NFC_EDGES)
+    def test_edge_cases_match_nfc_of_the_whole(self, text, astral):
+        # the reference normalizes the whole text and then drops whitespace
+        alpha = AlphabetConfig(name="nfc", letters=(*NFC_LETTERS, *["\U0001d49c"] * astral))
+        assert_text_digraphs_match_reference(alpha, text)
+        runs, undetermined = reference.letter_runs([text], alpha.letters)
+        # as `add_file` feeds it, in pieces that each end at whitespace
+        pieces = re.split(r"(?<=\s)", text)
+        for n in (2, 3):
+            counts = counted_in_pieces(alpha, n, pieces)
+            assert counts.table().counts == reference.ngrams(runs, n)
+            assert derive_lower(counts.table(), counts.ends).counts == reference.ngrams(runs, n - 1)
+            assert counts.undetermined_count == undetermined
+
+
+def counted_in_pieces(alpha, n, pieces):
+    """`CorpusCounts` of order n over the pieces of one source."""
+    counts = CorpusCounts(alpha, n)
+    for piece in pieces:
+        counts.add_text(piece)
+    counts.end_source()
+    return counts
 
 
 class TestReadText:

@@ -196,6 +196,13 @@ ROWS = [
 
     # an empty name is a name, and one letter is an alphabet
     *sweep("alphabet", ["name", "letters", "letters/5"], accepted={"name=empty", "letters=list"}),
+    # a letter that NFC changes would never match normalized text
+    row("alphabet", "letters/5=ohm sign", put("letters/5", '"\\u2126"'),
+        message="alphabet.json: alphabet entry '\u2126' (U+2126) normalizes to '\u03a9' (U+03A9) "
+                "under NFC; list that code point instead"),
+    row("alphabet", "letters/5=rra", put("letters/5", '"\\u09dc"'),
+        message="alphabet.json: alphabet entry '\u09dc' (U+09DC) normalizes to '\u09a1\u09bc' "
+                "(U+09A1 U+09BC) under NFC; list its constituent code points instead"),
     row("manifest", "lists no file", raw(b"# none\n"),
         message="manifest.txt: manifest lists no corpus files"),
     row("manifest", "lists a NUL path", raw(b"corpus.txt\na\x00b\n"),
