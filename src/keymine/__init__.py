@@ -1,6 +1,6 @@
 """Corpus-driven keyboard layout design and evaluation toolkit.
 
-Pipeline: tokenize a text corpus into runs of alphabet letters, count
+Pipeline: cut a text corpus into runs of alphabet letters, count
 letter n-grams once over the whole corpus at a command's highest order and
 derive the lower-order tables from it, view digraphs as counted item
 transactions to mine frequent itemsets and strong association rules,
@@ -11,14 +11,7 @@ layouts against the corpus's tables.
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    AlphabetConfig,
-    IngestionError,
-    LetterStream,
-    NGraphTable,
-    count_ngraphs,
-    tokenize,
-)
+from .corpus import AlphabetConfig, IngestionError, NGraphTable
 from .evaluation import EvalReport, compare, evaluate
 from .layout import (
     HandPartition,
@@ -51,14 +44,12 @@ __all__ = [
     "IngestionError",
     "KeyboardGeometry",
     "Layout",
-    "LetterStream",
     "MiningParams",
     "NGraphTable",
     "TransactionDB",
     "assign_hands",
     "audit_partition",
     "compare",
-    "count_ngraphs",
     "default_geometry",
     "digraphs_as_transactions",
     "evaluate",
@@ -66,5 +57,4 @@ __all__ = [
     "generate_rules",
     "mine_frequent",
     "place_keys",
-    "tokenize",
 ]

@@ -1,4 +1,4 @@
-"""Corpus ingestion: tokenization and letter n-gram statistics, and the
+"""Corpus ingestion: letter runs and letter n-gram statistics, and the
 reading and writing of every keymine file.
 
 Raw text is NFC-normalized, stripped of whitespace, and cut into maximal
@@ -154,27 +154,6 @@ class AlphabetConfig:
             raise IngestionError(f"{path}: {exc}") from exc
 
 
-class LetterStream:
-    """Text held whole, as its maximal runs of alphabet letters (`tokenize`);
-    a command counts its corpus in pieces through `CorpusCounts` instead.
-
-    Whitespace is gone; every other code point outside the alphabet ends a
-    run and is counted in `undetermined_count`. A stream may hold the runs
-    of several sources; a run never spans two, so no n-gram crosses them.
-    """
-
-    __slots__ = ("runs", "undetermined_count", "alphabet")
-
-    def __init__(self, runs: list[str], undetermined_count: int, alphabet: AlphabetConfig) -> None:
-        self.runs = runs
-        self.undetermined_count = undetermined_count
-        self.alphabet = alphabet
-
-    @property
-    def letter_count(self) -> int:
-        return sum(map(len, self.runs))
-
-
 # the ASCII code points that `str.split()` splits on: a table mapping each to
 # None, and the code points themselves, space first, as the likeliest
 _ASCII_WHITESPACE = dict.fromkeys(c for c in range(128) if chr(c).isspace())
@@ -201,19 +180,6 @@ def _letter_runs(text: str, alphabet: AlphabetConfig) -> tuple[str, list[str]]:
     return text, alphabet._runs.findall(text)
 
 
-def tokenize(text: str, alphabet: AlphabetConfig) -> LetterStream:
-    """Normalize to composed form (NFC), drop whitespace, cut into letter runs;
-    each whitespace-delimited word is normalized on its own, which gives the
-    same text as normalizing the whole.
-
-    Every remaining code point is either part of a run or undetermined
-    (digits, punctuation, foreign scripts), so letters plus undetermined
-    equals the normalized input length minus its whitespace count.
-    """
-    text, runs = _letter_runs(text, alphabet)
-    return LetterStream(runs, len(text) - sum(map(len, runs)), alphabet)
-
-
 class NGraphTable(NamedTuple):
     """Frequency counts of letter n-grams (n = 1, 2 or 3) over a corpus."""
 
@@ -235,10 +201,9 @@ class NGraphTable(NamedTuple):
 
 
 class CorpusCounts:
-    """Running counts of a corpus fed piece by piece: its n-grams (n = 1, 2
-    or 3), `undetermined_count`, and, from n = 2 on, `ends`, which counts
-    each run by its last n-1 letters (all of a shorter run), as
-    `derive_lower` takes them.
+    """Running counts of a corpus fed piece by piece: its n-grams (n = 2 or
+    3), `undetermined_count`, and `ends`, which counts each run by its last
+    n-1 letters (all of a shorter run), as `derive_lower` takes them.
 
     A piece given to `add_text` ends at whitespace or at its source's end.
     Whitespace does not end a run, so a run that reaches the end of a piece
@@ -249,13 +214,13 @@ class CorpusCounts:
     __slots__ = ("alphabet", "n", "undetermined_count", "ends", "_grams", "_open")
 
     def __init__(self, alphabet: AlphabetConfig, n: int) -> None:
-        if n not in (1, 2, 3):
-            raise ValueError(f"n must be 1, 2 or 3, got {n}")
+        if n not in (2, 3):
+            raise ValueError(f"n must be 2 or 3, got {n}")
         self.alphabet = alphabet
         self.n = n
         self.undetermined_count = 0
         self.ends: Counter[str] = Counter()
-        self._grams: Counter = Counter()  # packed pairs of letter codes at n = 2, else letter tuples
+        self._grams: Counter = Counter()  # packed pairs of letter codes at n = 2, else triples
         self._open = ""  # the open run's last n-1 letters
 
     def add_file(self, path: str | Path) -> None:
@@ -266,23 +231,22 @@ class CorpusCounts:
         self.end_source()
 
     def add_text(self, text: str) -> None:
-        """Count one piece of a source, normalized and cut into runs as
-        `tokenize` does."""
+        """Count one piece of a source, normalized to NFC and cut into
+        maximal runs of alphabet letters (`_letter_runs`)."""
         text, runs = _letter_runs(text, self.alphabet)
         if not text:
             return  # whitespace alone neither ends nor extends a run
         self.undetermined_count += len(text) - sum(map(len, runs))
         is_letter = self.alphabet._index.__contains__
-        if self._open:  # never at n = 1, whose windows need no carry
+        if self._open:
             if is_letter(text[0]):
                 runs[0] = self._open + runs[0]
             else:
                 self.ends[self._open] += 1
-        self.add_runs(runs)
-        if self.n > 1:
-            m = self.n - 1
-            self._open = runs.pop()[-m:] if is_letter(text[-1]) else ""
-            self.ends.update(run[-m:] for run in runs)
+        self._add_runs(runs)
+        m = self.n - 1
+        self._open = runs.pop()[-m:] if is_letter(text[-1]) else ""
+        self.ends.update(run[-m:] for run in runs)
 
     def end_source(self) -> None:
         """End the open run, if any: the source it belongs to has ended."""
@@ -290,7 +254,7 @@ class CorpusCounts:
             self.ends[self._open] += 1
             self._open = ""
 
-    def add_runs(self, runs: Iterable[str]) -> None:
+    def _add_runs(self, runs: Iterable[str]) -> None:
         """Count the n-gram windows of `runs`; no window spans two runs.
         `ends` is left as it is."""
         if self.n != 2:
@@ -324,14 +288,6 @@ class CorpusCounts:
             if first is not None and second is not None:
                 counts[first, second] = count
         return NGraphTable(n=2, counts=counts, alphabet=self.alphabet)
-
-
-def count_ngraphs(stream: LetterStream, n: int) -> NGraphTable:
-    """Count windows of n consecutive letters; windows never leave a run.
-    Digraph keys hold the alphabet's own letter objects."""
-    counts = CorpusCounts(stream.alphabet, n)
-    counts.add_runs(stream.runs)
-    return counts.table()
 
 
 _BATCH = 4096  # letters joined into one encoded batch
@@ -482,7 +438,7 @@ def read_manifest(path: str | Path) -> list[Path]:
     stripped from each entry.
 
     Relative paths are resolved against the manifest's directory. Sources
-    listed here are tokenized independently; n-grams never cross files.
+    listed here are counted as separate sources; n-grams never cross files.
     """
     path = Path(path)
     base = path.parent

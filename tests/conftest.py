@@ -1,7 +1,8 @@
 """Shared fixtures: the nine-transaction demo database, repo paths, a spy
-on Apriori's counting, a helper that counts a text's letter tables, one
-that builds a hand partition from hand lists, and one that scores a layout
-the way `keymine evaluate` does."""
+on Apriori's counting, a helper that counts texts through `CorpusCounts` as
+a command counts its corpus files, one that builds the tables `keymine
+design` and `keymine evaluate` work from, one that builds a hand partition from hand
+lists, and one that scores a layout the way `keymine evaluate` does."""
 
 from collections import Counter
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from keymine import mining
-from keymine.corpus import LetterStream, count_ngraphs, tokenize
+from keymine.corpus import AlphabetConfig, CorpusCounts, NGraphTable, derive_lower
 from keymine.evaluation import EvalReport, evaluate
 from keymine.layout import HandPartition, Layout, TraceRecord
 from keymine.mining import CountedItemset, TransactionDB
@@ -68,10 +69,26 @@ def write_transactions_tsv(db: TransactionDB, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def corpus_tables(text, alphabet):
-    """The monograph and digraph tables of one text."""
-    stream = tokenize(text, alphabet)
-    return count_ngraphs(stream, 1), count_ngraphs(stream, 2)
+def counts_of(alphabet: AlphabetConfig, n: int, *sources) -> CorpusCounts:
+    """`CorpusCounts` of order n over the sources, as a command counts its
+    corpus files: each source is a text or a list of its pieces, and ends
+    with `end_source`, so no n-gram crosses two."""
+    counts = CorpusCounts(alphabet, n)
+    for source in sources:
+        for piece in [source] if isinstance(source, str) else source:
+            counts.add_text(piece)
+        counts.end_source()
+    return counts
+
+
+def design_tables(alphabet: AlphabetConfig,
+                  *sources) -> tuple[NGraphTable, NGraphTable, CorpusCounts]:
+    """The monograph and digraph tables of the sources, as `keymine design`
+    and `keymine evaluate` build them: digraphs counted, monographs derived
+    from them; and the counts they came from."""
+    counts = counts_of(alphabet, 2, *sources)
+    digraphs = counts.table()
+    return derive_lower(digraphs, counts.ends), digraphs, counts
 
 
 def hand_partition(left=(), right=()) -> HandPartition:
@@ -82,18 +99,11 @@ def hand_partition(left=(), right=()) -> HandPartition:
                           for rank, (letter, hand) in enumerate(hands, start=1)])
 
 
-def score(layout: Layout, *streams: LetterStream) -> EvalReport:
-    """Evaluate a layout as `keymine evaluate` does: the runs of every source
-    in one stream, whose tables are counted once."""
-    stream = join_streams(*streams)
-    mono, di = count_ngraphs(stream, 1), count_ngraphs(stream, 2)
-    return evaluate(mono, di, mono.total + stream.undetermined_count, layout)
-
-
-def join_streams(*streams: LetterStream) -> LetterStream:
-    """One stream holding the runs and undetermined counts of all sources."""
-    return LetterStream([run for s in streams for run in s.runs],
-                        sum(s.undetermined_count for s in streams), streams[0].alphabet)
+def score(layout: Layout, alphabet: AlphabetConfig, *texts: str) -> EvalReport:
+    """Evaluate a layout as `keymine evaluate` does: each text one source,
+    the digraphs of all of them counted once and the monographs derived."""
+    mono, di, counts = design_tables(alphabet, *texts)
+    return evaluate(mono, di, mono.total + counts.undetermined_count, layout)
 
 
 @pytest.fixture

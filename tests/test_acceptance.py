@@ -7,7 +7,7 @@ import string
 import time
 
 from keymine.cli import main
-from keymine.corpus import AlphabetConfig, count_ngraphs, tokenize
+from keymine.corpus import AlphabetConfig
 from keymine.evaluation import write_report_json
 from keymine.layout import (
     assign_hands,
@@ -23,7 +23,7 @@ from keymine.mining import (
 )
 from keymine.synth import random_text, zipf_weights
 
-from conftest import ACCEPTANCE_RESULTS, corpus_tables, hand_partition, market9_db, score
+from conftest import ACCEPTANCE_RESULTS, design_tables, hand_partition, market9_db, score
 from oracles import GROUP_ONE, GROUP_TWO, random_db, two_group_alphabet, two_group_text
 from reference import brute_force_frequent
 
@@ -63,8 +63,8 @@ def test_miner_matches_brute_force_oracle():
     plus one digraph-derived DB whose rows have multiplicity above 1."""
     started = time.perf_counter()
     letters = "abcdefgh"
-    _, digraphs = corpus_tables(random_text(letters, 3000, 7, space_prob=0.1),
-                                AlphabetConfig(name="eight", letters=tuple(letters)))
+    _, digraphs, _ = design_tables(AlphabetConfig(name="eight", letters=tuple(letters)),
+                                random_text(letters, 3000, 7, space_prob=0.1))
     digraph_db = digraphs_as_transactions(digraphs)
     cases = [
         (f"seed {seed}", random_db(seed, universe_size=4 + seed % 5, n_transactions=10 + seed % 21),
@@ -116,7 +116,7 @@ def test_seeding_rule():
         alpha = AlphabetConfig(name="seeded", letters=tuple(letters))
         text = random_text(letters, 1500, seed, weights=zipf_weights(size),
                            space_prob=0.08, junk="05", junk_prob=0.03)
-        mono, di = corpus_tables(text, alpha)
+        mono, di, _ = design_tables(alpha, text)
         ranking = [key[0] for key, _ in mono.sorted_items()]
         part = assign_hands(mono, di)
         if not (ranking[0] in part.right and ranking[3] in part.right
@@ -138,7 +138,7 @@ def test_decision_trace_replays():
         alpha = AlphabetConfig(name="seeded", letters=tuple(letters))
         text = random_text(letters, 2000, 100 + seed, weights=zipf_weights(size),
                            space_prob=0.1, junk="389", junk_prob=0.05)
-        mono, di = corpus_tables(text, alpha)
+        mono, di, _ = design_tables(alpha, text)
         part = assign_hands(mono, di)
         result = audit_partition(part, mono, di)
         if not result.ok:
@@ -188,11 +188,10 @@ def test_evaluation_identities():
         alpha = AlphabetConfig(name="eval", letters=tuple(letters))
         text = random_text(letters, 1000, 200 + seed, space_prob=0.1,
                            junk=".,19", junk_prob=0.07)
-        stream = tokenize(text, alpha)
         cut = 1 + seed % (len(letters) - 1)
         layout = split_layout(letters[:cut], letters[cut:], f"s{seed}")
-        report = score(layout, stream)
-        mirror = score(swapped(layout), stream)
+        report = score(layout, alpha, text)
+        mirror = score(swapped(layout), alpha, text)
         non_space = sum(1 for ch in text if not ch.isspace())
         if report.left_load + report.right_load + report.undetermined != non_space:
             ok, detail = False, f"seed {seed}: identity"
@@ -214,9 +213,7 @@ def test_designed_layout_maximizes_alternation(tmp_path):
     alpha = two_group_alphabet()
     geometry = default_geometry()
     text = two_group_text(0)
-    stream = tokenize(text, alpha)
-    mono = count_ngraphs(stream, 1)
-    digraphs = count_ngraphs(stream, 2)
+    mono, digraphs, _ = design_tables(alpha, text)
 
     cross = sum(count for (x, y), count in digraphs.counts.items()
                 if (x in GROUP_ONE) != (y in GROUP_ONE))
@@ -236,7 +233,7 @@ def test_designed_layout_maximizes_alternation(tmp_path):
         rivals.append(place_keys(hand_partition(left, right),
                                  geometry, name=f"random-{seed}"))
 
-    reports = [score(designed, stream)] + [score(r, stream) for r in rivals]
+    reports = [score(designed, alpha, text)] + [score(r, alpha, text) for r in rivals]
     for i, report in enumerate(reports):
         write_report_json(report, tmp_path / f"report{i:02d}.json")
     out = tmp_path / "out"

@@ -17,15 +17,7 @@ import keymine
 from keymine import cli
 from keymine import layout as layout_module
 from keymine.cli import main
-from keymine.corpus import (
-    AlphabetConfig,
-    CorpusCounts,
-    LetterStream,
-    count_ngraphs,
-    read_manifest,
-    read_text,
-    tokenize,
-)
+from keymine.corpus import AlphabetConfig, CorpusCounts, NGraphTable, read_manifest
 from keymine.evaluation import read_report_json
 from keymine.layout import (
     KeyPosition,
@@ -40,8 +32,9 @@ from keymine.layout import (
 )
 from keymine.synth import random_text, zipf_weights
 
-from conftest import DATA, join_streams, score, write_transactions_tsv
+from conftest import DATA, score, write_transactions_tsv
 from oracles import random_db
+import reference
 from reference import brute_force_frequent
 
 
@@ -100,14 +93,14 @@ class TestStats:
                      "--alphabet", str(data_dir / "alphabets" / "english.json"),
                      "--manifest", str(data_dir / "sample" / "manifest.txt"),
                      "--output-dir", str(out)]) == 0
-        alpha = AlphabetConfig.from_json(data_dir / "alphabets" / "english.json")
-        text = (data_dir / "sample" / "corpus.txt").read_text(encoding="utf-8")
-        table = count_ngraphs(tokenize(text, alpha), 2)
+        letters = json.loads(reference.read(data_dir / "alphabets" / "english.json"))["letters"]
+        text = reference.read(data_dir / "sample" / "corpus.txt")
+        runs, _ = reference.letter_runs([text], letters)
         got = {}
         for line in (out / "digraphs.tsv").read_text(encoding="utf-8").splitlines()[1:]:
             ngram, count, _ = line.split("\t")
             got[tuple(ngram.split("+"))] = int(count)
-        assert got == dict(table.counts)
+        assert got == reference.ngrams(runs, 2)
 
     def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
         out = tmp_path / "out"
@@ -551,10 +544,10 @@ class TestEvaluate:
                      str(designed), str(half), str(straw)]) == 0
 
         text = (tmp_path / "part0.txt").read_text(encoding="utf-8")
-        stream = tokenize(text, AlphabetConfig.from_json(alpha))
+        alphabet = AlphabetConfig.from_json(alpha)
         for i, path in enumerate((designed, half, straw), start=1):
             layout = load_layout(path)
-            expected = score(layout, stream)
+            expected = score(layout, alphabet, text)
             got = read_report_json(out / f"report_{i:02d}_{path.stem}.json")
             assert got == expected
 
@@ -1068,13 +1061,16 @@ class TestMetamorphic:
         # the pair counts add both directions of a digraph; reversed on the
         # runs, not the text, which NFC would compose differently
         alphabet = AlphabetConfig.from_json(DATA / "alphabets" / self.CORPORA[corpus][0])
-        stream = join_streams(*(tokenize(read_text(path), alphabet)
-                                for path in read_manifest(DATA / corpus / "manifest.txt")))
-        mirror = LetterStream([run[::-1] for run in stream.runs], stream.undetermined_count,
-                              alphabet)
-        assert count_ngraphs(mirror, 2).counts != count_ngraphs(stream, 2).counts
-        traces = [assign_hands(count_ngraphs(s, 1), count_ngraphs(s, 2), tie_policy).trace
-                  for s in (stream, mirror)]
+        files = reference.manifest_files(DATA / corpus / "manifest.txt")
+        runs, _ = reference.letter_runs(map(reference.read, files), alphabet.letters)
+        monographs = NGraphTable(n=1, counts=reference.ngrams(runs, 1), alphabet=alphabet)
+        digraphs = []
+        for each in (runs, [run[::-1] for run in runs]):
+            counts = CorpusCounts(alphabet, 2)
+            counts._add_runs(each)
+            digraphs.append(counts.table())
+        assert digraphs[0].counts != digraphs[1].counts
+        traces = [assign_hands(monographs, table, tie_policy).trace for table in digraphs]
         assert traces[0] == traces[1]
 
     @pytest.mark.parametrize("corpus, support", [("sample", 475), ("bangla", 30)])

@@ -1,4 +1,4 @@
-"""Tokenization, n-graph counting, ranking, and corpus file handling."""
+"""Letter runs, n-graph counting, ranking, and corpus file handling."""
 
 import hashlib
 import json
@@ -19,14 +19,11 @@ from keymine.corpus import (
     AlphabetConfig,
     CorpusCounts,
     IngestionError,
-    LetterStream,
     NGraphTable,
-    count_ngraphs,
     derive_lower,
     digests,
     read_manifest,
     read_text,
-    tokenize,
     write_json,
     write_lines,
     write_ngraph_tsv,
@@ -35,7 +32,7 @@ from keymine.layout import assign_hands
 from keymine.synth import random_text, zipf_weights
 
 import reference
-from conftest import join_streams
+from conftest import counts_of, design_tables
 
 ABC = AlphabetConfig(name="abc", letters=("a", "b", "c"))
 AB = AlphabetConfig(name="ab", letters=("a", "b"))
@@ -114,67 +111,61 @@ class TestAlphabetConfig:
 
 
 class TestTokenize:
+    """A piece is normalized, stripped of whitespace and cut into maximal
+    letter runs (`_letter_runs`); `CorpusCounts` counts every other code
+    point left as undetermined."""
+
+    @staticmethod
+    def cut(text, alpha):
+        """The runs `_letter_runs` cuts from a text, and the undetermined
+        count of the text fed to `CorpusCounts` as one source."""
+        return corpus._letter_runs(text, alpha)[1], counts_of(alpha, 2, text).undetermined_count
+
     def test_whitespace_removed(self):
-        stream = tokenize("aba c", ABC)
-        assert stream.runs == ["abac"]
-        assert stream.undetermined_count == 0
+        assert self.cut("aba c", ABC) == (["abac"], 0)
 
     def test_digit_undetermined(self):
-        stream = tokenize("a7b", AB)
-        assert stream.runs == ["a", "b"]
-        assert stream.undetermined_count == 1
+        assert self.cut("a7b", AB) == (["a", "b"], 1)
 
     def test_runs_are_maximal(self):
-        stream = tokenize("ab12 ba!b", AB)
-        assert stream.runs == ["ab", "ba", "b"]
-        assert stream.undetermined_count == 3
+        assert self.cut("ab12 ba!b", AB) == (["ab", "ba", "b"], 3)
 
     def test_length_is_input_minus_whitespace(self):
         text = "ab\tc\nd  e"
-        stream = tokenize(text, ABC)
+        counts = counts_of(ABC, 2, text)
+        letters = derive_lower(counts.table(), counts.ends).total
         ws = sum(ch.isspace() for ch in text)
-        assert stream.letter_count + stream.undetermined_count == len(text) - ws
-        assert stream.undetermined_count == 2  # d, e
+        assert letters + counts.undetermined_count == len(text) - ws
+        assert counts.undetermined_count == 2  # d, e
 
     def test_composed_and_decomposed_forms_agree(self):
         alpha = AlphabetConfig(name="acc", letters=("e", "é"))
-        composed = tokenize("\u00e9", alpha)
-        decomposed = tokenize("e\u0301", alpha)
-        assert composed.runs == decomposed.runs == ["\u00e9"]
-        assert composed.undetermined_count == decomposed.undetermined_count == 0
+        assert self.cut("\u00e9", alpha) == self.cut("e\u0301", alpha) == (["\u00e9"], 0)
         # a mark after whitespace does not compose with the letter before it
         for space in WHITESPACE:
-            apart = tokenize(f"e{space}\u0301", alpha)
-            assert apart.runs == ["e"] and apart.undetermined_count == 1
+            assert self.cut(f"e{space}\u0301", alpha) == (["e"], 1)
 
     def test_counts_letter_and_undetermined(self):
-        stream = tokenize("ab12 ab", AB)
-        assert stream.letter_count == 4
-        assert stream.undetermined_count == 2
+        mono, _, _ = design_tables(AB, "ab12 ab")
+        assert mono.total == 4
+        assert counts_of(AB, 2, "ab12 ab").undetermined_count == 2
 
     def test_regex_metacharacters_are_plain_letters(self):
         # unescaped, "a-z" would be a range holding m and "^" a negation
         alpha = AlphabetConfig(name="meta", letters=("a", "-", "z", "]", "^", "\\"))
-        stream = tokenize("a]^-\\zm_[a", alpha)
-        assert stream.runs == ["a]^-\\z", "a"]
-        assert stream.undetermined_count == 3  # m, _, [
+        assert self.cut("a]^-\\zm_[a", alpha) == (["a]^-\\z", "a"], 3)  # m, _, [
 
     def test_unicode_whitespace_dropped_not_undetermined(self):
         # no-break space, ideographic space, line separator
-        stream = tokenize("a\u00a0b\u3000a\u2028b", AB)
-        assert stream.runs == ["abab"]
-        assert stream.undetermined_count == 0
+        assert self.cut("a\u00a0b\u3000a\u2028b", AB) == (["abab"], 0)
 
     @pytest.mark.parametrize("code", range(128), ids=lambda code: f"U+{code:04X}")
     def test_each_ascii_code_point_between_two_letters(self, code):
         # an ASCII piece drops its whitespace with one translate
         text = f"a{chr(code)}b"
         runs, undetermined = reference.letter_runs([text], AZ.letters)
-        stream = tokenize(text, AZ)
-        assert stream.runs == runs and stream.undetermined_count == undetermined
-        counts = counted(AZ, 2, text)
-        assert counts.table().counts == reference.ngrams(runs, 2)
-        assert counts.undetermined_count == undetermined
+        assert self.cut(text, AZ) == (runs, undetermined)
+        assert counts_of(AZ, 2, text).table().counts == reference.ngrams(runs, 2)
 
     def test_ascii_text_without_whitespace_is_not_copied(self):
         # a long run read whole: translate would hold a second copy of it
@@ -189,19 +180,15 @@ class TestTokenize:
         text = "".join(f"{letter}{space}" for letter, space in zip("abcdefghij", spaces)) + "k\u00e9l"
         runs, undetermined = reference.letter_runs([text], AZ.letters)
         assert runs == ["abcdefghijk", "l"] and undetermined == 1
-        stream = tokenize(text, AZ)
-        assert stream.runs == runs and stream.undetermined_count == undetermined
-        counts = counted(AZ, 2, text)
-        assert counts.table().counts == reference.ngrams(runs, 2)
-        assert counts.undetermined_count == undetermined
+        assert self.cut(text, AZ) == (runs, undetermined)
+        assert counts_of(AZ, 2, text).table().counts == reference.ngrams(runs, 2)
 
     def test_decomposed_bangla_vowel_sign_is_one_letter(self, data_dir):
         bangla = AlphabetConfig.from_json(data_dir / "alphabets" / "bangla.json")
         # KA + E sign + AA sign composes to KA + O sign (U+09CB) under NFC
-        stream = tokenize("\u0995\u09c7\u09be", bangla)
-        assert stream.runs == ["\u0995\u09cb"]
-        assert stream.undetermined_count == 0
-        assert count_ngraphs(stream, 1).counts[("\u09cb",)] == 1
+        assert self.cut("\u0995\u09c7\u09be", bangla) == (["\u0995\u09cb"], 0)
+        mono, _, _ = design_tables(bangla, "\u0995\u09c7\u09be")
+        assert mono.counts[("\u09cb",)] == 1
 
 
 # letters that NFC composes or reorders, precomposed forms among them; U+0323
@@ -259,19 +246,10 @@ class TestWordByWordNfc:
         # as `add_file` feeds it, in pieces that each end at whitespace
         pieces = re.split(r"(?<=\s)", text)
         for n in (2, 3):
-            counts = counted_in_pieces(alpha, n, pieces)
+            counts = counts_of(alpha, n, pieces)
             assert counts.table().counts == reference.ngrams(runs, n)
             assert derive_lower(counts.table(), counts.ends).counts == reference.ngrams(runs, n - 1)
             assert counts.undetermined_count == undetermined
-
-
-def counted_in_pieces(alpha, n, pieces):
-    """`CorpusCounts` of order n over the pieces of one source."""
-    counts = CorpusCounts(alpha, n)
-    for piece in pieces:
-        counts.add_text(piece)
-    counts.end_source()
-    return counts
 
 
 class TestReadText:
@@ -310,29 +288,30 @@ class TestWriters:
 
 
 class TestCountNgraphs:
+    """The n-gram tables `CorpusCounts` counts, and the monographs derived
+    from its digraphs."""
+
     def test_digraph_sliding_window(self):
-        stream = tokenize("abab", AB)
-        table = count_ngraphs(stream, 2)
+        table = counts_of(AB, 2, "abab").table()
         assert table.counts == {("a", "b"): 2, ("b", "a"): 1}
         assert table.total == 3
 
     def test_undetermined_breaks_adjacency(self):
-        stream = tokenize("a7b", AB)
-        table = count_ngraphs(stream, 2)
+        table = counts_of(AB, 2, "a7b").table()
         assert table.counts == {} and table.total == 0
 
     def test_monographs_count_letters_only(self):
-        stream = tokenize("a7a b", AB)
-        table = count_ngraphs(stream, 1)
+        table, _, _ = design_tables(AB, "a7a b")
         assert table.counts == {("a",): 2, ("b",): 1}
 
     def test_invalid_order_rejected(self):
-        stream = tokenize("ab", AB)
-        with pytest.raises(ValueError):
-            count_ngraphs(stream, 4)
+        # every command counts at order 2 or 3 and derives the tables below
+        for n in (1, 4):
+            with pytest.raises(ValueError, match=f"n must be 2 or 3, got {n}"):
+                CorpusCounts(AB, n)
 
     def test_empty_stream_empty_table(self):
-        table = count_ngraphs(tokenize("", AB), 2)
+        table = counts_of(AB, 2, "").table()
         assert table.total == 0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -340,24 +319,25 @@ class TestCountNgraphs:
         letters = string.ascii_lowercase[:6]
         alpha = AlphabetConfig(name="six", letters=tuple(letters))
         text = random_text(letters, 5000, seed, space_prob=0.1, junk="0189", junk_prob=0.05)
-        stream = tokenize(text, alpha)
         runs, undetermined = reference.letter_runs([text], letters)
-        assert undetermined == stream.undetermined_count
-        for n in (1, 2, 3):
-            table = count_ngraphs(stream, n)
-            assert table.counts == reference.ngrams(runs, n)
-            assert table.total == sum(table.counts.values())
+        for n in (2, 3):
+            counts = counts_of(alpha, n, text)
+            assert counts.undetermined_count == undetermined
+            for table in (counts.table(), derive_lower(counts.table(), counts.ends)):
+                assert table.counts == reference.ngrams(runs, table.n)
+                assert table.total == sum(table.counts.values())
 
     def test_monograph_total_equals_letter_count(self):
         text = random_text("abc", 800, 5, junk="7", junk_prob=0.2)
-        stream = tokenize(text, ABC)
-        assert count_ngraphs(stream, 1).total == stream.letter_count
+        runs, _ = reference.letter_runs([text], ABC.letters)
+        mono, _, _ = design_tables(ABC, text)
+        assert mono.total == sum(map(len, runs))
 
     def test_contiguous_digraph_total(self):
         # no undetermined tokens, single source: digraphs = letters - 1
         text = random_text("abc", 500, 9)
-        stream = tokenize(text, ABC)
-        assert count_ngraphs(stream, 2).total == stream.letter_count - 1
+        runs, _ = reference.letter_runs([text], ABC.letters)
+        assert counts_of(ABC, 2, text).table().total == sum(map(len, runs)) - 1
 
 
 def nfc_letters(start, count):
@@ -374,19 +354,25 @@ def nfc_letters(start, count):
 
 
 def assert_digraphs_match_reference(alpha, runs):
-    """`count_ngraphs(..., 2)` over these runs equals the reference model's
-    window count, and its keys hold the alphabet's own letter objects."""
-    counts = count_ngraphs(LetterStream(list(runs), 0, alpha), 2).counts
-    assert counts == reference.ngrams(runs, 2)
+    """The digraphs of `CorpusCounts` fed these runs raw equal the reference
+    model's window count over the runs, and their keys hold the alphabet's
+    own letter objects."""
+    counts = CorpusCounts(alpha, 2)
+    counts._add_runs(runs)
+    table = counts.table().counts
+    assert table == reference.ngrams(runs, 2)
     own = {id(ch) for ch in alpha.letters}
-    assert all(id(a) in own and id(b) in own for a, b in counts)
+    assert all(id(a) in own and id(b) in own for a, b in table)
 
 
 def assert_text_digraphs_match_reference(alpha, text):
+    """A text fed whole to `CorpusCounts` as one source gives the reference
+    model's runs, undetermined count and digraph table."""
     runs, undetermined = reference.letter_runs([text], alpha.letters)
-    stream = tokenize(text, alpha)
-    assert stream.runs == runs and stream.undetermined_count == undetermined
-    assert_digraphs_match_reference(alpha, runs)
+    assert corpus._letter_runs(text, alpha)[1] == runs
+    counts = counts_of(alpha, 2, text)
+    assert counts.undetermined_count == undetermined
+    assert counts.table().counts == reference.ngrams(runs, 2)
 
 
 class TestPackedDigraphCount:
@@ -447,7 +433,7 @@ class TestPackedDigraphCount:
         assert_digraphs_match_reference(alpha, runs)
 
     def test_empty_stream(self):
-        assert count_ngraphs(tokenize("", AB), 2).counts == {}
+        assert counts_of(AB, 2, "").table().counts == {}
         assert_digraphs_match_reference(AB, [])
 
     def test_runs_of_one_letter(self):
@@ -477,10 +463,11 @@ class TestPackedDigraphCount:
         # the count reads the run in pieces of a batch, never copying it whole
         alpha = AlphabetConfig.from_json(data_dir / "alphabets" / "bangla.json")
         run = "".join(random.Random(3).choices(alpha.letters, k=1_000_000))
-        stream = LetterStream([run], 0, alpha)
+        counts = CorpusCounts(alpha, 2)
         tracemalloc.start()
         try:
-            table = count_ngraphs(stream, 2)
+            counts._add_runs([run])
+            table = counts.table()
             result, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -506,24 +493,16 @@ class TestPackedDigraphCount:
         assert peak < 4 * len(piece)
 
 
-def counted(alpha, n, *texts):
-    """`CorpusCounts` of order n over the texts, each fed whole as one source."""
-    counts = CorpusCounts(alpha, n)
-    for text in texts:
-        counts.add_text(text)
-        counts.end_source()
-    return counts
-
-
 def assert_derives_each_lower_order(alpha, *texts):
-    """`count_ngraphs` is the oracle: for n = 2 and 3, the running counts of
-    the texts must give the table it counts at order n, and deriving from
-    them the one it counts at order n - 1."""
-    stream = join_streams(*(tokenize(text, alpha) for text in texts))
+    """The reference model is the oracle: for n = 2 and 3, the running counts
+    of the texts, each one source, must give its table at order n, and
+    deriving from them its table at order n - 1."""
+    runs, _ = reference.letter_runs(texts, alpha.letters)
     for n in (2, 3):
-        counts = counted(alpha, n, *texts)
-        assert counts.table() == count_ngraphs(stream, n)
-        assert derive_lower(counts.table(), counts.ends) == count_ngraphs(stream, n - 1)
+        counts = counts_of(alpha, n, *texts)
+        assert counts.table() == NGraphTable(n, reference.ngrams(runs, n), alpha)
+        assert derive_lower(counts.table(), counts.ends) == NGraphTable(
+            n - 1, reference.ngrams(runs, n - 1), alpha)
 
 
 class TestDeriveLower:
@@ -543,25 +522,25 @@ class TestDeriveLower:
         text = random_text(letters, 3000, seed, weights=zipf_weights(26),
                            space_prob=0.1, junk="0.,;", junk_prob=0.45)
         # runs shorter than a window exist at both orders
-        assert {1, 2} <= set(map(len, tokenize(text, alpha).runs))
+        assert {1, 2} <= set(map(len, reference.letter_runs([text], letters)[0]))
         assert_derives_each_lower_order(alpha, text)
 
     def test_empty_stream(self):
         assert_derives_each_lower_order(AB, "")
-        counts = counted(AB, 2, "")
+        counts = counts_of(AB, 2, "")
         assert derive_lower(counts.table(), counts.ends).counts == {}
 
     def test_single_letter_runs(self):
         # no digraph at all, yet every letter is a run's end
-        assert tokenize("a1b2a3c 4a", ABC).runs == ["a", "b", "a", "c", "a"]
+        assert reference.letter_runs(["a1b2a3c 4a"], ABC.letters)[0] == ["a", "b", "a", "c", "a"]
         assert_derives_each_lower_order(ABC, "a1b2a3c 4a")
-        counts = counted(ABC, 2, "a1b2a3c 4a")
+        counts = counts_of(ABC, 2, "a1b2a3c 4a")
         assert derive_lower(counts.table(), counts.ends).counts == {
             ("a",): 3, ("b",): 1, ("c",): 1}
 
     def test_nothing_below_monographs(self):
         with pytest.raises(ValueError):
-            derive_lower(count_ngraphs(tokenize("ab", AB), 1), Counter())
+            derive_lower(design_tables(AB, "ab")[0], Counter())
 
 
 def printed_rows(table, tmp_path):
@@ -640,28 +619,29 @@ class TestCountsInBlocks:
 
 class TestMonographRanking:
     """The ranking `assign_hands` reads is `sorted_items()` of the monograph
-    table; the percentages are the column `write_ngraph_tsv` prints."""
+    table, derived from the digraphs as `keymine design` derives it; the
+    percentages are the column `write_ngraph_tsv` prints."""
 
     def test_singleton(self, tmp_path):
-        table = count_ngraphs(tokenize("a", AB), 1)
+        table, _, _ = design_tables(AB, "a")
         assert table.sorted_items() == [(("a",), 1)]
         assert printed_rows(table, tmp_path) == [("a", "1", "100.000000")]
 
     def test_descending_with_alphabet_tiebreak(self):
         alpha = AlphabetConfig(name="x", letters=("z", "m", "a"))
-        table = count_ngraphs(tokenize("zzmaam", alpha), 1)
+        table, _, _ = design_tables(alpha, "zzmaam")
         # m and a tie at 2; alphabet order puts z, then m before a
         assert table.sorted_items() == [(("z",), 2), (("m",), 2), (("a",), 2)]
 
     def test_empty_table(self, tmp_path):
-        table = count_ngraphs(tokenize("", AB), 1)
+        table, _, _ = design_tables(AB, "")
         assert table.sorted_items() == []
         assert printed_rows(table, tmp_path) == []
 
     def test_requires_monograph_table(self):
-        stream = tokenize("ab", AB)
+        _, digraphs, _ = design_tables(AB, "ab")
         with pytest.raises(ValueError, match="monograph table"):
-            assign_hands(count_ngraphs(stream, 2), count_ngraphs(stream, 2))
+            assign_hands(digraphs, digraphs)
 
     def test_top_count_percentage_inversion(self, tmp_path):
         # a count of 74300 out of 821914 letters works out to 9.039875%
@@ -674,28 +654,26 @@ class TestMonographRanking:
         letters = string.ascii_lowercase
         alpha = AlphabetConfig(name="en", letters=tuple(letters))
         text = random_text(letters, 3000, seed, weights=zipf_weights(26))
-        rows = printed_rows(count_ngraphs(tokenize(text, alpha), 1), tmp_path)
+        rows = printed_rows(design_tables(alpha, text)[0], tmp_path)
         # each printed percentage is rounded to 6 places, off by at most 5e-7
         assert sum(float(pct) for _, _, pct in rows) == pytest.approx(100.0, abs=5e-7 * len(rows))
 
     def test_determinism(self):
         text = random_text("abc", 1000, 3)
-        a = count_ngraphs(tokenize(text, ABC), 2)
-        b = count_ngraphs(tokenize(text, ABC), 2)
+        a = counts_of(ABC, 2, text).table()
+        b = counts_of(ABC, 2, text).table()
         assert a.counts == b.counts
 
 
 class TestMergeAndManifest:
     def test_merge_is_additive(self):
-        s1, s2 = tokenize("abab", AB), tokenize("bb", AB)
-        merged = count_ngraphs(join_streams(s1, s2), 1)
+        merged, _, _ = design_tables(AB, "abab", "bb")
         assert merged.counts == {("a",): 2, ("b",): 4}
         assert merged.total == 6
 
     def test_no_cross_file_digraphs(self):
-        # "ab" and "ba" in one stream as separate runs: no (b,b) window
-        s1, s2 = tokenize("ab", AB), tokenize("ba", AB)
-        merged = count_ngraphs(join_streams(s1, s2), 2)
+        # "ab" and "ba" as two sources: no (b,b) window
+        merged = counts_of(AB, 2, "ab", "ba").table()
         assert merged.counts == {("a", "b"): 1, ("b", "a"): 1}
 
     def test_manifest_relative_paths_and_comments(self, tmp_path):
@@ -714,7 +692,7 @@ class TestMergeAndManifest:
         assert read_manifest(manifest) == [tmp_path / name]
 
     def test_ngraph_tsv_format(self, tmp_path):
-        table = count_ngraphs(tokenize("abab", AB), 2)
+        table = counts_of(AB, 2, "abab").table()
         path = tmp_path / "digraphs.tsv"
         write_ngraph_tsv(table, path)
         lines = path.read_text(encoding="utf-8").splitlines()

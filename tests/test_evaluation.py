@@ -7,7 +7,7 @@ import string
 
 import pytest
 
-from keymine.corpus import AlphabetConfig, tokenize
+from keymine.corpus import AlphabetConfig
 from keymine.evaluation import (
     EvalReport,
     IncomparableReportsError,
@@ -57,45 +57,45 @@ def swap_hands(layout):
 class TestEvaluate:
     def test_single_token_no_pairs(self):
         layout = split_layout(["a"], ["b"])
-        report = score(layout, tokenize("a", AB))
+        report = score(layout, AB, "a")
         assert report.hand_switching == 0
         assert report.left_load == 1 and report.right_load == 0
 
     def test_perfect_alternation(self):
         layout = split_layout(["a"], ["b"])
-        report = score(layout, tokenize("abab", AB))
+        report = score(layout, AB, "abab")
         assert report.hand_switching == 3
         assert report.left_load == 2 and report.right_load == 2
         assert report.undetermined == 0
 
     def test_all_one_hand_never_switches(self):
         layout = split_layout(["a", "b"], [])
-        report = score(layout, tokenize("abababab", AB))
+        report = score(layout, AB, "abababab")
         assert report.hand_switching == 0
         assert report.left_load == 8
 
     def test_undetermined_breaks_switching_chain(self):
         layout = split_layout(["a"], ["b"])
-        report = score(layout, tokenize("a7b", AB))
+        report = score(layout, AB, "a7b")
         assert report.hand_switching == 0
         assert report.undetermined == 1
 
     def test_unmapped_letter_counts_undetermined(self):
         alpha = AlphabetConfig(name="abc", letters=("a", "b", "c"))
         layout = split_layout(["a"], ["b"])
-        report = score(layout, tokenize("acb", alpha))
+        report = score(layout, alpha, "acb")
         assert report.undetermined == 1
         assert report.hand_switching == 0  # chain broken by c
 
     def test_key_outside_alphabet_stays_undetermined(self):
         layout = split_layout(["a", "7"], ["b"])
-        report = score(layout, tokenize("a7b7a", AB))
+        report = score(layout, AB, "a7b7a")
         assert (report.left_load, report.right_load, report.undetermined) == (2, 1, 2)
         assert report.hand_switching == 0
 
     def test_spaces_never_counted(self):
         layout = split_layout(["a"], ["b"])
-        report = score(layout, tokenize("a b", AB))
+        report = score(layout, AB, "a b")
         assert report.total_chars == 2
         assert report.hand_switching == 1  # space is not a chain break
 
@@ -113,22 +113,20 @@ class TestEvaluate:
         rng.shuffle(letters)
         cut, mapped = sorted(rng.sample(range(1, 11), 2))
         layout = split_layout(letters[:cut] + ["%"], letters[cut:mapped])
-        streams = [tokenize(text, alpha) for text in texts]
         runs, undetermined = reference.letter_runs(texts, alpha.letters)
         mono, di = reference.ngrams(runs, 1), reference.ngrams(runs, 2)
         by_id = {p.position_id: p for p in layout.geometry.positions}
         hands = {letter: by_id[pid].hand for letter, pid in layout.mapping.items()}
         want = reference.report("fixture", hands, mono, di, sum(mono.values()) + undetermined)
-        assert score(layout, *streams)._asdict() == want
+        assert score(layout, alpha, *texts)._asdict() == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_identity(self, seed):
         letters = string.ascii_lowercase[:8]
         alpha = AlphabetConfig(name="eight", letters=tuple(letters))
         text = random_text(letters, 800, seed, junk="49", junk_prob=0.1)
-        stream = tokenize(text, alpha)
         layout = split_layout(list(letters[:3]), list(letters[3:6]))
-        report = score(layout, stream)
+        report = score(layout, alpha, text)
         assert report.left_load + report.right_load + report.undetermined == report.total_chars
         report.validate()
 
@@ -137,19 +135,17 @@ class TestEvaluate:
         letters = string.ascii_lowercase[:8]
         alpha = AlphabetConfig(name="eight", letters=tuple(letters))
         text = random_text(letters, 800, seed, junk="4", junk_prob=0.05)
-        stream = tokenize(text, alpha)
         layout = split_layout(list(letters[:5]), list(letters[5:]))
-        report = score(layout, stream)
-        mirrored = score(swap_hands(layout), stream)
+        report = score(layout, alpha, text)
+        mirrored = score(swap_hands(layout), alpha, text)
         assert mirrored.left_load == report.right_load
         assert mirrored.right_load == report.left_load
         assert mirrored.hand_switching == report.hand_switching
         assert mirrored.undetermined == report.undetermined
 
     def test_pure_function(self):
-        stream = tokenize("abbaab", AB)
         layout = split_layout(["a"], ["b"])
-        assert score(layout, stream) == score(layout, stream)
+        assert score(layout, AB, "abbaab") == score(layout, AB, "abbaab")
 
 
 class TestEvaluateStreams:
@@ -157,18 +153,18 @@ class TestEvaluateStreams:
 
     def test_sums_per_file_reports(self):
         layout = split_layout(["a"], ["b"])
-        report = score(layout, tokenize("ab", AB), tokenize("ba", AB))
+        report = score(layout, AB, "ab", "ba")
         assert report.left_load == 2 and report.right_load == 2
         assert report.total_chars == 4
 
     def test_no_switch_across_file_boundary(self):
         layout = split_layout(["a"], ["b"])
         # "ab" + "ba" as two files: 1 + 1 switches, not the 3 of "abba"
-        two = score(layout, tokenize("ab", AB), tokenize("ba", AB))
-        one = score(layout, tokenize("abba", AB))
+        two = score(layout, AB, "ab", "ba")
+        one = score(layout, AB, "abba")
         assert two.hand_switching == 2
         assert one.hand_switching == 2  # abba switches at ab and ba only
-        split = score(layout, tokenize("a", AB), tokenize("b", AB))
+        split = score(layout, AB, "a", "b")
         assert split.hand_switching == 0
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from keymine.cli import main
-from keymine.corpus import AlphabetConfig, IngestionError, NGraphTable, count_ngraphs, tokenize
+from keymine.corpus import AlphabetConfig, IngestionError, NGraphTable
 from keymine.layout import (
     AuditResult,
     GeometryCapacityError,
@@ -29,7 +29,7 @@ from keymine.layout import (
 from keymine.mining import digraphs_as_transactions
 from keymine.synth import random_text, zipf_weights
 
-from conftest import corpus_tables, hand_partition
+from conftest import design_tables, hand_partition
 from reference import support_count
 
 ABCDE = AlphabetConfig(name="abcde", letters=tuple("abcde"))
@@ -53,28 +53,28 @@ class TestAssignHands:
     def test_seeds_first_four_ranks(self):
         # p q r s with strictly descending counts
         alpha = AlphabetConfig(name="pqrs", letters=tuple("pqrs"))
-        mono, di = corpus_tables("0".join(["pq"] * 4 + ["pr"] * 3 + ["ps"] * 2), alpha)
+        mono, di, _ = design_tables(alpha, "0".join(["pq"] * 4 + ["pr"] * 3 + ["ps"] * 2))
         part = assign_hands(mono, di)
         assert part.right == ["p", "s"]
         assert part.left == ["q", "r"]
 
     def test_one_letter_alphabet(self):
         alpha = AlphabetConfig(name="x", letters=("x",))
-        mono, di = corpus_tables("xx", alpha)
+        mono, di, _ = design_tables(alpha, "xx")
         part = assign_hands(mono, di)
         assert part.right == ["x"] and part.left == []
 
     def test_two_and_three_letter_seeding(self):
         alpha = AlphabetConfig(name="abc", letters=tuple("abc"))
-        mono, di = corpus_tables("aab", alpha)
+        mono, di, _ = design_tables(alpha, "aab")
         part = assign_hands(mono, di)
         assert part.right == ["a"] and part.left == ["b"]
-        mono, di = corpus_tables("aaabbc", alpha)
+        mono, di, _ = design_tables(alpha, "aaabbc")
         part = assign_hands(mono, di)
         assert part.right == ["a"] and part.left == ["b", "c"]
 
     def test_fifth_letter_follows_decision_rule(self):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         part = assign_hands(mono, di)
         # e leans left on both support and confidence, so it types right
         assert part.right == ["a", "d", "e"]
@@ -82,7 +82,7 @@ class TestAssignHands:
 
     def test_hand_computed_statistics(self):
         # the seeds put b and c left and a and d right before e is scored
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         rec = assign_hands(mono, di).trace[4]
         assert rec.letter == "e"
         assert rec.left_support == 4 / 25
@@ -94,7 +94,7 @@ class TestAssignHands:
     def test_statistics_stay_in_unit_range(self, seed):
         letters = string.ascii_lowercase[:8]
         alpha = AlphabetConfig(name="eight", letters=tuple(letters))
-        mono, di = corpus_tables(random_text(letters, 2000, seed), alpha)
+        mono, di, _ = design_tables(alpha, random_text(letters, 2000, seed))
         for rec in assign_hands(mono, di).trace:
             for value in rec[2:6]:
                 assert 0.0 <= value <= 1.0
@@ -103,7 +103,7 @@ class TestAssignHands:
     def test_letters_without_digraphs(self, tie_policy):
         # every letter stands alone, so the digraph total is 0
         alpha = AlphabetConfig(name="af", letters=tuple("abcdef"))
-        mono, di = corpus_tables("a0b0c0d0e0f0a", alpha)
+        mono, di, _ = design_tables(alpha, "a0b0c0d0e0f0a")
         assert di.total == 0
         part = assign_hands(mono, di, tie_policy=tie_policy)
         assert [rec[2:6] for rec in part.trace[4:]] == [(0.0, 0.0, 0.0, 0.0)] * 2
@@ -114,7 +114,7 @@ class TestAssignHands:
         assert audit_partition(part, mono, di).ok
 
     def test_trace_covers_every_letter_in_rank_order(self):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         part = assign_hands(mono, di)
         assert [t.rank for t in part.trace] == [1, 2, 3, 4, 5]
         assert [t.letter for t in part.trace] == ["a", "b", "c", "d", "e"]
@@ -125,19 +125,19 @@ class TestAssignHands:
         alpha = AlphabetConfig(name="ten", letters=tuple(letters))
         for seed in range(5):
             text = random_text(letters, 1500, seed, weights=zipf_weights(10))
-            mono, di = corpus_tables(text, alpha)
+            mono, di, _ = design_tables(alpha, text)
             part = assign_hands(mono, di)
             counted = {key[0] for key in mono.counts}
             assert set(part.left) | set(part.right) == counted
             assert not set(part.left) & set(part.right)
 
     def test_rejects_unknown_tie_policy(self):
-        mono, di = corpus_tables("abab", ABCDE)
+        mono, di, _ = design_tables(ABCDE, "abab")
         with pytest.raises(ValueError):
             assign_hands(mono, di, tie_policy="coin-flip")
 
     def test_empty_ranking_rejected(self):
-        mono, di = corpus_tables("", ABCDE)
+        mono, di, _ = design_tables(ABCDE, "")
         with pytest.raises(ValueError):
             assign_hands(mono, di)
 
@@ -150,19 +150,19 @@ TIE_TEXT = pieces(("ab", 10), ("ac", 8), ("ad", 6), ("ea", 2), ("eb", 2),
 
 class TestTiePolicies:
     def test_default_sends_ties_left(self):
-        mono, di = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
+        mono, di, _ = design_tables(AlphabetConfig(name="af", letters=tuple("abcdef")), TIE_TEXT)
         part = assign_hands(mono, di)
         assert part.left == ["b", "c", "e", "f"]
         assert part.right == ["a", "d"]
 
     def test_balanced_alternates_ties_starting_left(self):
-        mono, di = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
+        mono, di, _ = design_tables(AlphabetConfig(name="af", letters=tuple("abcdef")), TIE_TEXT)
         part = assign_hands(mono, di, tie_policy="balanced")
         assert part.left == ["b", "c", "e"]
         assert part.right == ["a", "d", "f"]
 
     def test_balanced_partition_audits_clean(self):
-        mono, di = corpus_tables(TIE_TEXT, AlphabetConfig(name="af", letters=tuple("abcdef")))
+        mono, di, _ = design_tables(AlphabetConfig(name="af", letters=tuple("abcdef")), TIE_TEXT)
         part = assign_hands(mono, di, tie_policy="balanced")
         assert audit_partition(part, mono, di).ok
 
@@ -181,7 +181,7 @@ class TestTiePolicies:
 
 class TestAuditPartition:
     def fixture_partition(self):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         return assign_hands(mono, di), mono, di
 
     def test_fresh_partition_passes(self):
@@ -228,7 +228,7 @@ class TestAuditPartition:
         alpha = AlphabetConfig(name="rand", letters=tuple(letters))
         text = random_text(letters, 1200, seed, weights=zipf_weights(len(letters)),
                            space_prob=0.1, junk="123", junk_prob=0.04)
-        mono, di = corpus_tables(text, alpha)
+        mono, di, _ = design_tables(alpha, text)
         part = assign_hands(mono, di)
         assert audit_partition(part, mono, di).ok
 
@@ -244,7 +244,7 @@ class TestTraceOracle:
         alpha = AlphabetConfig(name="rand", letters=tuple(letters))
         text = random_text(letters, 1500, 500 + seed, weights=zipf_weights(len(letters)),
                            space_prob=0.1, junk="4%", junk_prob=0.05)
-        mono, di = corpus_tables(text, alpha)
+        mono, di, _ = design_tables(alpha, text)
         db = digraphs_as_transactions(di)
         assert any(a == b for a, b in di.counts), "fixture needs a doubled letter"
         hands = {"left": [], "right": []}
@@ -270,13 +270,13 @@ class TestRelabelingEquivariance:
         letters = string.ascii_lowercase[:8]
         alpha = AlphabetConfig(name="eight", letters=tuple(letters))
         text = random_text(letters, 3000, 11, weights=zipf_weights(8))
-        mono, di = corpus_tables(text, alpha)
+        mono, di, _ = design_tables(alpha, text)
         counts = sorted(mono.counts.values())
         assert len(set(counts)) == len(counts), "fixture needs distinct counts"
 
         perm = dict(zip(letters, "hgfedcba"))
         permuted_text = text.translate(str.maketrans(perm))
-        mono_p, di_p = corpus_tables(permuted_text, alpha)
+        mono_p, di_p, _ = design_tables(alpha, permuted_text)
 
         part = assign_hands(mono, di)
         part_p = assign_hands(mono_p, di_p)
@@ -295,14 +295,14 @@ def tiny_geometry():
 class TestPlaceKeys:
     def test_one_letter_per_hand(self):
         alpha = AlphabetConfig(name="pq", letters=("p", "q"))
-        mono, di = corpus_tables("ppq", alpha)
+        mono, di, _ = design_tables(alpha, "ppq")
         part = assign_hands(mono, di)  # right=[p], left=[q]
         layout = place_keys(part, tiny_geometry())
         assert layout.mapping == {"p": "R1", "q": "L1"}
 
     def test_higher_count_takes_cheaper_position(self):
         alpha = AlphabetConfig(name="ps", letters=("p", "s"))
-        mono, _ = corpus_tables("p" * 100 + "0" + "s" * 50, alpha)
+        mono, _, _ = design_tables(alpha, "p" * 100 + "0" + "s" * 50)
         # partition lists are in descending-frequency order
         assert mono.counts[("p",)] > mono.counts[("s",)]
         part = hand_partition(right=["p", "s"])
@@ -325,9 +325,8 @@ class TestPlaceKeys:
         rng = random.Random(4)
         weights = sorted((rng.uniform(1, 100) for _ in letters), reverse=True)
         text = random_text(letters, 30000, 4, weights=weights)
-        stream = tokenize(text, alpha)
-        mono = count_ngraphs(stream, 1)
-        part = assign_hands(mono, count_ngraphs(stream, 2))
+        mono, di, _ = design_tables(alpha, text)
+        part = assign_hands(mono, di)
         geometry = default_geometry()
         layout = place_keys(part, geometry)
         by_id = {p.position_id: p for p in geometry.positions}
@@ -342,7 +341,7 @@ class TestPlaceKeys:
         letters = string.ascii_lowercase[:12]
         alpha = AlphabetConfig(name="twelve", letters=tuple(letters))
         text = random_text(letters, 2500, seed, weights=zipf_weights(12))
-        mono, di = corpus_tables(text, alpha)
+        mono, di, _ = design_tables(alpha, text)
         part = assign_hands(mono, di)
         geometry = default_geometry()
         layout = place_keys(part, geometry)
@@ -354,7 +353,7 @@ class TestPlaceKeys:
                         assert by_id[layout.mapping[x]].cost <= by_id[layout.mapping[y]].cost
 
     def test_mapping_injective(self):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         part = assign_hands(mono, di)
         layout = place_keys(part, default_geometry())
         values = list(layout.mapping.values())
@@ -430,7 +429,7 @@ class TestGeometry:
 
 class TestLayoutFiles:
     def make_layout(self):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         part = assign_hands(mono, di)
         return place_keys(part, default_geometry(), name="fixture")
 
@@ -472,7 +471,7 @@ class TestLayoutFiles:
                    mapping={"a": "L1", "b": "L1"})
 
     def test_trace_tsv_format(self, tmp_path):
-        mono, di = corpus_tables(AFFINITY_TEXT, ABCDE)
+        mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
         part = assign_hands(mono, di)
         path = tmp_path / "trace.tsv"
         write_trace_tsv(part, path)

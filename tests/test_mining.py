@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from keymine import corpus, mining
-from keymine.corpus import AlphabetConfig, IngestionError, count_ngraphs, digests, tokenize
+from keymine.corpus import AlphabetConfig, IngestionError, digests
 from keymine.mining import (
     AssociationRule,
     FrequentLevel,
@@ -36,7 +36,7 @@ from keymine.mining import (
 )
 from keymine.synth import random_text
 
-from conftest import DATA, MARKET9_UNIVERSE, write_transactions_tsv
+from conftest import DATA, MARKET9_UNIVERSE, counts_of, design_tables, write_transactions_tsv
 from oracles import random_db
 from reference import UniverseTooLargeError, basket_rows, brute_force_frequent, support_count
 
@@ -61,7 +61,7 @@ class TestTransactionDB:
         baskets = read_transactions_tsv(data_dir / "baskets400.tsv")
         assert len(baskets.rows) > 100
         alpha = AlphabetConfig(name="greek", letters=("α", "β", "γ"))
-        digraphs = digraphs_as_transactions(count_ngraphs(tokenize("αβγαγββα", alpha), 2))
+        digraphs = digraphs_as_transactions(counts_of(alpha, 2, "αβγαγββα").table())
         assert len(digraphs.rows) == 4
         assert foreign(baskets) == foreign(digraphs) == []
 
@@ -294,7 +294,7 @@ class TestMineFrequent:
         # digraph rows hold at most two letters and every pair is frequent, so
         # level 3 joins to a candidate but is a scan over no rows, never built
         alpha = AlphabetConfig(name="abc", letters=("a", "b", "c"))
-        table = count_ngraphs(tokenize("abcabcacb" * 5, alpha), 2)
+        table = counts_of(alpha, 2, "abcabcacb" * 5).table()
         db = digraphs_as_transactions(table)
         levels, built, counted = self.spied(monkeypatch, count_spy, db, MiningParams(1, 0.0))
         assert [lv.k for lv in levels] == [1, 2]
@@ -307,8 +307,8 @@ class TestMineFrequent:
     # rows stop at rows.longest and level 3 is only probed
     JOINED_DBS = {
         "baskets400": (lambda: read_transactions_tsv(DATA / "baskets400.tsv"), 16, [1, 2, 3, 4, 5]),
-        "digraph rows": (lambda: digraphs_as_transactions(count_ngraphs(tokenize(
-            "abcabcacb" * 5, AlphabetConfig(name="abc", letters=("a", "b", "c"))), 2)), 1, [1, 2]),
+        "digraph rows": (lambda: digraphs_as_transactions(counts_of(AlphabetConfig(
+            name="abc", letters=("a", "b", "c")), 2, "abcabcacb" * 5).table()), 1, [1, 2]),
     }
 
     @pytest.mark.parametrize("name", JOINED_DBS)
@@ -441,7 +441,7 @@ def weighted_db(seed):
 def _stop_dbs():
     """Small DBs, with their support counts, whose rows end before the join does."""
     alpha = AlphabetConfig(name="abcd", letters=("a", "b", "c", "d"))
-    digraphs = digraphs_as_transactions(count_ngraphs(tokenize("abacadbcbdcd" * 2, alpha), 2))
+    digraphs = digraphs_as_transactions(counts_of(alpha, 2, "abacadbcbdcd" * 2).table())
     return {
         # every pair is frequent and no row holds 3 items: level 3 joins, and stops
         "digraphs, all pairs frequent": (digraphs, 2),
@@ -924,26 +924,26 @@ class TestDigraphAdapter:
     ALPHA = AlphabetConfig(name="ab", letters=("a", "b"))
 
     def test_unordered_pair_view(self):
-        table = count_ngraphs(tokenize("abab", self.ALPHA), 2)
+        table = counts_of(self.ALPHA, 2, "abab").table()
         # {(a,b):2, (b,a):1} -> three transactions, each {a,b}
         db = digraphs_as_transactions(table)
         assert len(db) == 3
         assert db.rows == {("a", "b"): 3}
 
     def test_doubled_letter_is_singleton(self):
-        table = count_ngraphs(tokenize("aaaaaa", self.ALPHA), 2)
+        table = counts_of(self.ALPHA, 2, "aaaaaa").table()
         db = digraphs_as_transactions(table)
         assert len(db) == 5
         assert db.rows == {("a",): 5}
 
     def test_requires_digraph_table(self):
-        table = count_ngraphs(tokenize("ab", self.ALPHA), 1)
+        table, _, _ = design_tables(self.ALPHA, "ab")
         with pytest.raises(ValueError):
             digraphs_as_transactions(table)
 
     def test_universe_is_alphabet_ordered_letters_present(self):
         alpha = AlphabetConfig(name="zxa", letters=("z", "x", "a"))
-        table = count_ngraphs(tokenize("xaxz", alpha), 2)
+        table = counts_of(alpha, 2, "xaxz").table()
         db = digraphs_as_transactions(table)
         assert db.universe == ("z", "x", "a")
         # each pair in alphabet order too, not code-point order: x before a, z before x
@@ -954,7 +954,7 @@ class TestDigraphAdapter:
         letters = "abcdef"
         alpha = AlphabetConfig(name="six", letters=tuple(letters))
         text = random_text(letters, 5000, seed)
-        table = count_ngraphs(tokenize(text, alpha), 2)
+        table = counts_of(alpha, 2, text).table()
         db = digraphs_as_transactions(table)
         for x, y in itertools.combinations(letters, 2):
             expected = table.counts.get((x, y), 0) + table.counts.get((y, x), 0)
