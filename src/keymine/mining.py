@@ -9,11 +9,13 @@ and, from k = 3 on, split into the pieces that the level's candidates link
 together; the rows are kept for the next level, which cuts them further, so
 rows that become equal merge and rows too short for the level drop out.
 Level 2 is counted from the frequent items themselves: the scan adds each
-row's multiplicity for every pair it holds into one flat triangular array of
+row's multiplicity for every pair it holds into one flat triangular list of
 counts, laid out in the order `combinations` yields the pairs of those
-items. Level 2's candidates, every pair of frequent items, come lazily from
-that `combinations` and are never listed, and the array itself is the
-level's supports. From k = 2 on, each level is sorted once and joined within
+items. The list holds one 8-byte reference per pair; a count above 256 also
+costs a 32-byte int object, since CPython caches only the smaller ones.
+Level 2's candidates, every pair of frequent items, come lazily from that
+`combinations` and are never listed, and the list itself is the level's
+supports. From k = 2 on, each level is sorted once and joined within
 groups that share a prefix, and the next level's candidates come out in
 universe order. Level 1 counts bare items and every level from 3 on the
 size-k subsets of the rows, each in one `Counter`, from which the
@@ -157,13 +159,15 @@ class _LevelRows:
     multiplicities, and rows below k items drop out.
 
     Level 2 is given the frequent items, not their pairs, and counts every
-    pair of them in one flat triangular array of 8-byte counts (Bodon's
-    counting scheme), laid out a-major: with the items ranked in universe
-    order, the pair (a, b), a before b, sits at base[a] + rank[b], where
+    pair of them in one flat triangular list of counts (Bodon's counting
+    scheme), laid out a-major: with the items ranked in universe order, the
+    pair (a, b), a before b, sits at base[a] + rank[b], where
     base[a] = r(2m - r - 1)/2 - r - 1 for a of rank r among m items. The
-    array then holds the pairs in the order `combinations(items, 2)` yields
-    them, which is the order of Apriori's level-2 candidates, so the array is
-    the level's supports as it stands, aligned with the lazy pairs. Level 1
+    list then holds the pairs in the order `combinations(items, 2)` yields
+    them, which is the order of Apriori's level-2 candidates, so the list is
+    the level's supports as it stands, aligned with the lazy pairs. It costs
+    an 8-byte reference per pair, as an array of 8-byte counts would, plus a
+    32-byte int for each count above 256, the largest int CPython caches. Level 1
     counts bare items and every later level the size-k subsets of the rows,
     each in one `Counter`, and the candidates' counts are popped from it into
     a list, in C.
@@ -190,12 +194,13 @@ class _LevelRows:
         are read out. At k = 2 `candidates` is not the pairs but the items
         they pair, as 1-itemsets in universe order: every pair of them is
         counted, and the pairs come back as a lazy `combinations` of the
-        items, aligned with the pair array."""
+        items, aligned with the pair list."""
         wanted = set(chain.from_iterable(candidates))
         if not self.held <= wanted:
             cut: dict[tuple[str, ...], int] = {}
-            for row, n in self.rows.items():
-                row = tuple(filter(wanted.__contains__, row))
+            # each row filtered in C, in step with its multiplicity
+            kept = map(tuple, map(filter, repeat(wanted.__contains__), self.rows))
+            for row, n in zip(kept, self.rows.values()):
                 if len(row) >= k:
                     cut[row] = cut.get(row, 0) + n
             if k >= 3:  # Apriori's 2-candidates pair every wanted item: no row splits
@@ -208,16 +213,15 @@ class _LevelRows:
             self.rows, self.held = cut, wanted
             self.longest = max(map(len, cut), default=0)
         if k == 2:
-            from array import array  # only level 2 uses one; kept off the other commands' imports
-
             # a-major: the pair (a, b), a before b in universe order, sits at
             # base[a] + rank[b], the place `combinations(items, 2)` yields it in
             items = tuple(chain.from_iterable(candidates))
             m = len(items)
             rank = {item: r for r, item in enumerate(items)}
             base = {item: r * (2 * m - r - 1) // 2 - r - 1 for item, r in rank.items()}
-            # not from a zeroed `bytes`: its freed pages can stay resident (peak RSS)
-            pairs = array("q", [0]) * (m * (m - 1) // 2)
+            # a list, not an array("q"): `+=` on a list stores the int object, with no
+            # unboxing and reboxing of a C long long, and ints up to 256 are cached
+            pairs = [0] * (m * (m - 1) // 2)
             for row, n in self.rows.items():
                 for a, b in combinations(row, 2):
                     pairs[base[a] + rank[b]] += n
@@ -296,7 +300,7 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
         walked = len(supports)
         frequent = tuple(map(_counted, compress(
             zip(counted, supports), map(le, repeat(params.min_support_count), supports))))
-        del counted, supports  # level 2's pair array goes before the next level is counted
+        del counted, supports  # level 2's pair list goes before the next level is counted
         levels.scans += 1
         if not frequent:
             break
@@ -346,6 +350,11 @@ class AssociationRule(_AssociationRule):
     @classmethod
     def _make(cls, iterable: Iterable) -> AssociationRule:
         return cls(*iterable)  # so `_replace` validates too
+
+
+# builds an AssociationRule without a Python-level call or its checks, for
+# `generate_rules`, whose sides are disjoint, non-empty subsets of one itemset
+_rule = partial(tuple.__new__, AssociationRule)
 
 
 def decimal_parts(value: str | float | Decimal) -> tuple[int, str, int | float]:
@@ -419,6 +428,8 @@ def generate_rules(
 
     All 2^k - 2 non-empty proper subsets of each frequent k-itemset are
     enumerated directly; k stays small (5 on the market-basket benchmark).
+    Each antecedent is paired with its consequent by walking the r-subsets
+    forwards and the (k - r)-subsets backwards, both from `combinations`.
     A rule is kept when count(A∪B)·den >= num·count(A), where num/den is
     the exact ratio of the threshold's decimal text, so no float rounding
     decides it.
@@ -434,25 +445,21 @@ def generate_rules(
     for level in levels:
         if level.k < 2:
             continue
-        for ci in level.itemsets:
-            for r in range(1, len(ci.items)):
-                for antecedent in combinations(ci.items, r):
+        for items, count in level.itemsets:
+            k, support = len(items), count / db_size  # k from the items: levels may be hand-built
+            for r in range(1, k):
+                # in lexicographic order the i-th r-subset's complement is the
+                # i-th (k - r)-subset from the end
+                sides = zip(combinations(items, r), reversed(list(combinations(items, k - r))))
+                for antecedent, consequent in sides:
                     count_a = counts.get(antecedent)
                     if count_a is None:
                         raise MiningInvariantError(
-                            f"subset {antecedent!r} of frequent itemset {ci.items!r} "
+                            f"subset {antecedent!r} of frequent itemset {items!r} "
                             "was never counted; levels are inconsistent"
                         )
-                    if ci.support_count * den >= num * count_a:
-                        consequent = tuple(x for x in ci.items if x not in antecedent)
-                        rules.append(
-                            AssociationRule(
-                                antecedent=antecedent,
-                                consequent=consequent,
-                                support=ci.support_count / db_size,
-                                confidence=ci.support_count / count_a,
-                            )
-                        )
+                    if count * den >= num * count_a:
+                        rules.append(_rule((antecedent, consequent, support, count / count_a)))
     return rules
 
 

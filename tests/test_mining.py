@@ -9,6 +9,7 @@ import string
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from collections.abc import Sized
 from decimal import Decimal
 from fractions import Fraction
@@ -345,7 +346,7 @@ class TestMineFrequent:
         assert [(lv.k, lv.candidates) for lv in levels] == [(1, 40), (2, 780), (3, 38)]
         assert given[2] == [(item,) for item in universe]  # the frequent 1-itemsets
         assert isinstance(given[3], list)
-        # level 2 reads out as the lazy pairs and the pair array of their counts
+        # level 2 reads out as the lazy pairs and the pair list of their counts
         pairs, supports = returned[2]
         assert not isinstance(pairs, Sized) and len(supports) == 780
 
@@ -622,6 +623,72 @@ class TestLevelOracle:
         }
 
 
+def cut_row_by_row(rows, wanted, k):
+    """The row cut written as a loop over the rows: each row's wanted items,
+    kept when they are at least k, equal cut rows merging in first-seen order."""
+    cut = {}
+    for row, n in rows.items():
+        row = tuple(item for item in row if item in wanted)
+        if len(row) >= k:
+            cut[row] = cut.get(row, 0) + n
+    return cut
+
+
+class TestLevelRows:
+    """`_LevelRows.count` on its own: level 2's pair list and the row cut."""
+
+    def test_level_two_matches_a_brute_force_pair_count(self):
+        # 280 of 300 items are counted; rows have multiplicity 1-4, and three
+        # heavy rows push some pair counts past 256, beyond CPython's cached ints
+        rng = random.Random(11)
+        universe = tuple(f"i{n:03d}" for n in range(300))
+        rows: dict[tuple[str, ...], int] = {}
+        for _ in range(3000):
+            row = tuple(sorted(rng.sample(universe, rng.randint(1, 6))))
+            rows[row] = rows.get(row, 0) + rng.randint(1, 4)
+        for row in (universe[0:4], universe[2:5], (universe[0], universe[-1])):
+            rows[row] = rows.get(row, 0) + 300
+        dropped = set(rng.sample(universe[5:-1], 20))
+        items = tuple(item for item in universe if item not in dropped)
+        expected: Counter = Counter()
+        for row, n in rows.items():
+            for pair in itertools.combinations([x for x in row if x not in dropped], 2):
+                expected[pair] += n
+        level = mining._LevelRows(TransactionDB(universe, rows))
+        pairs, supports = level.count([(item,) for item in items], 2)
+        assert type(supports) is list
+        assert list(pairs) == list(itertools.combinations(items, 2))
+        assert supports == [expected[pair] for pair in itertools.combinations(items, 2)]
+        assert len(items) > 256 and max(rows.values()) > 1
+        assert sum(n > 256 for n in supports) >= 6
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cut_matches_the_row_by_row_loop(self, seed, k):
+        # rows over a-i cut to a-f: two rows cut to abc and merge, one falls
+        # to a single item, one loses every item; then seeded rows
+        rows = {("a", "b", "c", "g"): 1, ("a", "g", "h"): 2, ("a", "b", "c", "h"): 2,
+                ("g", "h", "i"): 1}
+        rng = random.Random(seed)
+        for _ in range(40):
+            row = tuple(sorted(rng.sample("abcdefghi", rng.randint(1, 6))))
+            rows[row] = rows.get(row, 0) + rng.randint(1, 3)
+        wanted = tuple("abcdef")
+        # levels 1 and 2 are given the items; level 3 every 3-subset of
+        # them, which links every pair, so no cut row is split into pieces
+        if k == 3:
+            candidates = list(itertools.combinations(wanted, 3))
+        else:
+            candidates = [(item,) for item in wanted]
+        level = mining._LevelRows(TransactionDB(tuple("abcdefghi"), rows))
+        level.count(candidates, k)
+        expected = cut_row_by_row(rows, set(wanted), k)
+        assert list(level.rows.items()) == list(expected.items())
+        assert level.longest == max(map(len, expected))
+        assert expected[("a", "b", "c")] >= 3
+        assert (("a",) in expected) == (k == 1)
+
+
 class TestBruteForce:
     def test_tiny_db(self):
         found = brute_force_frequent(("a", "b"), {("a", "b"): 1}, 1)
@@ -789,6 +856,35 @@ for text in ("1e999999999", "0E-400", "-1e-999999999"):
             assert rule.confidence >= params.min_confidence
             assert rule.support * len(db) >= params.min_support_count
             assert rule.support <= rule.confidence
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_naive_enumeration(self, seed):
+        # dense seeded rows over 6 items, so levels run up to k = 6
+        rng = random.Random(seed)
+        universe = tuple("abcdef")
+        rows: dict[tuple[str, ...], int] = {}
+        for _ in range(30):
+            row = tuple(sorted(rng.sample(universe, rng.randint(2, 6))))
+            rows[row] = rows.get(row, 0) + rng.randint(1, 3)
+        db = TransactionDB(universe, rows | {universe: 2})
+        params = MiningParams(2, ("0", "0.3", "0.5", "0.75", "1", "0.9")[seed])
+        levels = mine_frequent(db, params)
+        assert levels[-1].k == 6
+        counts, bar, rules = frequent_map(levels), Fraction(params.min_confidence), []
+        for items, count in (ci for level in levels[1:] for ci in level.itemsets):
+            for r in range(1, len(items)):
+                for antecedent in itertools.combinations(items, r):
+                    if Fraction(count, counts[antecedent]) >= bar:
+                        consequent = tuple(x for x in items if x not in antecedent)
+                        rules.append((antecedent, consequent, count / len(db),
+                                      count / counts[antecedent]))
+        found = generate_rules(levels, len(db), params)
+        assert [tuple(rule) for rule in found] == rules and found
+        assert {type(rule) for rule in found} == {AssociationRule}
+        with pytest.raises(ValueError, match="^rule sides must be disjoint$"):
+            found[-1]._replace(consequent=found[-1].antecedent)
+        with pytest.raises(MiningInvariantError):  # level 3's antecedent pairs are missing
+            generate_rules([lv for lv in levels if lv.k != 2], len(db), params)
 
     def test_missing_subset_count_is_internal_error(self):
         # hand-build inconsistent levels: a frequent pair without its singles
