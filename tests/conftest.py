@@ -1,15 +1,19 @@
-"""Shared fixtures: the nine-transaction demo database, repo paths, a spy
-on Apriori's counting, a helper that counts texts through `CorpusCounts` as
-a command counts its corpus files, one that builds the tables `keymine
-design` and `keymine evaluate` work from, one that builds a hand partition from hand
+"""Shared fixtures: the nine-transaction demo database, repo paths, the
+commands behind the golden files run once a session, a spy on Apriori's
+counting, a helper that counts texts through `CorpusCounts` as a command
+counts its corpus files, one that builds the tables `keymine design` and
+`keymine evaluate` work from, one that builds a hand partition from hand
 lists, and one that scores a layout the way `keymine evaluate` does."""
 
+import contextlib
+import io
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from keymine import mining
+from keymine.cli import main
 from keymine.corpus import AlphabetConfig, CorpusCounts, NGraphTable, derive_lower
 from keymine.evaluation import EvalReport, evaluate
 from keymine.layout import HandPartition, Layout, TraceRecord
@@ -40,6 +44,53 @@ def market9_db() -> TransactionDB:
 @pytest.fixture
 def market9() -> TransactionDB:
     return market9_db()
+
+
+ENGLISH = ["--alphabet", str(DATA / "alphabets" / "english.json"),
+           "--manifest", str(DATA / "sample" / "manifest.txt")]
+BANGLA = ["--alphabet", str(DATA / "alphabets" / "bangla.json"),
+          "--manifest", str(DATA / "bangla" / "manifest.txt")]
+WIDE = ["--geometry", str(DATA / "bangla" / "layouts" / "geometry.json")]
+
+# the commands behind the sample and Bangla golden files, in dependency
+# order; "{tmp}" is the directory holding every run's output directory
+GOLDEN_RUNS = {
+    "sample-stats": ["stats", *ENGLISH],
+    "sample-design": ["design", *ENGLISH],
+    "sample-evaluate": ["evaluate", *ENGLISH, "{tmp}/sample-design/layout.json",
+                        str(DATA / "sample" / "layouts" / "partial.json")],
+    "sample-mine": ["mine", *ENGLISH, "--min-support", "0.01", "--min-confidence", "0.1"],
+    "market9": ["mine", "--transactions", str(DATA / "market9.tsv"),
+                "--min-support", "2", "--min-confidence", "0.7"],
+    "baskets400": ["mine", "--transactions", str(DATA / "baskets400.tsv"),
+                   "--min-support", "0.04", "--min-confidence", "0.6"],
+    "compare-only": ["compare-only", "{tmp}/sample-evaluate/report_01_layout.json",
+                     "{tmp}/sample-evaluate/report_02_partial.json"],
+    "bangla-stats": ["stats", *BANGLA],
+    "bangla-design-left-biased": ["design", *BANGLA, *WIDE, "--tie-policy", "left-biased"],
+    "bangla-design-balanced": ["design", *BANGLA, *WIDE, "--tie-policy", "balanced"],
+    "bangla-evaluate": ["evaluate", *BANGLA, "{tmp}/bangla-design-left-biased/layout.json",
+                        str(DATA / "bangla" / "layouts" / "partial.json")],
+    "bangla-mine": ["mine", *BANGLA, "--min-support", "0.01", "--min-confidence", "0.1"],
+}
+
+
+def run_all(tmp: Path, runs: dict) -> Path:
+    """Run each command in order, into `tmp/<name>`, and keep its stdout in
+    `tmp/<name>.stdout`."""
+    for name, argv in runs.items():
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main([*argv, "--output-dir", str(tmp / name)]) == 0, name
+        (tmp / f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    return tmp
+
+
+@pytest.fixture(scope="session")
+def golden_runs(tmp_path_factory) -> Path:
+    """Every `GOLDEN_RUNS` command, run once a session. A test that edits a
+    run's files edits a copy."""
+    return run_all(tmp_path_factory.mktemp("golden"), GOLDEN_RUNS)
 
 
 @pytest.fixture

@@ -1,4 +1,7 @@
-"""End-to-end command tests driven through main(argv)."""
+"""End-to-end command tests driven through main(argv). Each command behind
+a golden file runs once a session (`golden_runs` in conftest.py), and
+test_reference.py compares its outputs with `data/golden/`; the tests here
+check other behaviour, some of them on those runs."""
 
 import json
 import os
@@ -32,7 +35,7 @@ from keymine.layout import (
 )
 from keymine.synth import random_text, zipf_weights
 
-from conftest import DATA, score, write_transactions_tsv
+from conftest import BANGLA, DATA, ENGLISH, WIDE, score, write_transactions_tsv
 from oracles import random_db
 import reference
 from reference import brute_force_frequent
@@ -87,29 +90,16 @@ class TestStats:
         assert counts("digraphs.tsv") == {"a+b": 2, "b+c": 1, "c+a": 1}
         assert counts("trigraphs.tsv") == {"a+b+c": 1, "c+a+b": 1}
 
-    def test_sample_corpus_digraphs_match_reference(self, tmp_path, data_dir):
-        out = tmp_path / "out"
-        assert main(["stats",
-                     "--alphabet", str(data_dir / "alphabets" / "english.json"),
-                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
-                     "--output-dir", str(out)]) == 0
+    def test_sample_corpus_digraphs_match_reference(self, golden_runs, data_dir):
         letters = json.loads(reference.read(data_dir / "alphabets" / "english.json"))["letters"]
         text = reference.read(data_dir / "sample" / "corpus.txt")
         runs, _ = reference.letter_runs([text], letters)
         got = {}
-        for line in (out / "digraphs.tsv").read_text(encoding="utf-8").splitlines()[1:]:
+        digraphs = golden_runs / "sample-stats" / "digraphs.tsv"
+        for line in digraphs.read_text(encoding="utf-8").splitlines()[1:]:
             ngram, count, _ = line.split("\t")
             got[tuple(ngram.split("+"))] = int(count)
         assert got == reference.ngrams(runs, 2)
-
-    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
-        out = tmp_path / "out"
-        assert main(["stats", "--alphabet", str(data_dir / "alphabets" / "english.json"),
-                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
-                     "--output-dir", str(out)]) == 0
-        for name in ("monographs.tsv", "digraphs.tsv", "trigraphs.tsv", "summary.tsv"):
-            golden = data_dir / "golden" / "sample" / "stats" / name
-            assert (out / name).read_bytes() == golden.read_bytes()
 
     def test_unreadable_file_exits_nonzero_with_path(self, tmp_path, capsys):
         alpha, manifest = write_corpus(tmp_path, ["ab"], "ab")
@@ -125,50 +115,11 @@ class TestStats:
 
 
 class TestMine:
-    def test_fixture_db_matches_golden_files(self, tmp_path, data_dir):
-        out = tmp_path / "out"
-        assert main(["mine", "--transactions", str(data_dir / "market9.tsv"),
-                     "--min-support", "2", "--min-confidence", "0.7",
-                     "--output-dir", str(out)]) == 0
-        for name in ("frequent_itemsets.tsv", "rules.tsv"):
-            assert (out / name).read_bytes() == (data_dir / "golden" / name).read_bytes()
-
-    def test_log_reports_candidates_and_scans(self, tmp_path, data_dir, capsys):
-        main(["mine", "--transactions", str(data_dir / "market9.tsv"),
-              "--min-support", "2", "--min-confidence", "0.7",
-              "--output-dir", str(tmp_path / "out")])
-        log = capsys.readouterr().out
+    def test_log_reports_candidates_and_scans(self, golden_runs):
+        log = (golden_runs / "market9.stdout").read_text(encoding="utf-8")
         assert "level 1: 5 candidates, 5 frequent (1 scan)" in log
         assert "level 2: 10 candidates, 6 frequent (1 scan)" in log
         assert "scans performed: 3" in log
-
-    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir, capsys):
-        out = tmp_path / "out"
-        assert main(["mine", "--alphabet", str(data_dir / "alphabets" / "english.json"),
-                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
-                     "--min-support", "0.01", "--min-confidence", "0.1",
-                     "--output-dir", str(out)]) == 0
-        golden = data_dir / "golden" / "sample" / "mine"
-        for name in ("frequent_itemsets.tsv", "rules.tsv"):
-            assert (out / name).read_bytes() == (golden / name).read_bytes()
-        # digraph rows hold at most two letters: level 3 joins to candidates,
-        # none of which any row can hold, so it is a scan over no rows
-        log = [line for line in capsys.readouterr().out.splitlines()
-               if line.startswith(("level ", "scans performed:"))]
-        assert "\n".join(log) + "\n" == (golden / "stdout.txt").read_text(encoding="utf-8")
-
-    def test_basket_fixture_matches_golden_files(self, tmp_path, data_dir, capsys):
-        # levels reach k = 5, and the infrequent item r0 makes level 2 cut its rows
-        out = tmp_path / "out"
-        assert main(["mine", "--transactions", str(data_dir / "baskets400.tsv"),
-                     "--min-support", "0.04", "--min-confidence", "0.6",
-                     "--output-dir", str(out)]) == 0
-        golden = data_dir / "golden" / "baskets400"
-        for name in ("frequent_itemsets.tsv", "rules.tsv"):
-            assert (out / name).read_bytes() == (golden / name).read_bytes()
-        log = [line for line in capsys.readouterr().out.splitlines()
-               if line.startswith(("level ", "scans performed:"))]
-        assert "\n".join(log) + "\n" == (golden / "stdout.txt").read_text(encoding="utf-8")
 
     def test_corpus_tables_are_freed_before_mining(self, tmp_path, data_dir):
         # a spy in place of `mine_frequent` looks for every live object of
@@ -197,7 +148,8 @@ class TestMine:
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
 
-    def test_basket_rows_shuffled_renamed_and_reordered_mine_identically(self, tmp_path, data_dir):
+    def test_basket_rows_shuffled_renamed_and_reordered_mine_identically(self, tmp_path, data_dir,
+                                                                         golden_runs):
         # a row is its set of items and the tids are labels: neither the order
         # of rows or items, nor the tids, nor a repeated item may change the output
         header, *lines = (data_dir / "baskets400.tsv").read_text(encoding="utf-8").splitlines()
@@ -211,14 +163,11 @@ class TestMine:
         moved.write_text(header + "\n" + "".join(
             f"basket-{len(rows) - i}\t{' '.join(row)}\n" for i, row in enumerate(rows)),
             encoding="utf-8")
-        outputs = []
-        for path in (data_dir / "baskets400.tsv", moved):
-            out = tmp_path / path.stem
-            assert main(["mine", "--transactions", str(path), "--min-support", "0.04",
-                         "--min-confidence", "0.6", "--output-dir", str(out)]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("frequent_itemsets.tsv", "rules.tsv")])
-        assert outputs[0] == outputs[1]
+        out = tmp_path / "out"
+        assert main(["mine", "--transactions", str(moved), "--min-support", "0.04",
+                     "--min-confidence", "0.6", "--output-dir", str(out)]) == 0
+        for name in ("frequent_itemsets.tsv", "rules.tsv"):
+            assert (out / name).read_bytes() == (golden_runs / "baskets400" / name).read_bytes()
 
     def test_no_frequent_itemsets_is_one_scan(self, tmp_path, data_dir, capsys):
         main(["mine", "--transactions", str(data_dir / "market9.tsv"),
@@ -392,15 +341,6 @@ class TestDesign:
         assert hands["a"] == "right" and hands["d"] == "right"
         assert hands["b"] == "left" and hands["c"] == "left"
 
-    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
-        out = tmp_path / "out"
-        assert main(["design", "--alphabet", str(data_dir / "alphabets" / "english.json"),
-                     "--manifest", str(data_dir / "sample" / "manifest.txt"),
-                     "--output-dir", str(out)]) == 0
-        for name in ("layout.json", "trace.tsv"):
-            golden = data_dir / "golden" / "sample" / "design" / name
-            assert (out / name).read_bytes() == golden.read_bytes()
-
     def test_rerun_byte_identical(self, tmp_path):
         alpha, manifest = write_corpus(tmp_path, ["abcd dcba abab"], "abcd")
         outs = []
@@ -563,24 +503,6 @@ class TestEvaluate:
         assert read_report_json(out / "report_01_split.json").hand_switching == 2
         assert "split: switching 2, left 2, right 2, undetermined 0" in capsys.readouterr().out
 
-    def test_sample_corpus_matches_golden_files(self, tmp_path, data_dir):
-        # the designed layout plus a partial one that leaves letters unmapped
-        # and maps the digit 1, which is not in the alphabet
-        corpus = ["--alphabet", str(data_dir / "alphabets" / "english.json"),
-                  "--manifest", str(data_dir / "sample" / "manifest.txt")]
-        design = tmp_path / "design"
-        assert main(["design", *corpus, "--output-dir", str(design)]) == 0
-        out = tmp_path / "out"
-        assert main(["evaluate", *corpus, "--output-dir", str(out),
-                     str(design / "layout.json"),
-                     str(data_dir / "sample" / "layouts" / "partial.json")]) == 0
-        golden = data_dir / "golden" / "sample" / "evaluate"
-        names = sorted(p.name for p in golden.iterdir())
-        assert names == ["comparison.tsv", "report_01_layout.json", "report_01_layout.tsv",
-                         "report_02_partial.json", "report_02_partial.tsv"]
-        for name in names:
-            assert (out / name).read_bytes() == (golden / name).read_bytes()
-
     def test_bad_later_layout_writes_nothing(self, tmp_path, capsys):
         # every layout is loaded before the first report is written
         alpha, manifest, designed = make_eval_fixture(tmp_path)
@@ -607,9 +529,6 @@ class TestInputsBeforeCounting:
     corpus file is counted, so a bad one fails at once, however large the
     corpus."""
 
-    CORPUS = ["--alphabet", str(DATA / "alphabets" / "english.json"),
-              "--manifest", str(DATA / "sample" / "manifest.txt")]
-
     @pytest.fixture
     def counted(self, monkeypatch):
         """The paths `CorpusCounts.add_file` is called with, in order."""
@@ -627,12 +546,12 @@ class TestInputsBeforeCounting:
         malformed = tmp_path / "malformed.json"
         malformed.write_text('{"positions": [', encoding="utf-8")
         for geometry in (tmp_path / "missing.json", tmp_path, malformed):
-            assert main(["design", *self.CORPUS, "--geometry", str(geometry),
+            assert main(["design", *ENGLISH, "--geometry", str(geometry),
                          "--output-dir", str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err.startswith(f"error: {geometry}: ")
         assert counted == []
         assert not (tmp_path / "out").exists()
-        assert main(["design", *self.CORPUS, "--output-dir", str(tmp_path / "out")]) == 0
+        assert main(["design", *ENGLISH, "--output-dir", str(tmp_path / "out")]) == 0
         assert counted == read_manifest(DATA / "sample" / "manifest.txt")
 
     def test_bad_layout_fails_before_counting(self, tmp_path, counted, capsys):
@@ -643,11 +562,11 @@ class TestInputsBeforeCounting:
         dangling.write_text(good.read_text(encoding="utf-8").replace(
             json.loads(good.read_bytes())["geometry_ref"], "nosuch.json"), encoding="utf-8")
         for layout in (tmp_path / "missing.json", malformed, dangling):
-            assert main(["evaluate", *self.CORPUS, "--output-dir", str(tmp_path / "out"),
+            assert main(["evaluate", *ENGLISH, "--output-dir", str(tmp_path / "out"),
                          str(good), str(layout)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {layout}: ")
         assert counted == []
-        assert main(["evaluate", *self.CORPUS, "--output-dir", str(tmp_path / "out"),
+        assert main(["evaluate", *ENGLISH, "--output-dir", str(tmp_path / "out"),
                      str(good)]) == 0
         assert counted == read_manifest(DATA / "sample" / "manifest.txt")
 
@@ -667,7 +586,7 @@ class TestInputsBeforeCounting:
         assert counted == []
 
     def test_negative_confidence_fails_before_counting(self, tmp_path, counted, capsys):
-        assert main(["mine", *self.CORPUS, "--min-support", "2", "--min-confidence=-1e-999",
+        assert main(["mine", *ENGLISH, "--min-support", "2", "--min-confidence=-1e-999",
                      "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: --min-confidence must be >= 0, got -1e-999\n"
         assert counted == []
@@ -798,25 +717,14 @@ def bangla_corpus_texts():
 
 
 class TestBanglaGolden:
-    """The paper's own script end to end: every command's outputs on the
-    seeded Bangla corpus match files written before the hand-assignment
-    loop was last rewritten."""
-
-    @staticmethod
-    def corpus(data_dir):
-        return ["--alphabet", str(data_dir / "alphabets" / "bangla.json"),
-                "--manifest", str(data_dir / "bangla" / "manifest.txt")]
+    """The paper's own script end to end: the seeded Bangla corpus, the
+    design that overflows the default geometry, and the shift layers of the
+    designs on a wider one. test_reference.py compares the other Bangla
+    runs with their golden files byte for byte."""
 
     @staticmethod
     def golden(data_dir, *parts):
         return data_dir.joinpath("golden", "bangla", *parts)
-
-    def design_wide(self, tmp_path, data_dir, tie_policy):
-        out = tmp_path / f"design-{tie_policy}"
-        assert main(["design", *self.corpus(data_dir), "--output-dir", str(out),
-                     "--geometry", str(data_dir / "bangla" / "layouts" / "geometry.json"),
-                     "--tie-policy", tie_policy]) == 0
-        return out
 
     def test_corpus_is_the_seeded_recipe_and_covers_the_script(self, data_dir):
         raw = [(data_dir / "bangla" / f"corpus{i}.txt").read_text(encoding="utf-8")
@@ -831,57 +739,23 @@ class TestBanglaGolden:
             assert re.search(letter + joiner + letter, text), "joiner inside a word"
         assert "\u0964" in text and re.search("[\u09e6-\u09ef]", text)
 
-    def test_stats_match_golden_files(self, tmp_path, data_dir):
-        out = tmp_path / "out"
-        assert main(["stats", *self.corpus(data_dir), "--output-dir", str(out)]) == 0
-        for name in ("monographs.tsv", "digraphs.tsv", "trigraphs.tsv", "summary.tsv"):
-            assert (out / name).read_bytes() == self.golden(data_dir, "stats", name).read_bytes()
-
     def test_design_overflows_the_default_geometry(self, tmp_path, data_dir, capsys):
-        # ROADMAP item 5: the left hand gets 33 letters for 30 positions
+        # ROADMAP item 2: the left hand gets 33 letters for 30 positions
         out = tmp_path / "out"
-        assert main(["design", *self.corpus(data_dir), "--output-dir", str(out)]) == 1
+        assert main(["design", *BANGLA, "--output-dir", str(out)]) == 1
         golden = self.golden(data_dir, "design", "stderr.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().err == golden
         assert not out.exists()
 
     @pytest.mark.parametrize("tie_policy", ["left-biased", "balanced"])
-    def test_design_on_a_wider_geometry_matches_golden_files(self, tmp_path, data_dir,
-                                                            tie_policy):
-        # 36 positions a hand; both hands spill over the 18 base positions
-        out = self.design_wide(tmp_path, data_dir, tie_policy)
-        for name in ("layout.json", "trace.tsv"):
-            golden = self.golden(data_dir, "design-wide", tie_policy, name)
-            assert (out / name).read_bytes() == golden.read_bytes()
-        layout = load_layout(out / "layout.json")
+    def test_design_on_a_wider_geometry_matches_golden_files(self, golden_runs, tie_policy):
+        # 36 positions a hand; both hands spill over the 18 base positions.
+        # test_reference.py compares the run's bytes with design-wide/
+        layout = load_layout(golden_runs / f"bangla-design-{tie_policy}" / "layout.json")
         by_id = layout.geometry.by_id()
         shift = {by_id[pid].hand for pid in layout.mapping.values()
                  if by_id[pid].layer == "shift"}
         assert shift == {"left", "right"}
-
-    def test_mine_matches_golden_files(self, tmp_path, data_dir, capsys):
-        out = tmp_path / "out"
-        assert main(["mine", *self.corpus(data_dir), "--min-support", "0.01",
-                     "--min-confidence", "0.1", "--output-dir", str(out)]) == 0
-        for name in ("frequent_itemsets.tsv", "rules.tsv"):
-            assert (out / name).read_bytes() == self.golden(data_dir, "mine", name).read_bytes()
-        log = [line for line in capsys.readouterr().out.splitlines()
-               if line.startswith(("level ", "scans performed:"))]
-        golden = self.golden(data_dir, "mine", "stdout.txt").read_text(encoding="utf-8")
-        assert "\n".join(log) + "\n" == golden
-
-    def test_evaluate_matches_golden_files(self, tmp_path, data_dir):
-        # the designed layout plus a partial one that maps the digit one
-        designed = self.design_wide(tmp_path, data_dir, "left-biased") / "layout.json"
-        out = tmp_path / "out"
-        assert main(["evaluate", *self.corpus(data_dir), "--output-dir", str(out),
-                     str(designed), str(data_dir / "bangla" / "layouts" / "partial.json")]) == 0
-        golden = self.golden(data_dir, "evaluate")
-        names = sorted(p.name for p in golden.iterdir())
-        assert names == ["comparison.tsv", "report_01_layout.json", "report_01_layout.tsv",
-                         "report_02_partial.json", "report_02_partial.tsv"]
-        for name in names:
-            assert (out / name).read_bytes() == (golden / name).read_bytes()
 
 
 class TestMetamorphic:
@@ -920,12 +794,10 @@ class TestMetamorphic:
             assert listed["inputs"].pop(str(manifest)) != permuted["inputs"].pop(str(manifest))
             assert listed == permuted
 
-    def test_mirrored_hands_keep_switching_and_swap_loads(self, tmp_path, data_dir):
+    def test_mirrored_hands_keep_switching_and_swap_loads(self, tmp_path, data_dir, golden_runs):
         # a designed and a partial layout and their mirrors, scored in one run
-        design = tmp_path / "design"
-        assert main(["design", *TestBanglaGolden.corpus(data_dir), "--output-dir", str(design),
-                     "--geometry", str(data_dir / "bangla" / "layouts" / "geometry.json")]) == 0
-        originals = [design / "layout.json", data_dir / "bangla" / "layouts" / "partial.json"]
+        originals = [golden_runs / "bangla-design-left-biased" / "layout.json",
+                     data_dir / "bangla" / "layouts" / "partial.json"]
         mirrors = []
         for path in originals:
             layout = load_layout(path)
@@ -939,7 +811,7 @@ class TestMetamorphic:
             mirrors.append(mirror)
         out = tmp_path / "out"
         paths = [*originals, *mirrors]
-        assert main(["evaluate", *TestBanglaGolden.corpus(data_dir), "--output-dir", str(out),
+        assert main(["evaluate", *BANGLA, "--output-dir", str(out),
                      *map(str, paths)]) == 0
         reports = [read_report_json(out / f"report_{i:02d}_{p.stem}.json")
                    for i, p in enumerate(paths, start=1)]
@@ -1149,14 +1021,10 @@ class TestConfigAndManifest:
         config.write_text(json.dumps({"seed": 1}), encoding="utf-8")
         assert main(args + ["--config", str(config)]) == 1
 
-    def test_run_manifest_hashes_inputs(self, tmp_path, data_dir):
+    def test_run_manifest_hashes_inputs(self, golden_runs, data_dir):
         import hashlib
 
-        out = tmp_path / "out"
-        main(["mine", "--transactions", str(data_dir / "market9.tsv"),
-              "--min-support", "2", "--min-confidence", "0.7",
-              "--output-dir", str(out)])
-        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads((golden_runs / "market9" / "run_manifest.json").read_bytes())
         digest = hashlib.sha256((data_dir / "market9.tsv").read_bytes()).hexdigest()
         assert manifest["inputs"][str(data_dir / "market9.tsv")] == digest
         assert manifest["command"] == "mine"
@@ -1212,8 +1080,7 @@ class TestConfigAndManifest:
 
     def test_a_second_run_lists_only_its_own_inputs(self, tmp_path, data_dir):
         # two commands in one process: the second manifest holds none of the first's reads
-        assert main(["stats", *(arg.format(data=data_dir) for arg in self.CORPUS),
-                     "--output-dir", str(tmp_path / "stats")]) == 0
+        assert main(["stats", *ENGLISH, "--output-dir", str(tmp_path / "stats")]) == 0
         assert main(["mine", "--transactions", str(data_dir / "market9.tsv"), *self.THRESHOLDS,
                      "--output-dir", str(tmp_path / "mine")]) == 0
         inputs = json.loads((tmp_path / "mine" / "run_manifest.json").read_bytes())["inputs"]
@@ -1253,8 +1120,7 @@ class TestConfigAndManifest:
         commands = {
             "mine": ["mine", "--transactions", str(data_dir / "baskets400.tsv"),
                      "--min-support", "0.04", "--min-confidence", "0.6"],
-            "design": ["design", *TestBanglaGolden.corpus(data_dir), "--geometry",
-                       str(data_dir / "bangla" / "layouts" / "geometry.json")],
+            "design": ["design", *BANGLA, *WIDE],
         }
         src = Path(keymine.__file__).resolve().parent.parent
         runs = {}

@@ -1,7 +1,7 @@
-"""keymine against the reference model in tests/reference.py: the run behind
-every golden file and every command on seeded corpora check clean, an
-output edited after the run fails naming its file, and the model imports
-only the standard library."""
+"""keymine against the reference model in tests/reference.py and the golden
+files: the run behind every golden file matches it byte for byte, it and
+every command on seeded corpora check clean, an output edited after the run
+fails naming its file, and the model imports only the standard library."""
 
 import ast
 import hashlib
@@ -16,54 +16,57 @@ from pathlib import Path
 import pytest
 
 import reference
-from conftest import DATA
+from conftest import DATA, ENGLISH, GOLDEN_RUNS, run_all
 from keymine.cli import main
 from keymine.synth import random_text, zipf_weights
 
-ENGLISH = ["--alphabet", str(DATA / "alphabets" / "english.json"),
-           "--manifest", str(DATA / "sample" / "manifest.txt")]
-BANGLA = ["--alphabet", str(DATA / "alphabets" / "bangla.json"),
-          "--manifest", str(DATA / "bangla" / "manifest.txt")]
-WIDE = ["--geometry", str(DATA / "bangla" / "layouts" / "geometry.json")]
+GOLDEN = DATA / "golden"
 
-# the commands behind the sample and Bangla golden files, in dependency
-# order; "{tmp}" is the directory holding every run's output directory
-GOLDEN_RUNS = {
-    "sample-stats": ["stats", *ENGLISH],
-    "sample-design": ["design", *ENGLISH],
-    "sample-evaluate": ["evaluate", *ENGLISH, "{tmp}/sample-design/layout.json",
-                        str(DATA / "sample" / "layouts" / "partial.json")],
-    "sample-mine": ["mine", *ENGLISH, "--min-support", "0.01", "--min-confidence", "0.1"],
-    "market9": ["mine", "--transactions", str(DATA / "market9.tsv"),
-                "--min-support", "2", "--min-confidence", "0.7"],
-    "baskets400": ["mine", "--transactions", str(DATA / "baskets400.tsv"),
-                   "--min-support", "0.04", "--min-confidence", "0.6"],
-    "compare-only": ["compare-only", "{tmp}/sample-evaluate/report_01_layout.json",
-                     "{tmp}/sample-evaluate/report_02_partial.json"],
-    "bangla-stats": ["stats", *BANGLA],
-    "bangla-design-left-biased": ["design", *BANGLA, *WIDE, "--tie-policy", "left-biased"],
-    "bangla-design-balanced": ["design", *BANGLA, *WIDE, "--tie-policy", "balanced"],
-    "bangla-evaluate": ["evaluate", *BANGLA, "{tmp}/bangla-design-left-biased/layout.json",
-                        str(DATA / "bangla" / "layouts" / "partial.json")],
-    "bangla-mine": ["mine", *BANGLA, "--min-support", "0.01", "--min-confidence", "0.1"],
+# each run with a golden directory -> that directory, under data/golden/
+GOLDEN_DIRS = {
+    "sample-stats": "sample/stats",
+    "sample-design": "sample/design",
+    "sample-evaluate": "sample/evaluate",
+    "sample-mine": "sample/mine",
+    "market9": ".",
+    "baskets400": "baskets400",
+    "bangla-stats": "bangla/stats",
+    "bangla-design-left-biased": "bangla/design-wide/left-biased",
+    "bangla-design-balanced": "bangla/design-wide/balanced",
+    "bangla-evaluate": "bangla/evaluate",
+    "bangla-mine": "bangla/mine",
 }
 
 
-def run_all(tmp: Path, runs: dict) -> Path:
-    for name, argv in runs.items():
-        argv = [arg.format(tmp=tmp) for arg in argv]
-        assert main([*argv, "--output-dir", str(tmp / name)]) == 0, name
-    return tmp
-
-
-@pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory):
-    return run_all(tmp_path_factory.mktemp("golden"), GOLDEN_RUNS)
+def golden_files(name: str) -> list[Path]:
+    return sorted(path for path in (GOLDEN / GOLDEN_DIRS[name]).iterdir() if path.is_file())
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_golden_run_checks_clean(golden_runs, name):
     assert reference.check(golden_runs / name) == []
+
+
+@pytest.mark.parametrize("name", GOLDEN_DIRS)
+def test_golden_run_matches_golden_files(golden_runs, name):
+    # stdout.txt holds the run's `level k:` and `scans performed:` lines,
+    # since the other lines name the output directory
+    for golden in golden_files(name):
+        if golden.name == "stdout.txt":
+            log = (golden_runs / f"{name}.stdout").read_text(encoding="utf-8").splitlines()
+            got = "".join(f"{line}\n" for line in log
+                          if line.startswith(("level ", "scans performed:"))).encode()
+        else:
+            got = (golden_runs / name / golden.name).read_bytes()
+        assert got == golden.read_bytes(), golden
+
+
+def test_every_golden_file_is_compared():
+    # the table's files, and the overflow error that
+    # test_cli.py::TestBanglaGolden::test_design_overflows_the_default_geometry compares
+    compared = {path for name in GOLDEN_DIRS for path in golden_files(name)}
+    overflow = GOLDEN / "bangla" / "design" / "stderr.txt"
+    assert {path for path in GOLDEN.rglob("*") if path.is_file()} == compared | {overflow}
 
 
 @pytest.mark.parametrize("seed", range(3))
