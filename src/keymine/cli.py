@@ -313,10 +313,8 @@ def cmd_design(args) -> int:
         },
     )
     print(f"design: {len(partition.left)} letters left, {len(partition.right)} right -> {out}")
-    print(f"audit: {'pass' if audit.ok else 'FAIL: ' + audit.message}")
-    if not audit.ok:
-        return 1
-    return 0
+    print("audit: pass" if audit is None else f"audit: FAIL: {audit}")
+    return 0 if audit is None else 1
 
 
 def cmd_evaluate(args) -> int:

@@ -75,16 +75,6 @@ class HandPartition(NamedTuple):
         return [rec.letter for rec in self.trace if rec.hand == "right"]
 
 
-class AuditResult(NamedTuple):
-    ok: bool
-    message: str = ""
-    rank: int | None = None
-    letter: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 # Rank -> hand for the first four letters; the top letter and the fourth
 # anchor the right hand, the second and third the left.
 _SEED_HANDS = {1: "right", 2: "left", 3: "left", 4: "right"}
@@ -157,45 +147,34 @@ def assign_hands(
 
 def audit_partition(
     partition: HandPartition, monographs: NGraphTable, digraphs: NGraphTable
-) -> AuditResult:
+) -> str | None:
     """Recompute the assignment and report the first record that differs.
 
     Runs `assign_hands` again on the same tables and tie policy, then
     compares the partition's trace with the recomputed one record by record:
-    rank and letter, the four affinities, then the hand. Passes only if
-    the traces have as many records and every record matches; an empty
-    trace fails the count. The hand lists are read off the trace, so they
-    cannot disagree with it. The recomputation shares the rule and the pair
-    sums with the assignment, so it catches a trace changed after the fact,
-    not a fault in the rule itself.
+    rank and letter, the four affinities, then the hand. Passes, returning
+    None, only if the traces have as many records and every record matches;
+    otherwise returns one message, which names the first record that
+    differs or gives the two counts. An empty trace fails the count. The
+    hand lists are read off the trace, so they cannot disagree with it. The
+    recomputation shares the rule and the pair sums with the assignment, so
+    it catches a trace changed after the fact, not a fault in the rule
+    itself.
     """
     expected = assign_hands(monographs, digraphs, partition.tie_policy)
     if len(partition.trace) != len(expected.trace):
-        return AuditResult(False, f"trace has {len(partition.trace)} records for {len(expected.trace)} ranked letters")
+        return f"trace has {len(partition.trace)} records for {len(expected.trace)} ranked letters"
     for rec, want in zip(partition.trace, expected.trace):
         if rec.rank != want.rank or rec.letter != want.letter:
-            return AuditResult(
-                False,
-                f"trace rank {rec.rank} letter {rec.letter!r} does not match "
-                f"ranking rank {want.rank} letter {want.letter!r}",
-                want.rank,
-                rec.letter,
-            )
+            return (f"trace rank {rec.rank} letter {rec.letter!r} does not match "
+                    f"ranking rank {want.rank} letter {want.letter!r}")
         if rec[2:6] != want[2:6]:
-            return AuditResult(
-                False,
-                f"recorded affinities {rec[2:6]} differ from recomputed {want[2:6]}",
-                want.rank,
-                rec.letter,
-            )
+            return (f"rank {rec.rank} letter {rec.letter!r}: recorded affinities "
+                    f"{rec[2:6]} differ from recomputed {want[2:6]}")
         if rec.hand != want.hand:
-            return AuditResult(
-                False,
-                f"recorded hand {rec.hand!r} but the decision rule gives {want.hand!r}",
-                want.rank,
-                rec.letter,
-            )
-    return AuditResult(True, "all decisions replay identically")
+            return (f"rank {rec.rank} letter {rec.letter!r}: recorded hand {rec.hand!r} "
+                    f"but the decision rule gives {want.hand!r}")
+    return None
 
 
 class KeyPosition(NamedTuple):

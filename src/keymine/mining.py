@@ -15,16 +15,17 @@ items. The list holds one 8-byte reference per pair; a count above 256 also
 costs a 32-byte int object, since CPython caches only the smaller ones.
 Level 2's candidates, every pair of frequent items, come lazily from that
 `combinations` and are never listed, and the list itself is the level's
-supports. From k = 2 on, each level is sorted once and joined within
-groups that share a prefix, and the next level's candidates come out in
-universe order. Level 1 counts bare items and every level from 3 on the
-size-k subsets of the rows, each in one `Counter`, from which the
-candidates' supports are popped into a list, in C. Every level thus reads
-out as two aligned sequences, candidates and supports, and the support
-threshold is applied to them in C: an itemset becomes a Python object only
-when it is frequent. A level keeps only its frequent itemsets and the number
-of candidates it counted. A level longer than every row is never built: it
-is a scan over no rows, recorded only when its join yields a candidate.
+supports. Every level comes out in universe order, so from k = 2 on each
+is joined as it stands, unsorted, within groups that share a prefix, and
+the next level's candidates come out in universe order too. Level 1 counts
+bare items and every level from 3 on the size-k subsets of the rows, each
+in one `Counter`, from which the candidates' supports are popped into a
+list, in C. Every level thus reads out as two aligned sequences,
+candidates and supports, and the support threshold is applied to them in
+C: an itemset becomes a Python object only when it is frequent. A level
+keeps only its frequent itemsets and the number of candidates it counted.
+A level longer than every row is never built: it is a scan over no rows,
+recorded only when its join yields a candidate.
 
 Thresholds are decided on the exact digits they are written with, in
 integers: `decimal_parts` reads a threshold's text (or a float's or a
@@ -111,11 +112,11 @@ _counted = partial(tuple.__new__, CountedItemset)
 
 
 class FrequentLevel(NamedTuple):
-    """One Apriori level: the frequent k-itemsets with their counts, and
-    `candidates`, the number of k-itemsets counted to find them."""
+    """One Apriori level: the frequent k-itemsets with their counts, in
+    universe order, and `candidates`, the number of k-itemsets counted to
+    find them."""
 
     k: int
-    universe: tuple[str, ...]
     itemsets: tuple[CountedItemset, ...]
     candidates: int
 
@@ -240,11 +241,13 @@ class _LevelRows:
 
 def _joined(prev: FrequentLevel) -> Iterator[tuple[str, ...]]:
     """The candidates `generate_candidates` lists, yielded lazily, so that a
-    probe for the first one builds no others."""
-    rank = {item: i for i, item in enumerate(prev.universe)}.__getitem__
+    probe for the first one builds no others. `prev.itemsets` must be in
+    universe order, as `mine_frequent` emits every level: each itemset's
+    items in universe order, and the itemsets in the order of their items'
+    ranks."""
     frequent = {ci.items for ci in prev.itemsets}
     groups: dict[tuple[str, ...], list[str]] = {}
-    for items in sorted(frequent, key=lambda c: tuple(map(rank, c))):
+    for items, _ in prev.itemsets:
         groups.setdefault(items[:-1], []).append(items[-1])
     for prefix, lasts in groups.items():
         for cand in map(prefix.__add__, combinations(lasts, 2)):
@@ -255,13 +258,14 @@ def _joined(prev: FrequentLevel) -> Iterator[tuple[str, ...]]:
 def generate_candidates(prev: FrequentLevel) -> list[tuple[str, ...]]:
     """Join the frequent (k-1)-itemsets with themselves, then prune.
 
-    The level is sorted once and grouped by prefix (all items but the last);
-    two itemsets join only within their group, the one whose last item sorts
-    first going first, so the join costs time linear in its output and the
-    candidates come out in universe order. Both parents of a candidate are
-    frequent, so pruning checks only the subsets that drop a prefix item,
-    and nothing at k = 2. `mine_frequent` counts level 2 from the frequent
-    items, not from this join, and joins each later level once, here.
+    The level, in universe order as `mine_frequent` emits it, is grouped by
+    prefix (all items but the last) as it stands; two itemsets join only
+    within their group, the one whose last item comes first going first, so
+    the join costs time linear in its output and the candidates come out in
+    universe order. Both parents of a candidate are frequent, so pruning
+    checks only the subsets that drop a prefix item, and nothing at k = 2.
+    `mine_frequent` counts level 2 from the frequent items, not from this
+    join, and joins each later level once, here.
     """
     return list(_joined(prev))
 
@@ -281,7 +285,7 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
     Exactly one database scan per level, over rows cut further at each
     level. Level 2 is counted from the frequent items, and its candidates,
     every pair of them, are never listed; from level 3 on they are listed
-    by `generate_candidates`, which sorts and joins each level once. Each
+    by `generate_candidates`, which joins each level once. Each
     level's candidates and supports are thresholded in C, so only its
     frequent itemsets become `CountedItemset`s; they are kept, with the
     number of candidates counted. Once no row holds more than k items, every
@@ -304,7 +308,7 @@ def mine_frequent(db: TransactionDB, params: MiningParams) -> Levels:
         levels.scans += 1
         if not frequent:
             break
-        level = FrequentLevel(k=k, universe=db.universe, itemsets=frequent, candidates=walked)
+        level = FrequentLevel(k=k, itemsets=frequent, candidates=walked)
         levels.append(level)
         if rows.longest <= k:  # the next level: a scan over no rows, if its join yields a candidate
             levels.scans += any(_joined(level))
@@ -325,35 +329,17 @@ def frequent_map(levels: Iterable[FrequentLevel]) -> dict[tuple[str, ...], int]:
     return merged
 
 
-class _AssociationRule(NamedTuple):
+class AssociationRule(NamedTuple):
+    """antecedent => consequent with support count(A∪B)/|D| and
+    confidence count(A∪B)/count(A)."""
+
     antecedent: tuple[str, ...]
     consequent: tuple[str, ...]
     support: float
     confidence: float
 
 
-class AssociationRule(_AssociationRule):
-    """antecedent => consequent with support count(A∪B)/|D| and
-    confidence count(A∪B)/count(A)."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, antecedent: tuple[str, ...], consequent: tuple[str, ...], support: float, confidence: float
-    ) -> AssociationRule:
-        if not antecedent or not consequent:
-            raise ValueError("rule sides must be non-empty")
-        if set(antecedent) & set(consequent):
-            raise ValueError("rule sides must be disjoint")
-        return super().__new__(cls, antecedent, consequent, support, confidence)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> AssociationRule:
-        return cls(*iterable)  # so `_replace` validates too
-
-
-# builds an AssociationRule without a Python-level call or its checks, for
-# `generate_rules`, whose sides are disjoint, non-empty subsets of one itemset
+# builds an AssociationRule from a 4-tuple without a Python-level call, for `generate_rules`
 _rule = partial(tuple.__new__, AssociationRule)
 
 

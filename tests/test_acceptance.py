@@ -140,9 +140,9 @@ def test_decision_trace_replays():
                            space_prob=0.1, junk="389", junk_prob=0.05)
         mono, di, _ = design_tables(alpha, text)
         part = assign_hands(mono, di)
-        result = audit_partition(part, mono, di)
-        if not result.ok:
-            ok, detail = False, f"seed {seed}: {result.message}"
+        failure = audit_partition(part, mono, di)
+        if failure is not None:
+            ok, detail = False, f"seed {seed}: {failure}"
             break
         for rec in part.trace[4:]:
             toward_left = (rec.left_support > rec.right_support

@@ -666,6 +666,10 @@ class TestMonographRanking:
 
 
 class TestMergeAndManifest:
+    """Several sources counted by one `CorpusCounts`, which adds their
+    counts and forms no n-gram across a source boundary; `read_manifest`;
+    and `write_ngraph_tsv`."""
+
     def test_merge_is_additive(self):
         merged, _, _ = design_tables(AB, "abab", "bb")
         assert merged.counts == {("a",): 2, ("b",): 4}

@@ -149,7 +149,8 @@ class TestEvaluate:
 
 
 class TestEvaluateStreams:
-    """Several sources: per-file tables keep switching from crossing files."""
+    """Several sources scored from one digraph table, which holds no digraph
+    across a source boundary, so no switch is counted there."""
 
     def test_sums_per_file_reports(self):
         layout = split_layout(["a"], ["b"])

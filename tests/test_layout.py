@@ -11,7 +11,6 @@ import pytest
 from keymine.cli import main
 from keymine.corpus import AlphabetConfig, IngestionError, NGraphTable
 from keymine.layout import (
-    AuditResult,
     GeometryCapacityError,
     KeyboardGeometry,
     KeyPosition,
@@ -111,7 +110,7 @@ class TestAssignHands:
             assert part.left == ["b", "c", "e", "f"] and part.right == ["a", "d"]
         else:
             assert part.left == ["b", "c", "e"] and part.right == ["a", "d", "f"]
-        assert audit_partition(part, mono, di).ok
+        assert audit_partition(part, mono, di) is None
 
     def test_trace_covers_every_letter_in_rank_order(self):
         mono, di, _ = design_tables(ABCDE, AFFINITY_TEXT)
@@ -164,7 +163,7 @@ class TestTiePolicies:
     def test_balanced_partition_audits_clean(self):
         mono, di, _ = design_tables(AlphabetConfig(name="af", letters=tuple("abcdef")), TIE_TEXT)
         part = assign_hands(mono, di, tie_policy="balanced")
-        assert audit_partition(part, mono, di).ok
+        assert audit_partition(part, mono, di) is None
 
     @pytest.mark.xfail(strict=True, reason="assign_hands compares float sums inline; an "
                        "exact integer tie is decided by rounding (0.1 + 0.2 > 0.3)")
@@ -186,41 +185,38 @@ class TestAuditPartition:
 
     def test_fresh_partition_passes(self):
         part, mono, di = self.fixture_partition()
-        result = audit_partition(part, mono, di)
-        assert result.ok and bool(result)
-
-    def test_failed_result_is_falsy(self):
-        # a record with four fields is a non-empty tuple; its truth must be `ok`
-        assert bool(AuditResult(False, "x")) is False
-        assert bool(AuditResult(True)) is True
-        assert not AuditResult(False, "x", 5, "e")
+        assert audit_partition(part, mono, di) is None
 
     def test_flipped_hand_fails_at_that_letter(self):
         part, mono, di = self.fixture_partition()
         part.trace[4] = part.trace[4]._replace(hand="left")
         assert part.left == ["b", "c", "e"]  # the hand lists follow the trace
-        result = audit_partition(part, mono, di)
-        assert not result.ok
-        assert result.letter == "e" and result.rank == 5
+        assert audit_partition(part, mono, di) == (
+            "rank 5 letter 'e': recorded hand 'left' but the decision rule gives 'right'")
 
     def test_tampered_affinity_fails(self):
         part, mono, di = self.fixture_partition()
         rec = part.trace[4]
         part.trace[4] = rec._replace(left_support=rec.left_support + 1e-9)
-        result = audit_partition(part, mono, di)
-        assert not result.ok and result.letter == "e"
+        assert audit_partition(part, mono, di) == (
+            f"rank 5 letter 'e': recorded affinities {part.trace[4][2:6]} "
+            f"differ from recomputed {rec[2:6]}")
+
+    def test_swapped_records_fail_at_the_first(self):
+        part, mono, di = self.fixture_partition()
+        part.trace[1], part.trace[2] = part.trace[2], part.trace[1]
+        assert audit_partition(part, mono, di) == (
+            "trace rank 3 letter 'c' does not match ranking rank 2 letter 'b'")
 
     def test_missing_trace_is_an_error(self):
         part, mono, di = self.fixture_partition()
         result = audit_partition(part._replace(trace=[]), mono, di)
-        assert not result.ok
-        assert result.message == "trace has 0 records for 5 ranked letters"
+        assert result == "trace has 0 records for 5 ranked letters"
 
     def test_dropped_record_fails_the_count(self):
         part, mono, di = self.fixture_partition()
         result = audit_partition(part._replace(trace=part.trace[:-1]), mono, di)
-        assert not result.ok
-        assert result.message == "trace has 4 records for 5 ranked letters"
+        assert result == "trace has 4 records for 5 ranked letters"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_corpora_replay_clean(self, seed):
@@ -230,7 +226,7 @@ class TestAuditPartition:
                            space_prob=0.1, junk="123", junk_prob=0.04)
         mono, di, _ = design_tables(alpha, text)
         part = assign_hands(mono, di)
-        assert audit_partition(part, mono, di).ok
+        assert audit_partition(part, mono, di) is None
 
 
 class TestTraceOracle:
